@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 usage or config problems, 3 numerical failures
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -73,11 +72,6 @@ def _lengths(text: str) -> tuple[int, ...]:
     return values
 
 
-def _config_hash(cfg) -> str:
-    canonical = json.dumps(asdict(cfg), sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 def _write_json(path: Path, payload: dict) -> Path:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
@@ -97,7 +91,7 @@ def _write_manifest(
         raise RuntimeError(f"declared outputs missing: {missing}")
     manifest = {
         "command": command,
-        "config_sha256": _config_hash(cfg),
+        "config_sha256": cfg.config_hash(),
         "rng_seed": seed,
         "tool_version": __version__,
         "started_at": started,
@@ -169,8 +163,25 @@ def cmd_sweep(args, cfg, out_dir: Path, command: str, started: str) -> int:
             y_label="peak coupling (MHz)",
         ),
     )
+    cell_errors = [
+        {"g_hz": g, "T_s": t, "error": error}
+        for g, row in zip(result.g_values_hz, result.errors)
+        for t, error in zip(result.t_values_s, row)
+        if error is not None
+    ]
+    for cell in cell_errors:
+        print(
+            f"sweep cell g={cell['g_hz']:.9e} Hz, T={cell['T_s']:.9e} s failed: {cell['error']}",
+            file=sys.stderr,
+        )
     _write_manifest(
-        out_dir, command, cfg, args.seed, started, [csv_path, svg_path]
+        out_dir,
+        command,
+        cfg,
+        args.seed,
+        started,
+        [csv_path, svg_path],
+        extra={"cell_errors": cell_errors},
     )
     return 0
 

@@ -293,10 +293,27 @@ def _merge(base: dict, override: Mapping) -> dict:
     return out
 
 
+def _default_mode_t1(default: DeviceConfig, cpw: Mapping[str, Any]) -> list[float]:
+    """The default device's measured mode lifetimes on the window of
+    harmonics ``cpw`` retains; a harmonic outside the measured window reuses
+    the nearest measured lifetime."""
+    measured = dict(zip(default.mode_indices(), default.cpw.mode_t1_s))
+    lo, hi = min(measured), max(measured)
+    k, target = cpw["modes_retained"] // 2, cpw["target_mode_index"]
+    return [measured[min(max(m, lo), hi)] for m in range(target - k, target + k + 1)]
+
+
 def _config_from_dict(data: Mapping[str, Any]) -> DeviceConfig:
-    base = default_config().to_dict()
-    merged = _merge(base, data)
+    default = default_config()
+    merged = _merge(default.to_dict(), data)
     try:
+        # the mode arrays follow the merged window unless the input lists them
+        listed = data.get("cpw", {})
+        cpw = merged["cpw"]
+        if "mode_frequencies_hz" not in listed:
+            cpw["mode_frequencies_hz"] = []  # auto-filled by validate()
+        if "mode_t1_s" not in listed:
+            cpw["mode_t1_s"] = _default_mode_t1(default, cpw)
         cfg = DeviceConfig(
             l_qubits=[LQubitConfig(**q) for q in merged["l_qubits"]],
             data_qubits=[DataQubitConfig(**q) for q in merged["data_qubits"]],

@@ -3,7 +3,7 @@
 Chain layout: site 0 is the L1 end of the waveguide, the last site is the L2
 end, and the sites between hold the retained CPW modes in ascending index
 order.  Energies are tracked as frequencies (Hz) in the frame rotating at the
-target mode; the integrator multiplies by 2*pi.  The standing-wave parity of
+target mode; the propagator multiplies by 2*pi.  The standing-wave parity of
 the modes shows up as alternating coupling signs at the L2 end:
 sign(mode m) = (-1)**(m - m_target), with the L1 end all positive.  That
 convention lives in mode_sign() below and nowhere else.
@@ -16,14 +16,17 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy import sparse
 
 from .basis import BasisLabel, DensityOperator, basis_index, build_basis
 from .channels import QuantumChannel, superop_to_choi, vec
 from .config import DeviceConfig
 from .pulses import PulseSchedule, build_transfer_schedule
 
-_HERMITICITY_SAMPLES = 10
+_GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_CHUNK = 64  # sample intervals, and then pieces, per batch; even, bounds memory
+_MAX_SUBSTEPS = 4096  # per sample interval, before the propagator gives up
+_SERIES_RADIUS = 0.5  # exponents are scaled to this 1-norm before summing
 
 
 def mode_sign(mode_index: int, target_mode_index: int, end: str) -> float:
@@ -112,6 +115,15 @@ class HamiltonianModel:
             np.interp(t_s, s.times_s, s.det_r_hz),
         )
 
+    def control_samples(self) -> np.ndarray:
+        """Control samples (g_e, g_r, det_e, det_r) in Hz, shape (n_times, 4)."""
+        s = self.schedule
+        return np.stack([s.g_e_hz, s.g_r_hz, s.det_e_hz, s.det_r_hz], axis=1)
+
+    def control_parts(self) -> np.ndarray:
+        """The operators the controls multiply, in control_samples order."""
+        return np.stack([self.coupling_e, self.coupling_r, self.number_e, self.number_r])
+
     def matrix_at(self, t_s: float) -> np.ndarray:
         g_e, g_r, det_e, det_r = self.controls_at(t_s)
         return (
@@ -173,12 +185,10 @@ def build_hamiltonian(
         emitter_site=e_site,
         receiver_site=r_site,
     )
-
-    rng = np.random.default_rng(0)
-    for t in rng.uniform(0.0, max(schedule.duration_s, 1e-12), _HERMITICITY_SAMPLES):
-        h = model.matrix_at(t)
-        if not np.allclose(h, h.conj().T, atol=1e-9):
-            raise ValueError("Hamiltonian is not hermitian at a sampled time")
+    # the controls are real, so hermitian parts make H(t) hermitian at every t
+    for part in (model.static_hz, *model.control_parts()):
+        if not np.allclose(part, part.conj().T, atol=1e-9):
+            raise ValueError("Hamiltonian part is not hermitian")
     return model
 
 
@@ -221,8 +231,189 @@ class CollapseSet:
             ops.append(math.sqrt(1.0 / t1) * _lowering_operator(basis, pos + 1))
         return cls(ops)
 
-    def dissipator_pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(l, l.conj().T @ l) for l in self.operators]
+    def split(self, dim: int) -> tuple[np.ndarray, sparse.csr_matrix]:
+        """The dissipator split for the propagator: (decay, jump).
+
+        decay = sum L^dag L over the operators that move population (site
+        lowering) and enters H_eff.  jump is a sparse superoperator on the
+        row-major vec of rho: their L rho L^dag, a gather of entries of rho
+        since each has at most one entry per row and per column, plus the
+        whole dissipator of each diagonal operator (dephasing).  That
+        dissipator is diagonal and leaves populations alone; inside H_eff
+        its decay of populations would have to be cancelled by the jump
+        step, which loses accuracy on long steps.
+        """
+        eye = sparse.identity(dim, dtype=complex, format="csr")
+        decay = np.zeros((dim, dim), dtype=complex)
+        jump = sparse.csr_matrix((dim * dim, dim * dim), dtype=complex)
+        for l in self.operators:
+            ldl = l.conj().T @ l
+            jump = jump + sparse.kron(l, l.conj(), format="csr")
+            if np.count_nonzero(l - np.diag(np.diag(l))):
+                decay += ldl
+            else:
+                jump = jump - 0.5 * (sparse.kron(ldl, eye) + sparse.kron(eye, ldl.T))
+        return decay, jump.tocsr()
+
+
+# -- propagator ----------------------------------------------------------------
+#
+# Between samples the controls are linear in t, so the generator of the
+# no-jump evolution, A(t) = -2 pi i H_eff(t) with H_eff = H - (i / 4 pi) *
+# decay, is A0 + sum_i c_i(t) A_i with each c_i linear on every sample
+# interval.  Each interval, or an equal piece of it, is propagated by the
+# fourth-order Magnus step on its two Gauss points (Blanes, Casas, Oteo & Ros,
+# Phys. Rep. 470, 151 (2009)),
+#     Omega = h/2 (A1 + A2) + (sqrt(3) / 12) h^2 [A2, A1],   U = exp(Omega).
+# The jump part enters through a Lawson (integrating-factor) fourth-order
+# Runge-Kutta step in the interaction picture of the no-jump evolution
+# (Lawson, SIAM J. Numer. Anal. 4, 372 (1967)), which needs the propagators
+# of the two half steps.
+
+
+def _expm(omega: np.ndarray) -> np.ndarray:
+    """exp of a stack of matrices: scaling, a Taylor series, squaring.
+
+    Matrix products only.  A LAPACK solve, as in a Pade approximant, wakes
+    OpenBLAS's worker threads, and the first such call in a process can
+    stall for about a second on a 2-core host; the pieces' exponents are
+    small, so the series is short.  Its degree is the least whose first
+    omitted term is below 1e-17 at the scaled norm.
+    """
+    norm = float(np.abs(omega).sum(axis=-2).max())
+    squarings = max(0, math.ceil(math.log2(norm / _SERIES_RADIUS))) if norm > 0.0 else 0
+    x = omega / 2.0**squarings
+    theta, degree = norm / 2.0**squarings, 1
+    while theta ** (degree + 1) / math.factorial(degree + 1) > 1e-17:
+        degree += 1
+    eye = np.eye(omega.shape[-1])
+    out = eye + x / degree
+    for k in range(degree - 1, 0, -1):
+        out = eye + (x @ out) / k
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _substep_counts(a0, parts, h, lo, slope, tol: float, jump_rate: float) -> np.ndarray:
+    """Fewest equal substeps per sample interval whose remainder estimate
+    stays at or below tol.
+
+    The controls of each interval start at lo and change by slope.  With
+    alpha1 = h A(t_mid) and alpha2 = h^2 dA/dt on an interval where A is
+    linear in t, the leading remainder of the fourth-order Magnus step is
+        R = -1/240 [alpha2, [alpha1, alpha2]] + 1/720 [alpha1, [alpha1, [alpha1, alpha2]]],
+    of order h^5.  The Runge-Kutta jump step adds r (c + r)^4 / 120, where
+    r = h * jump_rate (a norm of the jump part, 0 without loss) and c is the
+    row-sum norm of alpha1's off-diagonal part: site energies add, so the
+    jump part commutes with the diagonal of A and its integrand turns at the
+    rate of the couplings.  n equal substeps divide the interval's estimate
+    |R|_F + r (c + r)^4 / 120 by n^4, so n = ceil((estimate / tol) ** (1/4)),
+    and a tighter tol never gives fewer substeps.
+    """
+    scale = h[:, None, None]
+    alpha1 = scale * (a0 + np.einsum("ni,ijk->njk", lo + 0.5 * slope, parts))
+    alpha2 = scale * np.einsum("ni,ijk->njk", slope, parts)
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    c12 = comm(alpha1, alpha2)
+    remainder = comm(alpha1, comm(alpha1, c12)) / 720.0 - comm(alpha2, c12) / 240.0
+    rate = h * jump_rate
+    turn = np.abs(alpha1 - alpha1 * np.eye(alpha1.shape[-1])).sum(axis=2).max(axis=1)
+    estimate = np.linalg.norm(remainder, axis=(1, 2)) + rate * (turn + rate) ** 4 / 120.0
+    counts = np.maximum(1.0, np.ceil((estimate / tol) ** 0.25))
+    if counts.max() > _MAX_SUBSTEPS:
+        raise RuntimeError(
+            f"a sample interval needs {counts.max():.3g} substeps to reach tol {tol:.1e}"
+        )
+    return counts.astype(int)
+
+
+def _piece_propagators(model: HamiltonianModel, a0, tol: float, jump_rate: float, split: int):
+    """Yield (lengths, propagators) of the schedule's pieces in time order.
+
+    Every sample interval is cut into split * n equal pieces, n from
+    _substep_counts.  A batch holds at most _CHUNK pieces and every interval
+    gives a multiple of split, so split-sized groups never straddle batches.
+    """
+    times = model.schedule.times_s
+    ctrl = model.control_samples()
+    parts = -2j * math.pi * model.control_parts()
+    for start in range(0, len(times) - 1, _CHUNK):
+        stop = min(start + _CHUNK, len(times) - 1)
+        h = times[start + 1 : stop + 1] - times[start:stop]
+        lo, slope = ctrl[start:stop], ctrl[start + 1 : stop + 1] - ctrl[start:stop]
+        counts = split * _substep_counts(a0, parts, h, lo, slope, tol, jump_rate)
+        interval = np.repeat(np.arange(stop - start), counts)
+        index = np.arange(len(interval)) - np.repeat(np.cumsum(counts) - counts, counts)
+        for first in range(0, len(interval), _CHUNK):
+            iv = interval[first : first + _CHUNK]
+            width = 1.0 / counts[iv]
+            begin = index[first : first + _CHUNK] * width
+            lengths = (h[iv] * width)[:, None, None]
+            a1, a2 = (
+                a0 + np.einsum("ni,ijk->njk", lo[iv] + offset[:, None] * slope[iv], parts)
+                for offset in (begin + x * width for x in _GAUSS_NODES)
+            )
+            omega = 0.5 * lengths * (a1 + a2) + (math.sqrt(3.0) / 12.0) * lengths**2 * (
+                a2 @ a1 - a1 @ a2
+            )
+            yield lengths[:, 0, 0], _expm(omega)
+
+
+def _lawson_step(rho, u_first, u_second, h: float, jump) -> np.ndarray:
+    """One RK4 step of length h in the interaction picture of the no-jump
+    evolution, whose half-step propagators are u_first and u_second."""
+
+    def propagate(u, m):
+        return u @ m @ u.conj().T
+
+    mid = propagate(u_first, rho)
+    k1 = propagate(u_first, jump(rho))
+    k2 = jump(mid + 0.5 * h * k1)
+    k3 = jump(mid + 0.5 * h * k2)
+    k4 = jump(propagate(u_second, mid + h * k3))
+    return propagate(u_second, mid + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3)) + (h / 6.0) * k4
+
+
+def _propagate(
+    model: HamiltonianModel, collapse: CollapseSet, y0: np.ndarray, tol: float, pure: bool
+) -> np.ndarray:
+    """The one propagation routine: y(T) for a state vector (pure) or for a
+    (stack of) d x d matrices under the Lindblad generator.
+
+    tol bounds the remainder estimate of every sample interval (see
+    _substep_counts).  Without collapse operators the piece propagators are
+    multiplied into one, which is then applied once.
+    """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    y = np.array(y0, dtype=complex)
+    if model.schedule.duration_s <= 0.0:
+        return y
+    d = model.dim
+    decay, superop = collapse.split(d)
+    a0 = -2j * math.pi * model.static_hz - 0.5 * decay
+    if collapse.operators:
+        jump_rate = float(abs(superop).sum(axis=1).max())
+
+        def jump(m):
+            return (superop @ m.reshape(-1, d * d).T).T.reshape(m.shape)
+
+        for lengths, props in _piece_propagators(model, a0, tol, jump_rate, split=2):
+            for h, u_first, u_second in zip(2.0 * lengths[::2], props[::2], props[1::2]):
+                y = _lawson_step(y, u_first, u_second, h, jump)
+    else:
+        total = np.eye(d, dtype=complex)
+        for _, props in _piece_propagators(model, a0, tol, 0.0, split=1):
+            for u in props:
+                total = u @ total
+        y = total @ y if pure else total @ y @ total.conj().T
+    if not np.all(np.isfinite(y)):
+        raise RuntimeError("propagation produced non-finite values")
+    return y
 
 
 def _integrate_matrix(
@@ -234,61 +425,14 @@ def _integrate_matrix(
     """Propagate matrices under the (linear) Lindblad generator.
 
     m0 may be a single d x d matrix or a stack (..., d, d); stacked inputs
-    share one adaptive solve, which channel extraction leans on.
+    share every propagator, which channel extraction leans on.
     """
-    m0 = np.asarray(m0, dtype=complex)
-    duration = model.schedule.duration_s
-    if duration <= 0.0:
-        return m0.copy()
-    shape = m0.shape
-    pairs = collapse.dissipator_pairs()
-    two_pi = 2.0 * math.pi
-
-    def rhs(t, y):
-        rho = y.reshape(shape)
-        h = model.matrix_at(t)
-        out = -1j * two_pi * (h @ rho - rho @ h)
-        for l, ldl in pairs:
-            out += l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
-        return out.reshape(-1)
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, duration),
-        m0.reshape(-1),
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-3,
-        max_step=duration / 64.0,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise RuntimeError(f"integrator failed: {sol.message}")
-    return sol.y[:, -1].reshape(shape)
+    return _propagate(model, collapse, m0, tol, pure=False)
 
 
 def _integrate_state(model: HamiltonianModel, psi0: np.ndarray, tol: float) -> np.ndarray:
     """Schrodinger fast path for pure lossless evolution."""
-    duration = model.schedule.duration_s
-    if duration <= 0.0:
-        return np.array(psi0, dtype=complex)
-    two_pi = 2.0 * math.pi
-
-    def rhs(t, y):
-        return -1j * two_pi * (model.matrix_at(t) @ y)
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, duration),
-        np.asarray(psi0, dtype=complex),
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-3,
-        max_step=duration / 64.0,
-    )
-    if not sol.success:
-        raise RuntimeError(f"integrator failed: {sol.message}")
-    return sol.y[:, -1]
+    return _propagate(model, CollapseSet.lossless(), psi0, tol, pure=True)
 
 
 def evolve(
@@ -461,7 +605,8 @@ def sweep_transfer(
 
     Ramp durations stay at the configured value while the sweep time varies.
     Cells whose corrected coupling exceeds the configured cap are still
-    simulated but flagged saturated.  Per-cell failures are recorded, not
+    simulated but flagged saturated.  A cell's ValueError (its schedule or
+    state checks) or RuntimeError (the propagator) is recorded in errors, not
     raised.
     """
     if len(g_grid_hz) == 0 or len(t_grid_s) == 0:
@@ -483,7 +628,7 @@ def sweep_transfer(
                 )
                 row.append(simulate_transfer(cfg, schedule, lossy, truncation, tol))
                 err_row.append(None)
-            except Exception as exc:  # per-cell errors must not kill the grid
+            except (ValueError, RuntimeError) as exc:  # schedule or propagator
                 row.append(None)
                 err_row.append(str(exc))
         results.append(row)

@@ -10,6 +10,7 @@ import json
 import pytest
 
 from lcoupler.cli import main
+from lcoupler.config import default_config
 
 SWEEP_HEADER = "g_hz,T_s,pop_emitter,pop_receiver,pop_other,saturated"
 RB_HEADER = "length,seed,shots,survival,spectator_l1,spectator_l2"
@@ -37,6 +38,29 @@ class TestSweepCommand:
             assert (tmp_path / name).exists()
         assert manifest["tool_version"]
         assert "config_sha256" in manifest
+
+    def test_manifest_hash_is_the_library_hash(self, tmp_path):
+        code = run(
+            tmp_path, "sweep", "--method", "stirap", "--g", "3e6:3e6:1", "--T", "5e-8:5e-8:1",
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["config_sha256"] == default_config().config_hash()
+        assert manifest["cell_errors"] == []
+
+    def test_failed_cell_reported(self, tmp_path, capsys):
+        code = run(
+            tmp_path, "sweep", "--method", "satd",
+            "--g", "3e6:3e6:1", "--T", "166.66e-9:166.66e-9:1",
+        )
+        assert code == 0
+        lines = (tmp_path / "sweep_satd.csv").read_text().strip().split("\n")
+        assert lines == [SWEEP_HEADER, "3.000000000e+06,1.666600000e-07,,,,"]
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        [cell] = manifest["cell_errors"]
+        assert cell["g_hz"] == 3e6 and cell["T_s"] == pytest.approx(166.66e-9)
+        assert "sweep duration" in cell["error"]
+        assert "sweep duration" in capsys.readouterr().err
 
     def test_invalid_method_is_usage_error(self, tmp_path):
         code = run(

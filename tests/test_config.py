@@ -79,3 +79,25 @@ def test_roundtrip_through_dict():
     cfg = default_config()
     again = load_config(cfg.to_dict())
     assert again.canonical_json() == cfg.canonical_json()
+
+
+@pytest.mark.parametrize(
+    "modes,freqs,t1s",
+    [
+        (3, [4.783e9, 4.881e9, 4.979e9], [5.15e-6, 5.23e-6, 5.13e-6]),
+        (1, [4.881e9], [5.23e-6]),
+    ],
+)
+def test_partial_modes_override_derives_mode_arrays(modes, freqs, t1s):
+    cfg = load_config({"cpw": {"modes_retained": modes}})
+    assert len(cfg.cpw.mode_frequencies_hz) == len(cfg.cpw.mode_t1_s) == modes
+    spelled = load_config(
+        {"cpw": {"modes_retained": modes, "mode_frequencies_hz": freqs, "mode_t1_s": t1s}}
+    )
+    assert cfg.canonical_json() == spelled.canonical_json()
+
+
+def test_listed_mode_arrays_win_over_derived():
+    cfg = load_config({"cpw": {"modes_retained": 1, "mode_t1_s": [4e-6]}})
+    assert cfg.cpw.mode_t1_s == [4e-6]
+    assert cfg.cpw.mode_frequencies_hz == [4.881e9]

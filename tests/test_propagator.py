@@ -1,0 +1,256 @@
+"""The Magnus/Lawson propagator against an adaptive DOP853 oracle, and its
+properties on random piecewise-linear control schedules.
+
+The oracle integrates the same equations of motion with
+``scipy.integrate.solve_ivp`` (DOP853, the route the library used before the
+propagator) at ``rtol=1e-12``: the Schroedinger equation for states and the
+dense Liouvillian on row-major vec(rho) for matrices.  It shares no code with
+the propagator beyond the model's operators and controls.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
+
+from lcoupler import dynamics
+from lcoupler.basis import basis_index
+from lcoupler.channels import superop_to_choi
+from lcoupler.config import default_config, load_config
+from lcoupler.dynamics import (
+    CollapseSet,
+    _integrate_matrix,
+    _integrate_state,
+    build_hamiltonian,
+    extract_channel,
+)
+from lcoupler.pulses import PulseSchedule, build_transfer_schedule
+
+SINGLE_MODE = {
+    "cpw": {"modes_retained": 1, "mode_frequencies_hz": [4.881e9], "mode_t1_s": [5.23e-6]}
+}
+ORACLE_RTOL = 1e-12
+AGREEMENT = 1e-8  # propagator at its default tol against the oracle
+
+
+def _solve(rhs, duration, y0):
+    sol = solve_ivp(
+        rhs,
+        (0.0, duration),
+        y0,
+        method="DOP853",
+        rtol=ORACLE_RTOL,
+        atol=ORACLE_RTOL * 1e-3,
+        max_step=duration / 64.0,
+    )
+    assert sol.success, sol.message
+    return sol.y[:, -1]
+
+
+def oracle_state(model, psi0):
+    def rhs(t, psi):
+        return -2j * math.pi * (model.matrix_at(t) @ psi)
+
+    return _solve(rhs, model.schedule.duration_s, np.asarray(psi0, dtype=complex))
+
+
+def oracle_matrices(model, collapse, m0):
+    """Stack of d x d matrices under the Lindblad equation, integrated as
+    dY/dt = L(t) Y with the dense d^2 x d^2 Liouvillian."""
+    d = model.dim
+    eye = np.eye(d)
+
+    def hamiltonian(h):
+        return -2j * math.pi * (np.kron(h, eye) - np.kron(eye, h.T))
+
+    static = hamiltonian(model.static_hz)
+    for l in collapse.operators:
+        ldl = l.conj().T @ l
+        static = static + np.kron(l, l.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    parts = np.stack([hamiltonian(p) for p in model.control_parts()])
+    s = model.schedule
+    columns = [s.g_e_hz, s.g_r_hz, s.det_e_hz, s.det_r_hz]
+    m0 = np.asarray(m0, dtype=complex)
+    n = m0.reshape(-1, d * d).shape[0]
+
+    def rhs(t, y):
+        c = np.array([np.interp(t, s.times_s, col) for col in columns])
+        gen = static + np.tensordot(c, parts, 1)
+        return (gen @ y.reshape(d * d, n)).reshape(-1)
+
+    y = _solve(rhs, s.duration_s, m0.reshape(n, d * d).T.reshape(-1))
+    return y.reshape(d * d, n).T.reshape(m0.shape)
+
+
+# ---------------------------------------------------------------------------
+# agreement with the oracle
+
+
+@pytest.mark.parametrize(
+    "method,g_hz,sweep_s",
+    [
+        ("satd", 1e6, 50e-9),  # saturated: corrections far over the cap
+        ("stirap", 1e6, 50e-9),
+        ("satd", 4e6, 137.5e-9),
+    ],
+)
+def test_states_match_dop853_oracle(method, g_hz, sweep_s):
+    cfg = default_config()
+    ramps = cfg.transfer.total_duration_s - cfg.transfer.satd_duration_s
+    sched = build_transfer_schedule(cfg, method, g_hz, sweep_s, sweep_s + ramps)
+    model = build_hamiltonian(cfg, sched)
+    psi0 = np.zeros(model.dim, dtype=complex)
+    psi0[basis_index(model.basis)[(1, 0, 0, 0, 0, 0, 0)]] = 1.0
+    psi = _integrate_state(model, psi0, 1e-9)
+    assert np.max(np.abs(psi - oracle_state(model, psi0))) < AGREEMENT
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+def test_pair_superoperator_matches_dop853_oracle(lossy, monkeypatch):
+    cfg = load_config(SINGLE_MODE)
+    sched = build_transfer_schedule(cfg)
+    channel = extract_channel(cfg, sched, "pair", lossy=lossy)
+
+    def oracle_integrate(model, collapse, m0, tol):
+        return oracle_matrices(model, collapse, m0)
+
+    monkeypatch.setattr(dynamics, "_integrate_matrix", oracle_integrate)
+    reference = extract_channel(cfg, sched, "pair", lossy=lossy)
+    assert np.max(np.abs(channel.superoperator - reference.superoperator)) < AGREEMENT
+    assert np.max(np.abs(channel.leakage_in - reference.leakage_in)) < AGREEMENT
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.3, 8.0])
+def test_series_exponential_matches_scipy(scale):
+    # -i H - D/2 with H hermitian and D >= 0, as the propagator's exponents
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(6, 8, 8)) + 1j * rng.normal(size=(6, 8, 8))
+    h = a + a.conj().transpose(0, 2, 1)
+    decay = 0.01 * a @ a.conj().transpose(0, 2, 1)
+    omega = scale * (-1j * h - 0.5 * decay)
+    assert np.max(np.abs(dynamics._expm(omega) - expm(omega))) < 1e-12
+
+
+def test_tighter_tol_never_fewer_substeps():
+    cfg = default_config()
+    sched = build_transfer_schedule(cfg, "satd", 1e6, 50e-9, 121e-9)
+    model = build_hamiltonian(cfg, sched)
+    a0 = -2j * math.pi * model.static_hz
+    parts = -2j * math.pi * model.control_parts()
+    ctrl = model.control_samples()
+    h = np.diff(sched.times_s)
+    counts = [
+        dynamics._substep_counts(a0, parts, h, ctrl[:-1], np.diff(ctrl, axis=0), tol, 0.0)
+        for tol in (1e-6, 1e-9, 1e-12)
+    ]
+    assert np.all(counts[0] <= counts[1]) and np.all(counts[1] <= counts[2])
+    assert counts[2].sum() > counts[0].sum()
+
+
+def test_nonpositive_tol_rejected():
+    cfg = load_config(SINGLE_MODE)
+    model = build_hamiltonian(cfg, build_transfer_schedule(cfg))
+    with pytest.raises(ValueError, match="tol"):
+        _integrate_state(model, np.eye(model.dim)[1], 0.0)
+
+
+def test_unreachable_tol_is_a_runtime_error():
+    cfg = load_config(SINGLE_MODE)
+    model = build_hamiltonian(cfg, build_transfer_schedule(cfg))
+    with pytest.raises(RuntimeError, match="substeps"):
+        _integrate_state(model, np.eye(model.dim)[1], 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# properties on random piecewise-linear controls (1-mode device)
+
+PROPERTY_SETTINGS = settings(
+    max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def control_schedules(draw, min_samples=2):
+    n = draw(st.integers(min_samples, 6))
+    dt = draw(st.floats(0.2e-9, 5e-9))
+
+    def column(bound):
+        return np.array(draw(st.lists(st.floats(-bound, bound), min_size=n, max_size=n)))
+
+    return PulseSchedule(
+        times_s=np.arange(n) * dt,
+        g_e_hz=column(5e6),
+        g_r_hz=column(5e6),
+        det_e_hz=column(60e6),
+        det_r_hz=column(60e6),
+        method="random",
+        dt_s=dt,
+        sweep_start_s=0.0,
+        sweep_duration_s=(n - 1) * dt,
+        g_hz=5e6,
+        theta_max=0.0,
+    )
+
+
+def _operator_basis(d):
+    return np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+
+
+def _sub_schedule(sched, start, stop):
+    keep = slice(start, stop + 1)
+    times = sched.times_s[keep]
+    return PulseSchedule(
+        times_s=times - times[0],
+        g_e_hz=sched.g_e_hz[keep],
+        g_r_hz=sched.g_r_hz[keep],
+        det_e_hz=sched.det_e_hz[keep],
+        det_r_hz=sched.det_r_hz[keep],
+        method=sched.method,
+        dt_s=sched.dt_s,
+        sweep_start_s=0.0,
+        sweep_duration_s=float(times[-1] - times[0]),
+        g_hz=sched.g_hz,
+        theta_max=sched.theta_max,
+    )
+
+
+@PROPERTY_SETTINGS
+@given(sched=control_schedules())
+def test_lossless_propagation_keeps_the_norm(sched):
+    cfg = load_config(SINGLE_MODE)
+    model = build_hamiltonian(cfg, sched, truncation=2)
+    psi0 = np.ones(model.dim, dtype=complex) / math.sqrt(model.dim)
+    psi = _integrate_state(model, psi0, 1e-9)
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(sched=control_schedules())
+def test_lossy_pair_channel_is_cptp(sched):
+    # tol bounds each interval's error, and under loss the Magnus error
+    # moves trace: at tol 1e-9 a 1 ns interval whose coupling flips sign
+    # leaves a 1e-10 deficit, so the 1e-10 bounds are checked at 1e-11
+    cfg = load_config(SINGLE_MODE)
+    channel = extract_channel(cfg, sched, "pair", lossy=True, tol=1e-11, frame_correct=False)
+    choi = superop_to_choi(channel.superoperator)
+    assert np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0] >= -1e-10
+    assert channel.trace_preservation_deficit() <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(sched=control_schedules(min_samples=3), data=st.data())
+def test_split_schedule_composes(sched, data):
+    cfg = load_config(SINGLE_MODE)
+    cut = data.draw(st.integers(1, len(sched.times_s) - 2))
+    model = build_hamiltonian(cfg, sched, truncation=2)
+    collapse = CollapseSet.from_config(cfg, model.basis)
+    basis = _operator_basis(model.dim)
+    whole = _integrate_matrix(model, collapse, basis, 1e-9)
+    halves = basis
+    for part in (_sub_schedule(sched, 0, cut), _sub_schedule(sched, cut, len(sched.times_s) - 1)):
+        halves = _integrate_matrix(build_hamiltonian(cfg, part, 2), collapse, halves, 1e-9)
+    assert np.max(np.abs(whole - halves)) < 1e-10
