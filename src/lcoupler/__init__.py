@@ -46,7 +46,6 @@ from lcoupler.benchmarking import (
     SpamModel,
     eps_from_decay,
     fit_exponential,
-    fit_leakage,
     run_network_benchmarking,
     run_two_qubit_rb,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "SpamModel",
     "eps_from_decay",
     "fit_exponential",
-    "fit_leakage",
     "run_network_benchmarking",
     "run_two_qubit_rb",
     "BellVariant",

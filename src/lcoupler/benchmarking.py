@@ -39,18 +39,19 @@ from .channels import (
     depolarizing_channel,
     excitation_pump_channel,
     ideal_transfer_channel,
-    ideal_transfer_unitary,
 )
 from .cliffords import (
     L_QUBIT_PAIR,
     QUBIT_ORDER,
-    TWO_QUBIT_CLASS_SIZES,
+    TWO_QUBIT_GROUP_ORDER,
     CliffordElement,
     GateKind,
     GateOp,
     data_block_unitary,
     embed_unitary,
+    half_transfer_op,
     invert_sequence,
+    op_matrix,
     single_qubit_cliffords,
     transfer_op,
     two_qubit_clifford,
@@ -67,17 +68,6 @@ DEFAULT_SEEDS_PER_LENGTH = 30
 DEFAULT_SHOTS = 1000
 
 CSV_HEADER = "length,seed,shots,survival,spectator_l1,spectator_l2"
-
-TWO_QUBIT_GROUP_ORDER = sum(TWO_QUBIT_CLASS_SIZES)
-
-
-def _ideal_half_channel(direction: str) -> QuantumChannel:
-    """Lossless square-root transfer in the fixed (L1, L2) basis."""
-    u = ideal_transfer_unitary(half=True)
-    if direction == "L2->L1":
-        swap = np.eye(4)[[0, 2, 1, 3]]
-        u = swap @ u @ swap
-    return QuantumChannel.from_unitary(u, label=f"half_transfer({direction})")
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +203,10 @@ class NoiseModel:
         return cls(
             transfer_channels={d: swap for d in TRANSFER_DIRECTIONS},
             half_transfer_channels={
-                d: _ideal_half_channel(d) for d in TRANSFER_DIRECTIONS
+                d: QuantumChannel.from_unitary(
+                    op_matrix(half_transfer_op(d, 0.0)), label=f"half_transfer({d})"
+                )
+                for d in TRANSFER_DIRECTIONS
             },
         )
 
@@ -350,8 +343,6 @@ _EMBED_CACHE: dict = {}
 
 
 def _embedded_op_unitary(op: GateOp, order: tuple[str, ...]) -> np.ndarray:
-    from .cliffords import op_matrix
-
     angle = op.params.get("angle_rad")
     key = (order, op.kind, op.targets, op.params.get("axis"), angle)
     cached = _EMBED_CACHE.get(key)
@@ -746,11 +737,6 @@ def fit_exponential(data: RbDataset, channel: str = "survival") -> DecayFitResul
         channel=channel,
         protocol=data.protocol,
     )
-
-
-def fit_leakage(data: RbDataset, channel: str = "spectator_l2") -> DecayFitResult:
-    """Fit the spectator ground population; rate is the leak per segment."""
-    return fit_exponential(data, channel=channel)
 
 
 def eps_from_decay(fit: DecayFitResult, reference: DecayFitResult | None = None) -> float:

@@ -3,8 +3,11 @@
 Subcommands run the transfer sweeps, the benchmarking protocols and the
 Bell tomography against a JSON device config, writing CSV/JSON results plus
 static SVG plots into an output directory together with a run manifest.
-Exit codes: 0 success, 2 usage or config problems, 3 numerical failures
-(a decay fit that refuses to converge).
+Exit codes: 0 success; 2 usage, config or lookup problems (a ``ValueError``
+or a ``KeyError``, e.g. a qubit pair with no configured CZ); 3 numerical
+failures (a ``RuntimeError``: a decay fit that refuses to converge or a
+propagator that cannot reach its tolerance).  Each failure prints one line
+to stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from . import __version__
 from .benchmarking import (
     DEFAULT_NB_LENGTHS,
     DEFAULT_TQRB_LENGTHS,
-    FitError,
     NoiseModel,
     SpamModel,
     eps_from_decay,
@@ -143,20 +145,11 @@ def cmd_sweep(args, cfg, out_dir: Path, command: str, started: str) -> int:
     )
     csv_path = out_dir / f"sweep_{result.method}.csv"
     result.to_csv(csv_path)
-    shape = (len(result.g_values_hz), len(result.t_values_s))
-    grids = {k: np.full(shape, np.nan) for k in ("emitter", "receiver", "other")}
-    for i, row in enumerate(result.results):
-        for j, r in enumerate(row):
-            if r is None:
-                continue
-            grids["emitter"][i, j] = r.pop_emitter
-            grids["receiver"][i, j] = r.pop_receiver
-            grids["other"][i, j] = r.pop_other
     svg_path = out_dir / f"sweep_{result.method}.svg"
     write_svg(
         svg_path,
         heatmap_svg(
-            [(name, grid) for name, grid in grids.items()],
+            [(name, result.grid(f"pop_{name}")) for name in ("emitter", "receiver", "other")],
             x_values=[t * 1e9 for t in result.t_values_s],
             y_values=[g * 1e-6 for g in result.g_values_hz],
             x_label="sweep duration (ns)",
@@ -402,11 +395,14 @@ def main(argv: list[str] | None = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return args.func(args, cfg, out_dir, command, started)
-    except FitError as exc:
-        print(f"fit failure: {exc}", file=sys.stderr)
+    except RuntimeError as exc:  # FitError included
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
+        return 2
+    except KeyError as exc:
+        print(f"lookup failure: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
 
 

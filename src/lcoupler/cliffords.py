@@ -24,8 +24,8 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from .channels import ideal_transfer_unitary
 from .config import DeviceConfig, load_config
-from .rng import RngHandle
 
 DATA_QUBITS = ("D1", "D2")
 L_QUBIT_PAIR = ("L1", "L2")
@@ -108,23 +108,17 @@ def half_transfer_op(direction: str, duration_s: float) -> GateOp:
 
 
 _PAULI = {
+    "i": np.eye(2, dtype=complex),
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
 
-# ideal transfer on the l-qubit pair: population swap with the dark-passage sign
-TRANSFER_UNITARY = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, -1.0, 0.0],
-        [0.0, -1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ],
-    dtype=complex,
-)
-
 CZ_UNITARY = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+
+_SWAP = np.array(
+    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+)
 
 
 def _rotation(axis: str, angle_rad: float) -> np.ndarray:
@@ -142,17 +136,11 @@ def op_matrix(op: GateOp) -> np.ndarray:
         return np.diag([1.0, np.exp(1j * op.params["angle_rad"])]).astype(complex)
     if op.kind is GateKind.CZ:
         return CZ_UNITARY.copy()
-    if op.params.get("half"):
-        u = np.eye(4, dtype=complex)
-        c = 1.0 / np.sqrt(2.0)
-        # emitter-first block; the (L1, L2) basis needs it transposed for
-        # the reverse direction
-        u[1, 1], u[1, 2], u[2, 1], u[2, 2] = c, -c, c, c
-        if op.params["direction"] == "L2->L1":
-            swap = np.eye(4)[[0, 2, 1, 3]]
-            u = swap @ u @ swap
-        return u
-    return TRANSFER_UNITARY.copy()
+    # transfer: the emitter-first unitary, read in the fixed (L1, L2) basis
+    u = ideal_transfer_unitary(bool(op.params.get("half")))
+    if op.params["direction"] == "L2->L1":
+        u = _SWAP @ u @ _SWAP
+    return u
 
 
 def embed_unitary(u: np.ndarray, positions: list[int], n_qubits: int) -> np.ndarray:
@@ -309,14 +297,8 @@ _ISWAP_DRESSING = {
 _CNOT_12 = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-_CNOT_21 = np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-)
 _ISWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
 
 
@@ -362,15 +344,26 @@ def two_qubit_matrix(index: int) -> np.ndarray:
     return m
 
 
+def local_cnot(control: str, target: str, cfg: DeviceConfig) -> list[GateOp]:
+    """CNOT inside one module: the calibrated CZ conjugated by Y +/- pi/2 on
+    the target, plus a virtual Z(pi) on the control."""
+    sq_time = cfg.single_qubit_gate_time_s
+    return [
+        sq_rot(target, "y", np.pi / 2.0, sq_time),
+        cz_op(control, target, cfg.cz_for(control, target).duration_s),
+        sq_rot(target, "y", -np.pi / 2.0, sq_time),
+        virtual_z(control, np.pi),
+    ]
+
+
 def compile_remote_cnot(
     control: str = "D1", target: str = "D2", cfg: DeviceConfig | None = None
 ) -> list[GateOp]:
     """Abstract CNOT(control -> target) between the data qubits.
 
-    Copy the control onto the near l-qubit, move it across the bus, apply a
-    local CNOT onto the far data qubit, move back and uncompute. Each local
-    CNOT is a CZ conjugated by Y +/- pi/2 on its target plus a virtual Z(pi)
-    on its control; every transfer is followed by a virtual Z(pi) on the
+    Copy the control onto the near l-qubit with a ``local_cnot``, move it
+    across the bus, apply a local CNOT onto the far data qubit, move back and
+    uncompute. Every transfer is followed by a virtual Z(pi) on the
     receiving l-qubit that absorbs the dark-passage sign, so the composite
     equals CNOT exactly (no global-phase residue) with the l-pair back in
     |00>. Frequency-mismatch frame corrections are time-dependent and are
@@ -381,23 +374,12 @@ def compile_remote_cnot(
     if {control, target} != set(DATA_QUBITS):
         raise ValueError("control and target must be the two data qubits")
     l_near, l_far = ADJACENT_L[control], ADJACENT_L[target]
-    sq_time = cfg.single_qubit_gate_time_s
     transfer_time = cfg.transfer.total_duration_s
-
-    def local_cnot(ctrl: str, tgt: str) -> list[GateOp]:
-        duration = cfg.cz_for(ctrl, tgt).duration_s
-        return [
-            sq_rot(tgt, "y", np.pi / 2.0, sq_time),
-            cz_op(ctrl, tgt, duration),
-            sq_rot(tgt, "y", -np.pi / 2.0, sq_time),
-            virtual_z(ctrl, np.pi),
-        ]
-
-    ops = local_cnot(control, l_near)
+    ops = local_cnot(control, l_near, cfg)
     ops += [transfer_op(f"{l_near}->{l_far}", transfer_time), virtual_z(l_far, np.pi)]
-    ops += local_cnot(l_far, target)
+    ops += local_cnot(l_far, target, cfg)
     ops += [transfer_op(f"{l_far}->{l_near}", transfer_time), virtual_z(l_near, np.pi)]
-    ops += local_cnot(control, l_near)
+    ops += local_cnot(control, l_near, cfg)
     return ops
 
 
@@ -420,44 +402,32 @@ def data_block_unitary(ops, atol: float = 1e-9) -> np.ndarray:
 
 
 def _two_qubit_ops(index: int, cfg: DeviceConfig) -> tuple[tuple[GateOp, ...], int]:
-    mats, _, _ = _class_tables()
+    """Device ops of an element and its remote-CNOT count: class k runs k
+    remote CNOTs, and only the directions it uses are compiled."""
     class_id, u1, u2, s1, s2 = decode_two_qubit_index(index)
     _, descs, _ = _single_qubit_table()
-    sq_time = cfg.single_qubit_gate_time_s
     d1, d2 = DATA_QUBITS
 
-    def layer(i1, i2):
-        return list(_sq_ops(descs[i1], d1, sq_time)) + list(_sq_ops(descs[i2], d2, sq_time))
+    def sq(desc, qubit):
+        return list(_sq_ops(desc, qubit, cfg.single_qubit_gate_time_s))
 
-    def s3_ops(s_index, qubit):
-        # S3 = {identity, E, E.E}: zero, one or two copies of the cycler
-        ops: list[GateOp] = []
-        for _ in range(s_index):
-            ops += list(_sq_ops(_CYCLER_DESC, qubit, sq_time))
-        return ops
-
-    cnot_fwd = compile_remote_cnot(d1, d2, cfg)
-    cnot_rev = compile_remote_cnot(d2, d1, cfg)
-
+    cnot_fwd = compile_remote_cnot(d1, d2, cfg) if class_id >= 1 else []
+    cnot_rev = compile_remote_cnot(d2, d1, cfg) if class_id >= 2 else []
     ops: list[GateOp] = []
-    cnots = 0
     if class_id in (1, 2):
-        ops += s3_ops(s1, d1) + s3_ops(s2, d2)
+        # S3 = {identity, E, E.E}: zero, one or two copies of the cycler
+        ops += sq(_CYCLER_DESC, d1) * s1 + sq(_CYCLER_DESC, d2) * s2
     if class_id == 1:
         ops += cnot_fwd
-        cnots = 1
     elif class_id == 2:
-        dress = {k: _sq_ops(v, q, sq_time) for (k, v), q in
-                 zip(_ISWAP_DRESSING.items(), (d1, d2, d1, d2))}
-        ops += list(dress["c"]) + list(dress["d"])
+        dress = _ISWAP_DRESSING
+        ops += sq(dress["c"], d1) + sq(dress["d"], d2)
         ops += cnot_fwd + cnot_rev
-        ops += list(dress["a"]) + list(dress["b"])
-        cnots = 2
+        ops += sq(dress["a"], d1) + sq(dress["b"], d2)
     elif class_id == 3:
         ops += cnot_fwd + cnot_rev + cnot_fwd
-        cnots = 3
-    ops += layer(u1, u2)
-    return tuple(ops), cnots
+    ops += sq(descs[u1], d1) + sq(descs[u2], d2)
+    return tuple(ops), class_id
 
 
 def two_qubit_clifford(index: int, cfg: DeviceConfig | None = None) -> CliffordElement:
@@ -467,28 +437,11 @@ def two_qubit_clifford(index: int, cfg: DeviceConfig | None = None) -> CliffordE
     return CliffordElement(index, two_qubit_matrix(index), ops, cnots)
 
 
-def two_qubit_cliffords(
-    rng: RngHandle | np.random.Generator, cfg: DeviceConfig | None = None
-) -> CliffordElement:
-    """One uniform sample from the 11520-element group."""
-    gen = rng.generator() if isinstance(rng, RngHandle) else rng
-    return two_qubit_clifford(int(gen.integers(TWO_QUBIT_GROUP_ORDER)), cfg)
-
-
 # ---------------------------------------------------------------------------
 # inversion
 
-_PAULI_STRINGS_2Q = [
-    np.kron(p, q)
-    for p in (np.eye(2, dtype=complex), _PAULI["x"], _PAULI["y"], _PAULI["z"])
-    for q in (np.eye(2, dtype=complex), _PAULI["x"], _PAULI["y"], _PAULI["z"])
-]
-_GENERATORS_2Q = [
-    np.kron(_PAULI["x"], np.eye(2)),
-    np.kron(_PAULI["z"], np.eye(2)),
-    np.kron(np.eye(2), _PAULI["x"]),
-    np.kron(np.eye(2), _PAULI["z"]),
-]
+_PAULI_STRINGS_2Q = [np.kron(_PAULI[p], _PAULI[q]) for p in "ixyz" for q in "ixyz"]
+_GENERATORS_2Q = [np.kron(_PAULI[p], _PAULI[q]) for p, q in ("xi", "zi", "ix", "iz")]
 
 
 def _tableau_key(u: np.ndarray) -> tuple:

@@ -111,7 +111,6 @@ class DeviceConfig:
     cz_gates: list[CzGateConfig]
     transfer: TransferConfig
     single_qubit_gate_time_s: float = 35e-9
-    rng_seed: int = 1234
 
     # -- lookups ---------------------------------------------------------
 
@@ -200,9 +199,6 @@ class DeviceConfig:
                 raise ConfigError(f"CZ pair {gate.pair} names unknown qubits")
             if gate.duration_s <= 0 or not 0 <= gate.error_per_gate < 1:
                 raise ConfigError(f"CZ pair {gate.pair}: bad duration or error")
-
-        if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
-            raise ConfigError("rng_seed must be a non-negative integer")
         return self
 
     # -- serialisation ---------------------------------------------------
@@ -305,7 +301,11 @@ def _default_mode_t1(default: DeviceConfig, cpw: Mapping[str, Any]) -> list[floa
 
 def _config_from_dict(data: Mapping[str, Any]) -> DeviceConfig:
     default = default_config()
-    merged = _merge(default.to_dict(), data)
+    base = default.to_dict()
+    unknown = sorted(map(str, set(data) - set(base)))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    merged = _merge(base, data)
     try:
         # the mode arrays follow the merged window unless the input lists them
         listed = data.get("cpw", {})
@@ -328,7 +328,6 @@ def _config_from_dict(data: Mapping[str, Any]) -> DeviceConfig:
             ],
             transfer=TransferConfig(**merged["transfer"]),
             single_qubit_gate_time_s=merged["single_qubit_gate_time_s"],
-            rng_seed=merged["rng_seed"],
         )
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed device config: {exc}") from exc
@@ -339,8 +338,8 @@ def load_config(source: str | Path | Mapping[str, Any] | None = None) -> DeviceC
     """Load a device config from a JSON file, a mapping, or the defaults.
 
     Partial inputs are merged over the reference parameter set.  Raises
-    ``ConfigError`` when the result fails validation and ``FileNotFoundError``
-    when a path is given but missing.
+    ``ConfigError`` for an unknown key or when the result fails validation,
+    and ``FileNotFoundError`` when a path is given but missing.
     """
     if source is None:
         return default_config()

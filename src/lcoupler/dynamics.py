@@ -472,16 +472,6 @@ class TransferResult:
     lossy: bool
     saturated: bool = False
 
-    def as_row(self) -> dict:
-        return {
-            "g_hz": self.g_hz,
-            "T_s": self.sweep_duration_s,
-            "pop_emitter": self.pop_emitter,
-            "pop_receiver": self.pop_receiver,
-            "pop_other": self.pop_other,
-            "saturated": int(self.saturated),
-        }
-
 
 def _populations(rho: DensityOperator, emitter_site: int, receiver_site: int) -> tuple:
     probs = np.real(np.diag(rho.matrix))
@@ -550,21 +540,18 @@ class SweepResult:
     results: list[list[TransferResult | None]]
     errors: list[list[str | None]]
 
+    def grid(self, attr: str, empty: float | bool = np.nan) -> np.ndarray:
+        """One TransferResult field per (g, T) cell; failed cells hold ``empty``."""
+        return np.array(
+            [[empty if r is None else getattr(r, attr) for r in row] for row in self.results],
+            dtype=type(empty),
+        )
+
     def receiver_population_grid(self) -> np.ndarray:
-        grid = np.full((len(self.g_values_hz), len(self.t_values_s)), np.nan)
-        for i, row in enumerate(self.results):
-            for j, r in enumerate(row):
-                if r is not None:
-                    grid[i, j] = r.pop_receiver
-        return grid
+        return self.grid("pop_receiver")
 
     def saturated_grid(self) -> np.ndarray:
-        grid = np.zeros((len(self.g_values_hz), len(self.t_values_s)), dtype=bool)
-        for i, row in enumerate(self.results):
-            for j, r in enumerate(row):
-                if r is not None:
-                    grid[i, j] = r.saturated
-        return grid
+        return self.grid("saturated", False)
 
     def to_csv(self, path) -> None:
         import csv

@@ -24,6 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .channels import ideal_transfer_unitary
+from .cliffords import _SWAP, _rotation
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -73,12 +76,6 @@ def transfer_frame(emitter: Frame, receiver: Frame, t_transfer_s: float) -> tupl
     return new_emitter, new_receiver
 
 
-def _rotation_y(angle_rad: float) -> np.ndarray:
-    c = np.cos(angle_rad / 2.0)
-    s = np.sin(angle_rad / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def _framed_pulse(rotation: np.ndarray, register_rad: float) -> np.ndarray:
     # a register phi offsets the rotation axis: Z(phi) R Z(-phi)
     z = np.diag([1.0, np.exp(1j * register_rad)])
@@ -94,12 +91,7 @@ def _transfer_unitary(delta_rad_s: float, t_transfer_s: float) -> np.ndarray:
     keeps both signs and both factors, which cancel.
     """
     phase = np.exp(1j * delta_rad_s * t_transfer_s)
-    u = np.zeros((4, 4), dtype=complex)
-    u[0, 0] = 1.0
-    u[3, 3] = 1.0
-    u[1, 2] = -phase
-    u[2, 1] = -np.conj(phase)
-    return u
+    return ideal_transfer_unitary() @ np.diag([1.0, np.conj(phase), phase, 1.0])
 
 
 def ramsey_round_trip(
@@ -123,7 +115,8 @@ def ramsey_round_trip(
 
     state = np.zeros(4, dtype=complex)
     state[0] = 1.0
-    state = np.kron(_framed_pulse(_rotation_y(np.pi / 2.0), f1.virtual_z_rad), np.eye(2)) @ state
+    pulse = _framed_pulse(_rotation("y", np.pi / 2.0), f1.virtual_z_rad)
+    state = np.kron(pulse, np.eye(2)) @ state
 
     state = _transfer_unitary(delta, t_first) @ state
     if track_frames:
@@ -131,11 +124,11 @@ def ramsey_round_trip(
         f2 = apply_virtual_z(f2, np.pi)  # circuit layer absorbs the dark sign
 
     # reverse direction: swap the roles, emitter is now qubit 2
-    swap = np.eye(4)[[0, 2, 1, 3]]
-    state = swap @ _transfer_unitary(-delta, t_second) @ swap @ state
+    state = _SWAP @ _transfer_unitary(-delta, t_second) @ _SWAP @ state
     if track_frames:
         f2, f1 = transfer_frame(f2, f1, t_second)
         f1 = apply_virtual_z(f1, np.pi)
 
-    state = np.kron(_framed_pulse(_rotation_y(-np.pi / 2.0), f1.virtual_z_rad), np.eye(2)) @ state
+    pulse = _framed_pulse(_rotation("y", -np.pi / 2.0), f1.virtual_z_rad)
+    state = np.kron(pulse, np.eye(2)) @ state
     return float(np.abs(state[0]) ** 2 + np.abs(state[1]) ** 2)

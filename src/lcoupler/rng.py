@@ -1,10 +1,10 @@
 """Deterministic random-number streams.
 
 Every stochastic routine in the package draws from an ``RngHandle`` stream
-derived from the config seed and a protocol label, so a whole run is
-reproducible bit-for-bit from ``(config, seed)`` alone.  Streams are backed by
-the counter-based Philox generator; deriving a stream never consumes state
-from its parent.
+derived from one root seed (the CLI's ``--seed``) and a protocol label, so a
+whole run is reproducible bit-for-bit from ``(config, seed)`` alone.
+Streams are backed by the counter-based Philox generator; deriving a stream
+never consumes state from its parent.
 """
 
 from __future__ import annotations

@@ -22,23 +22,17 @@ from scipy.optimize import minimize
 
 from .benchmarking import NoiseModel, SpamModel, _CircuitRunner, spam_apply
 from .cliffords import (
+    _PAULI,
     QUBIT_ORDER,
     GateOp,
-    cz_op,
     half_transfer_op,
+    local_cnot,
     sq_rot,
     transfer_op,
     virtual_z,
 )
 from .config import DeviceConfig, load_config
 from .rng import RngHandle
-
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1.0, -1.0]).astype(complex),
-}
 
 # rotate the measured axis onto Z: u P u^dag = Z
 _BASIS_ROTATION = {
@@ -54,17 +48,6 @@ class BellVariant(str, Enum):
     LQUBIT_SQRT = "lqubit-sqrt"
     DATA_SQRT = "data-sqrt"
     DATA_FULL = "data-full"
-
-
-def _local_cnot(control: str, target: str, cfg: DeviceConfig) -> list[GateOp]:
-    sq = cfg.single_qubit_gate_time_s
-    cz = cfg.cz_for(control, target).duration_s
-    return [
-        sq_rot(target, "y", math.pi / 2, sq),
-        cz_op(control, target, cz),
-        sq_rot(target, "y", -math.pi / 2, sq),
-        virtual_z(control, math.pi),
-    ]
 
 
 def bell_circuit(
@@ -91,13 +74,13 @@ def bell_circuit(
         return tuple(lqubit_pair)
     if variant is BellVariant.DATA_SQRT:
         ops = list(lqubit_pair)
-        ops += _local_cnot("L1", "D1", cfg) + _local_cnot("D1", "L1", cfg)
-        ops += _local_cnot("L2", "D2", cfg) + _local_cnot("D2", "L2", cfg)
+        ops += local_cnot("L1", "D1", cfg) + local_cnot("D1", "L1", cfg)
+        ops += local_cnot("L2", "D2", cfg) + local_cnot("D2", "L2", cfg)
         return tuple(ops)
     ops = [sq_rot("D1", "y", math.pi / 2, sq)]
-    ops += _local_cnot("D1", "L1", cfg)
+    ops += local_cnot("D1", "L1", cfg)
     ops += [transfer_op("L1->L2", transfer), virtual_z("L2", math.pi)]
-    ops += _local_cnot("L2", "D2", cfg) + _local_cnot("D2", "L2", cfg)
+    ops += local_cnot("L2", "D2", cfg) + local_cnot("D2", "L2", cfg)
     return tuple(ops)
 
 
@@ -234,7 +217,7 @@ def tomography_of_state(
     expectations.update({k: float(np.mean(v)) for k, v in singles.items()})
     estimate = np.eye(4, dtype=complex)
     for label, value in expectations.items():
-        estimate += value * np.kron(_PAULI[label[0]], _PAULI[label[1]])
+        estimate += value * np.kron(_PAULI[label[0].lower()], _PAULI[label[1].lower()])
     estimate /= 4.0
     return TomographyResult(
         density_matrix=project_to_state(estimate),

@@ -17,7 +17,6 @@ from lcoupler.benchmarking import (
     SpamModel,
     eps_from_decay,
     fit_exponential,
-    fit_leakage,
     run_network_benchmarking,
     run_two_qubit_rb,
 )
@@ -214,7 +213,7 @@ def test_criterion_10_leakage_recovered(leak):
     data = run_network_benchmarking(
         NoiseModel.with_transfer_leakage(leak), rng=RngHandle(seed=77)
     )
-    fit = fit_leakage(data, channel="spectator_l2")
+    fit = fit_exponential(data, channel="spectator_l2")
     assert abs(fit.rate - leak) / leak < 0.15
     # spectator population follows a clean A p^n + C decay
     assert 0.0 < fit.decay <= 1.0

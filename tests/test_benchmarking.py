@@ -12,7 +12,6 @@ from lcoupler.benchmarking import (
     SpamModel,
     eps_from_decay,
     fit_exponential,
-    fit_leakage,
     run_network_benchmarking,
     run_two_qubit_rb,
     spam_apply,
@@ -220,7 +219,7 @@ class TestNetworkBenchmarking:
         ds = run_network_benchmarking(
             NoiseModel.with_transfer_leakage(leak), rng=RngHandle(seed=77)
         )
-        fit = fit_leakage(ds)
+        fit = fit_exponential(ds, channel="spectator_l2")
         assert fit.channel == "spectator_l2"
         assert abs(fit.rate - leak) / leak < 0.15
         # the carrier itself is untouched by the pump

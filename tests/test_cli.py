@@ -186,3 +186,33 @@ class TestConfigHandling:
         code = run(tmp_path, "nb", "--config", str(tmp_path / "nope.json"))
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_lookup_failure_is_exit_2_without_traceback(self, tmp_path, capsys):
+        # renaming D1 passes validation but leaves no CZ for the (D1, L1) pair
+        # that the compiled circuits address
+        cfg = default_config().to_dict()
+        cfg["data_qubits"][0]["name"] = "Q1"
+        cfg["cz_gates"][0]["pair"] = ["Q1", "L1"]
+        cfg_path = tmp_path / "renamed.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = run(
+            tmp_path / "out", "rb", "--noiseless", "--config", str(cfg_path),
+            "--lengths", "1,2,4", "--seeds", "2", "--shots", "100",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no CZ configured for pair (D1, L1)" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_numerical_failure_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        from lcoupler import cli
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("propagator did not converge")
+
+        monkeypatch.setattr(cli, "sweep_transfer", failing)
+        code = run(tmp_path, "sweep", "--method", "satd", "--g", "3e6:3e6:1", "--T", "5e-8:5e-8:1")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "propagator did not converge" in err and "Traceback" not in err

@@ -6,6 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from lcoupler import cliffords
 from lcoupler.cliffords import (
     QUBIT_ORDER,
     TWO_QUBIT_CLASS_SIZES,
@@ -29,14 +30,12 @@ from lcoupler.cliffords import (
     sq_rot,
     transfer_op,
     two_qubit_clifford,
-    two_qubit_cliffords,
     two_qubit_matrix,
     virtual_z,
     _phase_key,
     _two_qubit_lookup,
 )
 from lcoupler.config import load_config
-from lcoupler.rng import RngHandle
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 CNOT_REV = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
@@ -161,16 +160,26 @@ class TestTwoQubitGroup:
         assert np.allclose(two_qubit_matrix(576 + 5184), iswap)
         assert np.allclose(two_qubit_matrix(576 + 2 * 5184), swap)
 
-    def test_sampling_uniform_and_deterministic(self):
-        handle = RngHandle(99).stream("clifford-test")
-        a = two_qubit_cliffords(handle)
-        b = two_qubit_cliffords(handle)
-        assert a.index == b.index  # same stream position, fresh generator
-
     def test_cnot_counts_by_class(self):
         cfg = load_config()
         for index, count in [(0, 0), (576, 1), (576 + 5184, 2), (576 + 2 * 5184, 3)]:
             assert two_qubit_clifford(index, cfg).cnot_count == count
+
+    def test_each_class_compiles_only_the_cnots_it_uses(self, monkeypatch):
+        cfg = load_config()
+        original = cliffords.compile_remote_cnot
+        calls = []
+
+        def counting(control="D1", target="D2", cfg=None):
+            calls.append((control, target))
+            return original(control, target, cfg)
+
+        monkeypatch.setattr(cliffords, "compile_remote_cnot", counting)
+        for index, expected in [(0, 0), (576, 1), (576 + 5184, 2), (576 + 2 * 5184, 2)]:
+            calls.clear()
+            elem = two_qubit_clifford(index, cfg)
+            assert len(calls) == expected
+            assert phase_distance(data_block_unitary(elem.decomposition), elem.unitary) < 1e-9
 
     def test_sampled_decompositions_match_matrices(self):
         cfg = load_config()

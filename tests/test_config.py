@@ -31,11 +31,13 @@ def test_mode_frequencies_autofill():
 
 def test_partial_override_merges_over_defaults(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"transfer": {"g_max_hz": 2.0e6}, "rng_seed": 7}))
+    path.write_text(
+        json.dumps({"transfer": {"g_max_hz": 2.0e6}, "single_qubit_gate_time_s": 40e-9})
+    )
     cfg = load_config(path)
     assert cfg.transfer.g_max_hz == pytest.approx(2.0e6)
     assert cfg.transfer.satd_duration_s == pytest.approx(135e-9)  # untouched default
-    assert cfg.rng_seed == 7
+    assert cfg.single_qubit_gate_time_s == pytest.approx(40e-9)
 
 
 def test_mode_spacing_must_match_fsr():
@@ -51,7 +53,8 @@ def test_mode_spacing_must_match_fsr():
         ({"data_qubits": [{}, {"thermal_population": 1.0}]}, "thermal population"),
         ({"transfer": {"satd_duration_s": 300e-9}}, "durations"),
         ({"cpw": {"modes_retained": 4}}, "odd"),
-        ({"rng_seed": -1}, "rng_seed"),
+        ({"rng_seed": -1}, "rng_seed"),  # no longer a config field: --seed is the seed
+        ({"transfr": {"g_max_hz": 2e6}}, "unknown config keys: transfr"),
     ],
 )
 def test_validation_rejects_bad_fields(patch, match):
@@ -71,7 +74,7 @@ def test_config_hash_is_stable_and_sensitive():
     a = default_config()
     b = default_config()
     assert a.config_hash() == b.config_hash()
-    c = load_config({"rng_seed": 999})
+    c = load_config({"single_qubit_gate_time_s": 40e-9})
     assert c.config_hash() != a.config_hash()
 
 
