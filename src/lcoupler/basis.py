@@ -1,6 +1,7 @@
 """Excitation-number basis for the qubit/resonator chain and density operators.
 
-Sites are ordered (emitter qubit, retained modes low to high, receiver qubit).
+Sites are ordered (L1 end qubit, retained modes low to high, L2 end qubit),
+whichever qubit emits.
 Qubits hold at most one excitation; each retained mode holds up to the global
 truncation.  The basis keeps every state with total occupation up to the
 truncation, ground state first, then by total occupation with the excitation
@@ -17,21 +18,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class BasisLabel:
-    """Occupation numbers per site: (emitter, modes..., receiver)."""
+    """Occupation numbers per site: (L1 end, modes..., L2 end)."""
 
     occupations: tuple[int, ...]
 
     @property
     def total(self) -> int:
         return sum(self.occupations)
-
-    @property
-    def emitter(self) -> int:
-        return self.occupations[0]
-
-    @property
-    def receiver(self) -> int:
-        return self.occupations[-1]
 
     @property
     def mode_total(self) -> int:
@@ -90,7 +83,7 @@ class DensityOperator:
 
     @classmethod
     def single_excitation(cls, site: int, basis: list[BasisLabel]) -> "DensityOperator":
-        """Pure state with one excitation at ``site`` (0 = emitter)."""
+        """Pure state with one excitation at ``site`` (0 = the L1 end)."""
         occ = list(basis[0].occupations)
         if any(occ):
             raise ValueError("basis[0] is expected to be the ground state")

@@ -288,18 +288,19 @@ class NoiseModel:
         from .pulses import build_transfer_schedule, reverse_schedule
 
         cfg = cfg if cfg is not None else load_config()
+
+        def both_directions(forward):
+            return {
+                "L1->L2": extract_channel(cfg, forward, lossy=True),
+                "L2->L1": extract_channel(cfg, reverse_schedule(forward), lossy=True),
+            }
+
         if transfer_channels is None:
-            forward = build_transfer_schedule(cfg)
-            transfer_channels = {
-                "L1->L2": extract_channel(cfg, forward, "pair", lossy=True),
-                "L2->L1": extract_channel(cfg, reverse_schedule(forward), "pair", lossy=True),
-            }
+            transfer_channels = both_directions(build_transfer_schedule(cfg))
         if half_transfer_channels is None and include_half:
-            half = build_transfer_schedule(cfg, method="sqrt_satd")
-            half_transfer_channels = {
-                "L1->L2": extract_channel(cfg, half, "pair", lossy=True),
-                "L2->L1": extract_channel(cfg, reverse_schedule(half), "pair", lossy=True),
-            }
+            half_transfer_channels = both_directions(
+                build_transfer_schedule(cfg, method="sqrt_satd")
+            )
         qubits = [*cfg.l_qubits, *cfg.data_qubits]
         tphi = {}
         for q in qubits:

@@ -201,7 +201,7 @@ def ideal_transfer_channel(half: bool = False) -> QuantumChannel:
     return QuantumChannel.from_unitary(ideal_transfer_unitary(half), label=label)
 
 
-# -- acting on subsystems ----------------------------------------------------
+# -- acting on a subset of qubits --------------------------------------------
 
 
 def apply_to_qubits(

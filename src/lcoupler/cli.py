@@ -25,6 +25,8 @@ import numpy as np
 from . import __version__
 from .benchmarking import (
     DEFAULT_NB_LENGTHS,
+    DEFAULT_SEEDS_PER_LENGTH,
+    DEFAULT_SHOTS,
     DEFAULT_TQRB_LENGTHS,
     NoiseModel,
     SpamModel,
@@ -140,9 +142,7 @@ def _decay_artifacts(dataset, fits, title, out_csv: Path, out_svg: Path):
 
 
 def cmd_sweep(args, cfg, out_dir: Path, command: str, started: str) -> int:
-    result = sweep_transfer(
-        cfg, args.method, args.g, args.T, lossy=args.lossy, truncation=args.truncation
-    )
+    result = sweep_transfer(cfg, args.method, args.g, args.T, lossy=args.lossy)
     csv_path = out_dir / f"sweep_{result.method}.csv"
     result.to_csv(csv_path)
     svg_path = out_dir / f"sweep_{result.method}.svg"
@@ -344,22 +344,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=_grid, required=True, metavar="START:STOP:COUNT")
     p.add_argument("--T", type=_grid, required=True, metavar="START:STOP:COUNT")
     p.add_argument("--lossy", action="store_true")
-    p.add_argument("--truncation", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("nb", help="network benchmarking across the link")
     common(p)
     p.add_argument("--lengths", type=_lengths, default=DEFAULT_NB_LENGTHS)
-    p.add_argument("--seeds", type=int, default=30)
-    p.add_argument("--shots", type=int, default=1000)
+    p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS_PER_LENGTH)
+    p.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
     p.add_argument("--noiseless", action="store_true")
     p.set_defaults(func=cmd_nb)
 
     p = sub.add_parser("rb", help="two-qubit RB through compiled circuits")
     common(p)
     p.add_argument("--lengths", type=_lengths, default=DEFAULT_TQRB_LENGTHS)
-    p.add_argument("--seeds", type=int, default=30)
-    p.add_argument("--shots", type=int, default=1000)
+    p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS_PER_LENGTH)
+    p.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
     p.add_argument("--noiseless", action="store_true")
     p.add_argument("--interleave", choices=["remote-cnot"])
     p.set_defaults(func=cmd_rb)

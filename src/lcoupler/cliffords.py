@@ -366,9 +366,10 @@ def compile_remote_cnot(
     uncompute. Every transfer is followed by a virtual Z(pi) on the
     receiving l-qubit that absorbs the dark-passage sign, so the composite
     equals CNOT exactly (no global-phase residue) with the l-pair back in
-    |00>. Frequency-mismatch frame corrections are time-dependent and are
-    applied by the executor per transfer event; they cancel exactly under
-    tracking and so do not appear in the static gate list.
+    |00>. The executor (``benchmarking._CircuitRunner``) applies no
+    frequency-mismatch frame correction: it runs each transfer as the noise
+    model's channel and nothing else.  Tracking the time-dependent mismatch
+    phase is ROADMAP item 3.
     """
     cfg = cfg if cfg is not None else load_config()
     if {control, target} != set(DATA_QUBITS):

@@ -176,8 +176,8 @@ class DeviceConfig:
                 raise ConfigError(f"{q.name}: T1/T2 must be positive")
             if not 0.5 <= q.readout_fidelity <= 1.0:
                 raise ConfigError(f"{q.name}: readout fidelity outside [0.5, 1]")
-            if not 0.0 <= q.thermal_population < 1.0:
-                raise ConfigError(f"{q.name}: thermal population outside [0, 1)")
+            if not 0.0 <= q.thermal_population <= 0.5:
+                raise ConfigError(f"{q.name}: thermal population outside [0, 0.5]")
             if not 0.0 <= q.sq_clifford_error < 1.0:
                 raise ConfigError(f"{q.name}: single-qubit Clifford error outside [0, 1)")
         for q in self.l_qubits:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .basis import BasisLabel, DensityOperator, basis_index, build_basis
-from .channels import QuantumChannel, superop_to_choi, vec
+from .channels import QuantumChannel, superop_to_choi
 from .config import DeviceConfig
 from .pulses import PulseSchedule, build_transfer_schedule
 
@@ -491,7 +491,6 @@ def simulate_transfer(
     cfg: DeviceConfig,
     schedule: PulseSchedule | None = None,
     lossy: bool = True,
-    truncation: int = 1,
     tol: float = 1e-9,
 ) -> TransferResult:
     """Run one transfer with the emitter excited and everything else ground.
@@ -501,7 +500,7 @@ def simulate_transfer(
     """
     if schedule is None:
         schedule = build_transfer_schedule(cfg)
-    model = build_hamiltonian(cfg, schedule, truncation)
+    model = build_hamiltonian(cfg, schedule)
     idx = basis_index(model.basis)
     occ0 = [0] * len(model.basis[0].occupations)
     occ0[model.emitter_site] = 1
@@ -585,7 +584,6 @@ def sweep_transfer(
     g_grid_hz,
     t_grid_s,
     lossy: bool = False,
-    truncation: int = 1,
     tol: float = 1e-9,
 ) -> SweepResult:
     """Transfer populations over a (g, T) grid.
@@ -613,7 +611,7 @@ def sweep_transfer(
                     sweep_duration_s=float(t),
                     total_duration_s=float(t) + ramp_total,
                 )
-                row.append(simulate_transfer(cfg, schedule, lossy, truncation, tol))
+                row.append(simulate_transfer(cfg, schedule, lossy, tol))
                 err_row.append(None)
             except (ValueError, RuntimeError) as exc:  # schedule or propagator
                 row.append(None)
@@ -632,116 +630,51 @@ def sweep_transfer(
 
 # -- channel extraction ------------------------------------------------------
 
-_SUBSYSTEMS = ("pair", "l1", "l2", "path")
-
-
-def _comp_occupations(bits: tuple[int, ...], sites: tuple[int, ...], n_sites: int) -> tuple:
-    occ = [0] * n_sites
-    for b, s in zip(bits, sites):
-        occ[s] = b
-    return tuple(occ)
-
 
 def extract_channel(
     cfg: DeviceConfig,
     schedule: PulseSchedule,
-    subsystem: str = "pair",
     lossy: bool = True,
     tol: float = 1e-9,
     frame_correct: bool = True,
 ) -> QuantumChannel:
-    """CPTP map of a schedule on the l-qubit computational space.
+    """CPTP map of a schedule on the (L1, L2) pair, L1 the more significant bit.
 
-    A complete operator basis of the input space is evolved with modes in
-    vacuum; modes are traced out at the end, so any population left in them
-    lands on computational ground states.  The per-input probability of that
-    escape is recorded in leakage_in.  With frame_correct the deterministic
-    detuning phase (half the per-qubit ramp integral, symmetric ramps) is
-    removed by a virtual Z on each qubit.
-
-    subsystem: "pair" (both l-qubits in and out), "l1"/"l2" (one qubit, same
-    in and out), or "path" (input on the schedule's emitter, output on the
-    receiver).
+    The 16 operators |i><j| of the pair's computational basis are evolved with
+    modes in vacuum, in the two-excitation basis that |11> needs; modes are
+    traced out at the end, so any population left in them lands on
+    computational ground states.  The per-input probability of that escape
+    is recorded in leakage_in.  With frame_correct the deterministic detuning
+    phase (half the per-qubit ramp integral, symmetric ramps) is removed by a
+    virtual Z on each qubit.
     """
-    sub = subsystem.lower()
-    if sub not in _SUBSYSTEMS:
-        raise ValueError(f"unknown subsystem {subsystem!r}, pick one of {_SUBSYSTEMS}")
-
-    l1_name, l2_name = cfg.l_qubits[0].name, cfg.l_qubits[1].name
-    if sub == "pair":
-        in_names = out_names = (l1_name, l2_name)
-    elif sub == "path":
-        in_names, out_names = (schedule.emitter,), (schedule.receiver,)
-    else:
-        name = l1_name if sub == "l1" else l2_name
-        in_names = out_names = (name,)
-
-    truncation = 2 if len(in_names) == 2 else 1
-    model = build_hamiltonian(cfg, schedule, truncation)
+    model = build_hamiltonian(cfg, schedule, 2)
     collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet.lossless()
-    basis = model.basis
-    idx = basis_index(basis)
-    n_sites = len(basis[0].occupations)
-
-    site_of = {l1_name: 0, l2_name: n_sites - 1}
-    in_sites = tuple(site_of[n] for n in in_names)
-    out_sites = tuple(site_of[n] for n in out_names)
-    k_in, k_out = len(in_sites), len(out_sites)
-    d_in, d_out = 2**k_in, 2**k_out
-
-    comp_in = [
-        idx[_comp_occupations(tuple(int(b) for b in f"{i:0{k_in}b}"), in_sites, n_sites)]
-        for i in range(d_in)
-    ]
-    # map each chain label to its output computational bits and the rest of
-    # the occupation pattern; labels with equal rest patterns are traced
-    rest_sites = [s for s in range(n_sites) if s not in out_sites]
-    out_key = []
-    for label in basis:
-        occ = label.occupations
-        bits = 0
-        valid = True
-        for s in out_sites:
-            if occ[s] > 1:
-                valid = False
-                break
-            bits = (bits << 1) | occ[s]
-        out_key.append((bits if valid else -1, tuple(occ[s] for s in rest_sites)))
-    excited_modes = np.array([1.0 if l.mode_total > 0 else 0.0 for l in basis])
-
-    stack = np.zeros((d_in * d_in, len(basis), len(basis)), dtype=complex)
-    for i in range(d_in):
-        for j in range(d_in):
-            stack[i * d_in + j, comp_in[i], comp_in[j]] = 1.0
+    occ = np.array([label.occupations for label in model.basis])
+    modes = occ[:, 1:-1]
+    mode_total = modes.sum(axis=1)
+    # bits[i, a]: chain label a holds pair state i on its two end sites
+    bits = (2 * occ[:, 0] + occ[:, -1] == np.arange(4)[:, None]).astype(float)
+    inputs = bits * (mode_total == 0)
+    stack = np.einsum("ia,jb->ijab", inputs, inputs).reshape(16, model.dim, model.dim)
     finals = _integrate_matrix(model, collapse, stack, tol)
 
-    superop = np.zeros((d_out * d_out, d_in * d_in), dtype=complex)
-    leakage = np.zeros(d_in)
-    for col in range(d_in * d_in):
-        final = finals[col]
-        reduced = np.zeros((d_out, d_out), dtype=complex)
-        for a, (bits_a, rest_a) in enumerate(out_key):
-            if bits_a < 0:
-                continue
-            for b, (bits_b, rest_b) in enumerate(out_key):
-                if bits_b < 0 or rest_a != rest_b:
-                    continue
-                reduced[bits_a, bits_b] += final[a, b]
-        superop[:, col] = vec(reduced)
-        i, j = divmod(col, d_in)
-        if i == j:
-            leakage[i] = float(np.real(np.sum(excited_modes * np.diag(final))))
+    # entries whose mode occupations agree are traced into their pair bits;
+    # superop[i * 4 + j, col] is entry (i, j) of input col's output, and the
+    # populations |i><i| are the inputs 5 i
+    same_modes = np.all(modes[:, None, :] == modes[None, :, :], axis=2)
+    superop = np.einsum("ia,nab,jb->ijn", bits, finals * same_modes, bits).reshape(16, 16)
+    populations = np.diagonal(finals[::5], axis1=1, axis2=2)
+    leakage = np.real(np.sum((mode_total > 0) * populations, axis=1))
 
     if frame_correct:
         phi_e, phi_r = schedule.detuning_phase_rad()
         chi = 0.5 * (phi_e + phi_r)
-        phases = np.array(
-            [np.exp(1j * chi * bin(i).count("1")) for i in range(d_out)], dtype=complex
-        )
+        phases = np.array([np.exp(1j * chi * bin(i).count("1")) for i in range(4)], dtype=complex)
         u = np.diag(phases)
         superop = np.kron(u, u.conj()) @ superop
 
-    channel = QuantumChannel(superop, d_out, leakage_in=leakage, label=f"{sub}-channel")
+    channel = QuantumChannel(superop, 4, leakage_in=leakage, label="pair-channel")
     choi = superop_to_choi(superop)
     eigs = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))
     if eigs[0] < -1e-8:

@@ -76,6 +76,17 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    def test_truncation_flag_is_gone(self, tmp_path, capsys):
+        # a transfer never leaves the one-excitation sector, so the basis
+        # size is not a sweep option
+        code = run(
+            tmp_path, "sweep", "--method", "satd",
+            "--g", "3e6:3e6:1", "--T", "5e-8:5e-8:1", "--truncation", "2",
+        )
+        assert code == 2
+        assert "--truncation" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_satd.csv").exists()
+
 
 class TestNbCommand:
     ARGS = (
@@ -186,6 +197,20 @@ class TestConfigHandling:
         code = run(tmp_path, "nb", "--config", str(tmp_path / "nope.json"))
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_thermal_population_the_spam_model_refuses_is_a_config_error(
+        self, tmp_path, capsys
+    ):
+        # refused when the config loads, before any channel is extracted
+        cfg = default_config().to_dict()
+        cfg["l_qubits"][0]["thermal_population"] = 0.6
+        cfg_path = tmp_path / "hot.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = run(tmp_path / "out", "nb", "--config", str(cfg_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "thermal population" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_lookup_failure_is_exit_2_without_traceback(self, tmp_path, capsys):
         # renaming D1 passes validation but leaves no CZ for the (D1, L1) pair

@@ -55,6 +55,8 @@ def test_mode_spacing_must_match_fsr():
         ({"cpw": {"modes_retained": 4}}, "odd"),
         ({"rng_seed": -1}, "rng_seed"),  # no longer a config field: --seed is the seed
         ({"transfr": {"g_max_hz": 2e6}}, "unknown config keys: transfr"),
+        # SpamModel refuses a thermal population above 0.5, so the config does
+        ({"l_qubits": [{"thermal_population": 0.6}]}, "thermal population"),
     ],
 )
 def test_validation_rejects_bad_fields(patch, match):

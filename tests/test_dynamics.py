@@ -231,6 +231,26 @@ class TestTransfer:
         res = simulate_transfer(cfg, constant_coupling_schedule(3.5e6, 0.0), lossy=False)
         assert res.pop_emitter == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+    def test_one_excitation_populations_need_no_second_excitation(self, lossy):
+        # H conserves excitation number and every collapse operator lowers
+        # it, so a transfer from one excitation never reaches the states
+        # the two-excitation basis adds
+        cfg = load_config({"cpw": {"modes_retained": 3}})
+        sched = build_transfer_schedule(cfg)
+        pops = []
+        for truncation in (1, 2):
+            model = build_hamiltonian(cfg, sched, truncation)
+            collapse = CollapseSet.from_config(cfg, model.basis) if lossy else None
+            final = evolve(model, collapse, DensityOperator.single_excitation(0, model.basis))
+            diag = np.real(np.diag(final.matrix))
+            pops.append({label.occupations: p for label, p in zip(model.basis, diag)})
+        one, two = pops
+        assert len(two) > len(one)
+        for occupations, p in one.items():
+            assert abs(two[occupations] - p) < 1e-12
+        assert sum(p for occ, p in two.items() if sum(occ) == 2) < 1e-12
+
     def test_tolerance_halving_converged(self):
         cfg = single_mode_config()
         sched = build_transfer_schedule(cfg)
@@ -278,7 +298,7 @@ class TestSweep:
 class TestChannel:
     def test_identity_schedule_gives_identity_channel(self):
         cfg = default_config()
-        ch = extract_channel(cfg, constant_coupling_schedule(0.0, 20e-9), "pair", lossy=False)
+        ch = extract_channel(cfg, constant_coupling_schedule(0.0, 20e-9), lossy=False)
         assert np.max(np.abs(ch.superoperator - np.eye(16))) < 1e-8
         assert np.max(ch.leakage_in) < 1e-10
 
@@ -288,7 +308,7 @@ class TestChannel:
         u = ideal_transfer_unitary()
         su = np.kron(u, u.conj())
 
-        fwd = extract_channel(cfg, sched, "pair", lossy=False)
+        fwd = extract_channel(cfg, sched, lossy=False)
         # forward: emitter is L1, receiver starts in |0>: computational
         # column span {|00>, |10>} reproduces the signed swap exactly
         for col in (0, 2 * 4 + 0, 0 * 4 + 2, 2 * 4 + 2):
@@ -300,7 +320,7 @@ class TestChannel:
         assert fwd.leakage_in[1] > 0.05
         assert fwd.leakage_in[2] < 1e-6
 
-        rev = extract_channel(cfg, reverse_schedule(sched), "pair", lossy=False)
+        rev = extract_channel(cfg, reverse_schedule(sched), lossy=False)
         for col in (0, 1 * 4 + 0, 0 * 4 + 1, 1 * 4 + 1):
             assert np.max(np.abs(rev.superoperator[:, col] - su[:, col])) < 1e-6
         assert rev.leakage_in[2] > 0.05
@@ -308,7 +328,7 @@ class TestChannel:
     def test_frame_correction_removes_detuning_phase(self):
         cfg = single_mode_config()
         sched = build_transfer_schedule(cfg, TransferMethod.SATD)
-        raw = extract_channel(cfg, sched, "pair", lossy=False, frame_correct=False)
+        raw = extract_channel(cfg, sched, lossy=False, frame_correct=False)
         # transfer coherence |01><00| picks up the ramp detuning phase
         out = raw.apply(np.outer(_unit(4, 2), _unit(4, 0).conj()))
         phi_e, phi_r = sched.detuning_phase_rad()
@@ -316,14 +336,20 @@ class TestChannel:
         assert abs(out[1, 0] - (-np.exp(-1j * chi))) < 1e-5
         assert abs(chi) > 0.1  # the ramps really do accumulate phase
 
-    def test_linearity_against_evolve(self):
-        cfg = single_mode_config()
+    @pytest.mark.parametrize(
+        "modes,lossy", [(1, True), (3, False)], ids=["1mode-lossy", "3modes-lossless"]
+    )
+    def test_linearity_against_evolve(self, modes, lossy):
+        # at 3 modes the two-excitation labels hold two different modes
+        # excited, which the trace must keep apart
+        cfg = load_config({"cpw": {"modes_retained": modes}})
         sched = build_transfer_schedule(cfg, TransferMethod.SATD)
-        ch = extract_channel(cfg, sched, "pair", lossy=True, frame_correct=False)
+        ch = extract_channel(cfg, sched, lossy=lossy, frame_correct=False)
         model = build_hamiltonian(cfg, sched, truncation=2)
-        collapse = CollapseSet.from_config(cfg, model.basis)
+        collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet.lossless()
         idx = basis_index(model.basis)
-        comp = [idx[(0, 0, 0)], idx[(0, 0, 1)], idx[(1, 0, 0)], idx[(1, 0, 1)]]
+        vacuum = (0,) * modes
+        comp = [idx[(a >> 1, *vacuum, a & 1)] for a in range(4)]
         rng = np.random.default_rng(17)
         inputs = []
         for _ in range(20):
@@ -340,21 +366,15 @@ class TestChannel:
             for a in range(4):
                 for b in range(4):
                     reduced[a, b] = _trace_block(finals[k], model.basis, comp, a, b)
-            # two independent adaptive solves at rtol 1e-9 agree to ~1e-8
             assert np.max(np.abs(ch.apply(rho) - reduced)) < 1e-7
 
     def test_dual_route_fidelity_agreement(self):
         cfg = single_mode_config()
-        ch = extract_channel(cfg, build_transfer_schedule(cfg), "pair", lossy=True)
+        ch = extract_channel(cfg, build_transfer_schedule(cfg), lossy=True)
         u = ideal_transfer_unitary()
         f_trace = ch.average_gate_fidelity(u)
         f_mc = ch.average_gate_fidelity_mc(u, np.random.default_rng(5), 200)
         assert abs(f_trace - f_mc) < 1e-3
-
-    def test_unknown_subsystem_rejected(self):
-        cfg = single_mode_config()
-        with pytest.raises(ValueError, match="subsystem"):
-            extract_channel(cfg, constant_coupling_schedule(0.0, 1e-9), "L9")
 
 
 def _unit(d, i):

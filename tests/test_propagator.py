@@ -113,13 +113,13 @@ def test_states_match_dop853_oracle(method, g_hz, sweep_s):
 def test_pair_superoperator_matches_dop853_oracle(lossy, monkeypatch):
     cfg = load_config(SINGLE_MODE)
     sched = build_transfer_schedule(cfg)
-    channel = extract_channel(cfg, sched, "pair", lossy=lossy)
+    channel = extract_channel(cfg, sched, lossy=lossy)
 
     def oracle_integrate(model, collapse, m0, tol):
         return oracle_matrices(model, collapse, m0)
 
     monkeypatch.setattr(dynamics, "_integrate_matrix", oracle_integrate)
-    reference = extract_channel(cfg, sched, "pair", lossy=lossy)
+    reference = extract_channel(cfg, sched, lossy=lossy)
     assert np.max(np.abs(channel.superoperator - reference.superoperator)) < AGREEMENT
     assert np.max(np.abs(channel.leakage_in - reference.leakage_in)) < AGREEMENT
 
@@ -235,7 +235,7 @@ def test_lossy_pair_channel_is_cptp(sched):
     # moves trace: at tol 1e-9 a 1 ns interval whose coupling flips sign
     # leaves a 1e-10 deficit, so the 1e-10 bounds are checked at 1e-11
     cfg = load_config(SINGLE_MODE)
-    channel = extract_channel(cfg, sched, "pair", lossy=True, tol=1e-11, frame_correct=False)
+    channel = extract_channel(cfg, sched, lossy=True, tol=1e-11, frame_correct=False)
     choi = superop_to_choi(channel.superoperator)
     assert np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0] >= -1e-10
     assert channel.trace_preservation_deficit() <= 1e-10
