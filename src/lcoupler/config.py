@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -28,16 +28,13 @@ class LQubitConfig:
 
     The qubit has two capacitively shunted electrodes joined by an internal
     coupling; only the symmetric eigenmode is used as the computational
-    two-level system.  ``internal_coupling_hz`` is a placeholder scale (the
-    antisymmetric/symmetric splitting is twice this value).
+    two-level system.
     """
 
     name: str
     idle_frequency_hz: float
     min_frequency_hz: float
     max_frequency_hz: float
-    anharmonicity_hz: float = -134e6  # stored for completeness, two-level model ignores it
-    internal_coupling_hz: float = 150e6
     t1_s: float = 100e-6
     t2_s: float = 20e-6
     readout_fidelity: float = 1.0
@@ -113,12 +110,6 @@ class DeviceConfig:
     single_qubit_gate_time_s: float = 35e-9
 
     # -- lookups ---------------------------------------------------------
-
-    def qubit(self, name: str) -> LQubitConfig | DataQubitConfig:
-        for q in [*self.l_qubits, *self.data_qubits]:
-            if q.name == name:
-                return q
-        raise KeyError(f"no qubit named {name!r}")
 
     def qubit_names(self) -> list[str]:
         return [q.name for q in self.l_qubits] + [q.name for q in self.data_qubits]
@@ -216,6 +207,11 @@ class DeviceConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
+def pure_dephasing_rate(qubit: LQubitConfig | DataQubitConfig) -> float:
+    """1/T_phi from 1/T2 = 1/(2 T1) + 1/T_phi; negative when T2 exceeds 2 T1."""
+    return 1.0 / qubit.t2_s - 0.5 / qubit.t1_s
+
+
 def default_config() -> DeviceConfig:
     """Bundled reference device parameters."""
     return DeviceConfig(
@@ -299,6 +295,28 @@ def _default_mode_t1(default: DeviceConfig, cpw: Mapping[str, Any]) -> list[floa
     return [measured[min(max(m, lo), hi)] for m in range(target - k, target + k + 1)]
 
 
+def _entries(merged: dict, key: str, cls) -> list:
+    """One config list built entry by entry, naming the entry and the keys
+    that do not fit ``cls``."""
+    known = {f.name for f in fields(cls)}
+    required = [
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    ]
+    out = []
+    for i, entry in enumerate(merged[key]):
+        unknown = sorted(map(str, set(entry) - known))
+        if unknown:
+            raise ConfigError(f"{key}[{i}]: unknown key {', '.join(unknown)}")
+        missing = [name for name in required if name not in entry]
+        if missing:
+            raise ConfigError(
+                f"{key}[{i}]: missing {', '.join(missing)} "
+                "(list entries replace the default list whole)"
+            )
+        out.append(cls(**entry))
+    return out
+
+
 def _config_from_dict(data: Mapping[str, Any]) -> DeviceConfig:
     default = default_config()
     base = default.to_dict()
@@ -315,17 +333,10 @@ def _config_from_dict(data: Mapping[str, Any]) -> DeviceConfig:
         if "mode_t1_s" not in listed:
             cpw["mode_t1_s"] = _default_mode_t1(default, cpw)
         cfg = DeviceConfig(
-            l_qubits=[LQubitConfig(**q) for q in merged["l_qubits"]],
-            data_qubits=[DataQubitConfig(**q) for q in merged["data_qubits"]],
+            l_qubits=_entries(merged, "l_qubits", LQubitConfig),
+            data_qubits=_entries(merged, "data_qubits", DataQubitConfig),
             cpw=CpwConfig(**merged["cpw"]),
-            cz_gates=[
-                CzGateConfig(
-                    pair=tuple(g["pair"]),
-                    duration_s=g["duration_s"],
-                    error_per_gate=g["error_per_gate"],
-                )
-                for g in merged["cz_gates"]
-            ],
+            cz_gates=_entries(merged, "cz_gates", CzGateConfig),
             transfer=TransferConfig(**merged["transfer"]),
             single_qubit_gate_time_s=merged["single_qubit_gate_time_s"],
         )

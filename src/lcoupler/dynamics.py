@@ -20,7 +20,7 @@ from scipy import sparse
 
 from .basis import BasisLabel, DensityOperator, basis_index, build_basis
 from .channels import QuantumChannel, superop_to_choi
-from .config import DeviceConfig
+from .config import DeviceConfig, pure_dephasing_rate
 from .pulses import PulseSchedule, build_transfer_schedule
 
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
@@ -216,7 +216,7 @@ class CollapseSet:
         qubit_sites = {0: cfg.l_qubits[0], n_sites - 1: cfg.l_qubits[1]}
         for site, qubit in qubit_sites.items():
             ops.append(math.sqrt(1.0 / qubit.t1_s) * _lowering_operator(basis, site))
-            gamma_phi = 1.0 / qubit.t2_s - 0.5 / qubit.t1_s
+            gamma_phi = pure_dephasing_rate(qubit)
             if gamma_phi < 0.0:
                 warnings.warn(
                     f"{qubit.name}: T2 exceeds 2*T1, clamping pure dephasing to zero",

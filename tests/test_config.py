@@ -106,3 +106,23 @@ def test_listed_mode_arrays_win_over_derived():
     cfg = load_config({"cpw": {"modes_retained": 1, "mode_t1_s": [4e-6]}})
     assert cfg.cpw.mode_t1_s == [4e-6]
     assert cfg.cpw.mode_frequencies_hz == [4.881e9]
+
+
+def test_partial_list_entry_names_the_entry_and_missing_keys():
+    message = (
+        "l_qubits[0]: missing name, idle_frequency_hz, min_frequency_hz, "
+        "max_frequency_hz (list entries replace the default list whole)"
+    )
+    with pytest.raises(ConfigError) as err:
+        load_config({"l_qubits": [{"thermal_population": 0.01}]})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("key", ["bogus", "anharmonicity_hz", "internal_coupling_hz"])
+def test_unknown_list_entry_key_is_named(key):
+    # the two removed l-qubit fields are refused like any misspelling
+    qubits = default_config().to_dict()["l_qubits"]
+    qubits[0][key] = 1.0
+    with pytest.raises(ConfigError) as err:
+        load_config({"l_qubits": qubits})
+    assert str(err.value) == f"l_qubits[0]: unknown key {key}"
