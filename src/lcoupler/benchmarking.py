@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import sparse
@@ -41,6 +41,7 @@ from .channels import (
     ideal_transfer_channel,
 )
 from .cliffords import (
+    DEFAULT_SQ_GATE_TIME_S,
     L_QUBIT_PAIR,
     QUBIT_ORDER,
     TWO_QUBIT_GROUP_ORDER,
@@ -165,7 +166,8 @@ class NoiseModel:
     an op relax and dephase for its duration.  transfer_is_swap tells the
     network-benchmarking runner whether the carrier changes sides; identity
     channels with the flag cleared give the population-return control
-    experiment.
+    experiment.  transfer_duration_s and sq_gate_time_s are the durations
+    network benchmarking gives its transfers and single-qubit pulses.
     """
 
     transfer_channels: dict[str, QuantumChannel]
@@ -177,6 +179,7 @@ class NoiseModel:
     qubit_tphi_s: dict[str, float] = field(default_factory=dict)
     transfer_is_swap: bool = True
     transfer_duration_s: float = 206e-9
+    sq_gate_time_s: float = DEFAULT_SQ_GATE_TIME_S
 
     def validate(self) -> "NoiseModel":
         for table in (self.transfer_channels, self.half_transfer_channels):
@@ -314,6 +317,7 @@ class NoiseModel:
             qubit_t1_s={q.name: q.t1_s for q in qubits},
             qubit_tphi_s=tphi,
             transfer_duration_s=cfg.transfer.total_duration_s,
+            sq_gate_time_s=cfg.single_qubit_gate_time_s,
         )
 
 
@@ -322,21 +326,27 @@ class NoiseModel:
 
 
 class _CircuitRunner:
-    """Executes gate ops on a density matrix under a NoiseModel.
+    """Executes circuits on a density matrix under a NoiseModel.
 
-    Each distinct op is compiled once into one sparse superoperator on the
-    row-major vec of the whole register: the op's unitary (or transfer
-    channel) followed by its depolarizing, tensored with every other qubit's
-    idle decoherence for the op's duration.  Running an op is then one
-    sparse matrix-vector product.  CSR storage keeps a 4-qubit op at
-    256-6,400 nonzeros instead of a dense 256x256 matrix.
+    A circuit is a sequence of segments, fixed op tuples that recur across
+    the circuits of a run (one remote CNOT, one single-qubit Clifford on one
+    qubit, one network-benchmarking transfer step).  Each distinct op is
+    compiled once into one sparse superoperator on the row-major vec of the
+    whole register: the op's unitary (or transfer channel) followed by its
+    depolarizing, tensored with every other qubit's idle decoherence for the
+    op's duration.  Each distinct segment is compiled once into the product
+    of its ops' superoperators, so running a segment is one sparse
+    matrix-vector product.  CSR storage keeps a 4-qubit op at 256-6,400
+    nonzeros and a remote CNOT at about 7,200, instead of a dense 256x256
+    matrix.  Both caches live as long as the runner.
     """
 
     def __init__(self, noise: NoiseModel, qubit_order: tuple[str, ...]):
         self.noise = noise
         self.order = tuple(qubit_order)
         self.n = len(self.order)
-        self._compiled: dict[tuple, sparse.csr_matrix] = {}
+        self._ops: dict[tuple, sparse.csr_matrix] = {}
+        self._segments: dict[tuple, sparse.csr_matrix] = {}
 
     def initial_state(self, spam: SpamModel) -> np.ndarray:
         return reduce(np.kron, [spam.initial_qubit_state(q) for q in self.order])
@@ -401,13 +411,26 @@ class _CircuitRunner:
             shape=product.shape,
         )
 
-    def run_ops(self, rho: np.ndarray, ops) -> np.ndarray:
+    def _compiled_op(self, op: GateOp) -> sparse.csr_matrix:
+        superop = self._ops.get(op.key)
+        if superop is None:
+            superop = self._ops[op.key] = self._compile(op)
+        return superop
+
+    def _compile_segment(self, segment) -> sparse.csr_matrix:
+        superop = self._compiled_op(segment[0])
+        for op in segment[1:]:
+            superop = self._compiled_op(op) @ superop
+        return superop
+
+    def run(self, rho: np.ndarray, segments) -> np.ndarray:
+        """Apply each segment (a non-empty tuple of ops) in turn."""
         v = np.asarray(rho, dtype=complex).reshape(-1)
-        for op in ops:
-            key = (op.kind, op.targets, tuple(sorted(op.params.items())), op.duration_s)
-            superop = self._compiled.get(key)
+        for segment in segments:
+            key = tuple([op.key for op in segment])
+            superop = self._segments.get(key)
             if superop is None:
-                superop = self._compiled[key] = self._compile(op)
+                superop = self._segments[key] = self._compile_segment(segment)
             v = superop @ v
         return v.reshape(2**self.n, 2**self.n)
 
@@ -471,6 +494,17 @@ class RbDataset:
 # network benchmarking
 
 
+@lru_cache(maxsize=None)
+def _transfer_step(emitter: str, receiver: str, duration_s: float) -> tuple[GateOp, ...]:
+    """One network-benchmarking transfer as a segment.  Dark passage flips
+    the sign of the moved amplitude; a virtual Z(pi) on the receiving
+    register cancels it, as the compiled circuits do."""
+    return (
+        transfer_op(f"{emitter}->{receiver}", duration_s),
+        virtual_z(receiver, math.pi),
+    )
+
+
 def _nb_single(
     runner: _CircuitRunner,
     spam: SpamModel,
@@ -480,25 +514,20 @@ def _nb_single(
     gen: np.random.Generator,
 ) -> RbRecord:
     noise = runner.noise
-    rho = runner.initial_state(spam)
     carrier = "L1"
-    sequence = []
+    sequence, segments = [], []
     for _ in range(length):
-        elements = single_qubit_cliffords(carrier)
+        elements = single_qubit_cliffords(carrier, noise.sq_gate_time_s)
         elem = elements[int(gen.integers(len(elements)))]
         sequence.append(elem)
         receiver = "L2" if carrier == "L1" else "L1"
-        # dark passage flips the sign of the moved amplitude; cancel it on
-        # the receiving register as the compiled circuits do
-        segment = (
-            transfer_op(f"{carrier}->{receiver}", noise.transfer_duration_s),
-            virtual_z(receiver, math.pi),
-        )
-        rho = runner.run_ops(rho, elem.decomposition + segment)
+        segments += elem.segments
+        segments.append(_transfer_step(carrier, receiver, noise.transfer_duration_s))
         if noise.transfer_is_swap:
             carrier = receiver
     inverse = invert_sequence(sequence)
-    rho = runner.run_ops(rho, single_qubit_cliffords(carrier)[inverse.index].decomposition)
+    segments += single_qubit_cliffords(carrier, noise.sq_gate_time_s)[inverse.index].segments
+    rho = runner.run(runner.initial_state(spam), segments)
     measured = spam_apply(np.real(np.diag(rho)), spam, L_QUBIT_PAIR, gen, shots)
     # order (L1, L2): L1 is the most significant bit
     p_l1_ground = measured[0] + measured[1]
@@ -551,17 +580,14 @@ def _tqrb_single(
     interleave: CliffordElement | None,
     cfg: DeviceConfig,
 ) -> RbRecord:
-    rho = runner.initial_state(spam)
     sequence = []
     for _ in range(length):
-        elem = two_qubit_clifford(int(gen.integers(TWO_QUBIT_GROUP_ORDER)), cfg)
-        sequence.append(elem)
-        rho = runner.run_ops(rho, elem.decomposition)
+        sequence.append(two_qubit_clifford(int(gen.integers(TWO_QUBIT_GROUP_ORDER)), cfg))
         if interleave is not None:
             sequence.append(interleave)
-            rho = runner.run_ops(rho, interleave.decomposition)
-    inverse = invert_sequence(sequence, cfg)
-    rho = runner.run_ops(rho, inverse.decomposition)
+    sequence.append(invert_sequence(sequence, cfg))
+    segments = [segment for elem in sequence for segment in elem.segments]
+    rho = runner.run(runner.initial_state(spam), segments)
     measured = spam_apply(np.real(np.diag(rho)), spam, QUBIT_ORDER, gen, shots)
     outcomes = np.arange(16)
     # order (D1, L1, L2, D2): D1 is bit 3, D2 bit 0
@@ -583,11 +609,12 @@ def run_two_qubit_rb(
 ) -> RbDataset:
     """Clifford-group RB on the data qubits through compiled circuits.
 
-    Every element executes op by op: dressing pulses, local CZs, transfers.
-    With ``interleave`` the given composite (e.g. a compiled remote CNOT)
-    runs after each random element; it must act as a two-qubit Clifford on
-    the data block, which data_block_unitary enforces, and the fitted decay
-    is meant to be divided by a reference run.
+    Every element executes its device circuit segment by segment: dressing
+    pulses, local CZs, transfers.  With ``interleave`` the given composite
+    (e.g. a compiled remote CNOT) runs as one segment after each random
+    element; it must act as a two-qubit Clifford on the data block, which
+    data_block_unitary enforces, and the fitted decay is meant to be divided
+    by a reference run.
     """
     noise.validate()
     cfg = cfg if cfg is not None else load_config()
@@ -602,7 +629,7 @@ def run_two_qubit_rb(
         inter_elem = CliffordElement(
             index=-1,
             unitary=data_block_unitary(ops),
-            decomposition=ops,
+            segments=(ops,) if ops else (),
             cnot_count=0,
         )
     protocol = "INTERLEAVED" if inter_elem is not None else "TQRB"

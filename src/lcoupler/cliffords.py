@@ -12,6 +12,10 @@ Two-qubit group algebra works on abstract 4x4 matrices; only decompositions
 touch the 4-qubit register. Element lookup for inversion uses the tableau
 (conjugation action on X1, Z1, X2, Z2 with signs), which is an exact
 canonical form: 720 symplectic actions x 16 sign patterns = 11520 elements.
+
+An element's decomposition is a sequence of segments: fixed op tuples that
+recur across elements (one remote CNOT, one single-qubit Clifford on one
+qubit), built once and shared, so an executor can compile each segment once.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product as iter_product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +78,12 @@ class GateOp:
                 raise ValueError("rotation axis must be x, y or z")
             if "angle_rad" not in self.params:
                 raise ValueError("rotation needs angle_rad")
+
+    @cached_property
+    def key(self) -> tuple:
+        """Hashable identity of the op (kind, targets, params, duration),
+        computed once per op object."""
+        return (self.kind.value, self.targets, tuple(sorted(self.params.items())), self.duration_s)
 
     def to_dict(self) -> dict:
         return {
@@ -234,6 +245,7 @@ def _single_qubit_table():
     return tuple(mats), tuple(descs), index_of
 
 
+@lru_cache(maxsize=None)
 def _sq_ops(desc, qubit: str, gate_time_s: float) -> tuple[GateOp, ...]:
     n_pulses, z_steps = desc
     ops: list[GateOp] = []
@@ -250,12 +262,30 @@ def _sq_ops(desc, qubit: str, gate_time_s: float) -> tuple[GateOp, ...]:
     return tuple(ops)
 
 
+def _sq_segments(desc, qubit: str, gate_time_s: float) -> tuple[tuple[GateOp, ...], ...]:
+    """One single-qubit element as segments: its op tuple, or none for the
+    identity."""
+    ops = _sq_ops(desc, qubit, gate_time_s)
+    return (ops,) if ops else ()
+
+
 @dataclass(frozen=True, eq=False)
 class CliffordElement:
+    """A group element and the device circuit that runs it.
+
+    ``segments`` are the circuit's fixed op tuples in execution order, each
+    shared by every element that runs it; ``decomposition`` is their
+    concatenation.
+    """
+
     index: int
     unitary: np.ndarray
-    decomposition: tuple[GateOp, ...]
+    segments: tuple[tuple[GateOp, ...], ...]
     cnot_count: int = 0
+
+    @property
+    def decomposition(self) -> tuple[GateOp, ...]:
+        return tuple(op for segment in self.segments for op in segment)
 
 
 @lru_cache(maxsize=None)
@@ -265,17 +295,17 @@ def single_qubit_cliffords(
     """All 24 elements; index 0 is the identity with an empty decomposition."""
     mats, descs, _ = _single_qubit_table()
     return tuple(
-        CliffordElement(i, mats[i], _sq_ops(descs[i], qubit, gate_time_s))
+        CliffordElement(i, mats[i], _sq_segments(descs[i], qubit, gate_time_s))
         for i in range(24)
     )
 
 
 def retarget_single_qubit(elem: CliffordElement, qubit: str) -> CliffordElement:
-    ops = tuple(
-        GateOp(op.kind, (qubit,), dict(op.params), op.duration_s)
-        for op in elem.decomposition
+    segments = tuple(
+        tuple(GateOp(op.kind, (qubit,), dict(op.params), op.duration_s) for op in segment)
+        for segment in elem.segments
     )
-    return CliffordElement(elem.index, elem.unitary, ops, elem.cnot_count)
+    return CliffordElement(elem.index, elem.unitary, segments, elem.cnot_count)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +331,9 @@ _ISWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
 
+# first index of each class
+_CLASS_STARTS = np.cumsum((0,) + TWO_QUBIT_CLASS_SIZES[:-1])
+
 
 def _desc_index(desc) -> int:
     _, descs, _ = _single_qubit_table()
@@ -309,51 +342,90 @@ def _desc_index(desc) -> int:
 
 @lru_cache(maxsize=None)
 def _class_tables():
-    mats, _, _ = _single_qubit_table()
+    """Factors of every element's matrix, layers[u1, u2] . reps[class] .
+    cyclers[s1, s2]: the 24 x 24 single-qubit layers, the four class
+    representatives and the 3 x 3 cycler layers (the identity at s = 0)."""
+    mats = np.array(_single_qubit_table()[0])
     e_mat = mats[_desc_index(_CYCLER_DESC)]
-    s3 = (np.eye(2, dtype=complex), e_mat, e_mat @ e_mat)
-    reps = (np.eye(4, dtype=complex), _CNOT_12, _ISWAP, _SWAP)
-    return mats, s3, reps
+    s3 = np.array([np.eye(2, dtype=complex), e_mat, e_mat @ e_mat])
+
+    def krons(a, b):
+        return np.einsum("aij,bkl->abikjl", a, b).reshape(len(a), len(b), 4, 4)
+
+    reps = np.array([np.eye(4, dtype=complex), _CNOT_12, _ISWAP, _SWAP])
+    return krons(mats, mats), reps, krons(s3, s3)
 
 
-def decode_two_qubit_index(index: int) -> tuple[int, int, int, int, int]:
-    """index -> (class_id, u1, u2, s1, s2); s factors are 0 outside classes 1, 2."""
-    if not 0 <= index < TWO_QUBIT_GROUP_ORDER:
-        raise ValueError("two-qubit Clifford index out of range")
-    offset = index
-    for class_id, size in enumerate(TWO_QUBIT_CLASS_SIZES):
-        if offset < size:
-            break
-        offset -= size
-    if class_id in (0, 3):
-        u1, u2 = divmod(offset, 24)
-        return class_id, u1, u2, 0, 0
-    pair, s = divmod(offset, 9)
-    u1, u2 = divmod(pair, 24)
+def _decode(index):
+    """index -> (class_id, u1, u2, s1, s2), elementwise on integer arrays;
+    the s factors are 0 outside classes 1 and 2."""
+    class_id = np.searchsorted(_CLASS_STARTS, index, side="right") - 1
+    # classes 1 and 2 carry 9 cycler layers per single-qubit layer
+    per_layer = 1 + 8 * ((class_id == 1) | (class_id == 2))
+    layer, s = divmod(index - _CLASS_STARTS[class_id], per_layer)
+    u1, u2 = divmod(layer, 24)
     s1, s2 = divmod(s, 3)
     return class_id, u1, u2, s1, s2
 
 
+def _check_index(index: int) -> None:
+    if not 0 <= index < TWO_QUBIT_GROUP_ORDER:
+        raise ValueError("two-qubit Clifford index out of range")
+
+
+def decode_two_qubit_index(index: int) -> tuple[int, int, int, int, int]:
+    """index -> (class_id, u1, u2, s1, s2); s factors are 0 outside classes 1, 2."""
+    _check_index(index)
+    return tuple(int(v) for v in _decode(index))
+
+
+def _two_qubit_matrices(indices) -> np.ndarray:
+    """Abstract 4x4 matrices of the elements, stacked in the shape of
+    ``indices``."""
+    layers, reps, cyclers = _class_tables()
+    class_id, u1, u2, s1, s2 = _decode(indices)
+    return layers[u1, u2] @ reps[class_id] @ cyclers[s1, s2]
+
+
 def two_qubit_matrix(index: int) -> np.ndarray:
     """Abstract 4x4 matrix of the element, no device compilation."""
-    mats, s3, reps = _class_tables()
-    class_id, u1, u2, s1, s2 = decode_two_qubit_index(index)
-    m = np.kron(mats[u1], mats[u2]) @ reps[class_id]
-    if class_id in (1, 2):
-        m = m @ np.kron(s3[s1], s3[s2])
-    return m
+    _check_index(index)
+    return _two_qubit_matrices(index)
+
+
+@lru_cache(maxsize=None)
+def _local_cnot(control: str, target: str, sq_time_s: float, cz_time_s: float):
+    return (
+        sq_rot(target, "y", np.pi / 2.0, sq_time_s),
+        cz_op(control, target, cz_time_s),
+        sq_rot(target, "y", -np.pi / 2.0, sq_time_s),
+        virtual_z(control, np.pi),
+    )
 
 
 def local_cnot(control: str, target: str, cfg: DeviceConfig) -> list[GateOp]:
     """CNOT inside one module: the calibrated CZ conjugated by Y +/- pi/2 on
     the target, plus a virtual Z(pi) on the control."""
-    sq_time = cfg.single_qubit_gate_time_s
-    return [
-        sq_rot(target, "y", np.pi / 2.0, sq_time),
-        cz_op(control, target, cfg.cz_for(control, target).duration_s),
-        sq_rot(target, "y", -np.pi / 2.0, sq_time),
-        virtual_z(control, np.pi),
-    ]
+    cz_time = cfg.cz_for(control, target).duration_s
+    return list(_local_cnot(control, target, cfg.single_qubit_gate_time_s, cz_time))
+
+
+@lru_cache(maxsize=None)
+def _remote_cnot(
+    control: str, target: str, sq_time_s: float, cz_near_s: float, cz_far_s: float,
+    transfer_s: float,
+) -> tuple[GateOp, ...]:
+    l_near, l_far = ADJACENT_L[control], ADJACENT_L[target]
+    near = _local_cnot(control, l_near, sq_time_s, cz_near_s)
+    return (
+        *near,
+        transfer_op(f"{l_near}->{l_far}", transfer_s),
+        virtual_z(l_far, np.pi),
+        *_local_cnot(l_far, target, sq_time_s, cz_far_s),
+        transfer_op(f"{l_far}->{l_near}", transfer_s),
+        virtual_z(l_near, np.pi),
+        *near,
+    )
 
 
 def compile_remote_cnot(
@@ -369,19 +441,23 @@ def compile_remote_cnot(
     |00>. The executor (``benchmarking._CircuitRunner``) applies no
     frequency-mismatch frame correction: it runs each transfer as the noise
     model's channel and nothing else.  Tracking the time-dependent mismatch
-    phase is ROADMAP item 3.
+    phase is ROADMAP item 3.  The ops are built once per set of gate times
+    and shared by every caller.
     """
     cfg = cfg if cfg is not None else load_config()
     if {control, target} != set(DATA_QUBITS):
         raise ValueError("control and target must be the two data qubits")
     l_near, l_far = ADJACENT_L[control], ADJACENT_L[target]
-    transfer_time = cfg.transfer.total_duration_s
-    ops = local_cnot(control, l_near, cfg)
-    ops += [transfer_op(f"{l_near}->{l_far}", transfer_time), virtual_z(l_far, np.pi)]
-    ops += local_cnot(l_far, target, cfg)
-    ops += [transfer_op(f"{l_far}->{l_near}", transfer_time), virtual_z(l_near, np.pi)]
-    ops += local_cnot(control, l_near, cfg)
-    return ops
+    return list(
+        _remote_cnot(
+            control,
+            target,
+            cfg.single_qubit_gate_time_s,
+            cfg.cz_for(control, l_near).duration_s,
+            cfg.cz_for(l_far, target).duration_s,
+            cfg.transfer.total_duration_s,
+        )
+    )
 
 
 _L00_INDICES = [
@@ -402,79 +478,91 @@ def data_block_unitary(ops, atol: float = 1e-9) -> np.ndarray:
     return block
 
 
-def _two_qubit_ops(index: int, cfg: DeviceConfig) -> tuple[tuple[GateOp, ...], int]:
-    """Device ops of an element and its remote-CNOT count: class k runs k
-    remote CNOTs, and only the directions it uses are compiled."""
+def two_qubit_clifford(index: int, cfg: DeviceConfig | None = None) -> CliffordElement:
+    """Element by canonical index, with its device-compiled segments.
+
+    Class k runs k remote CNOTs, each one segment, and only the directions
+    it uses are compiled; every single-qubit element is one segment on its
+    data qubit.
+    """
+    cfg = cfg if cfg is not None else load_config()
     class_id, u1, u2, s1, s2 = decode_two_qubit_index(index)
     _, descs, _ = _single_qubit_table()
     d1, d2 = DATA_QUBITS
 
     def sq(desc, qubit):
-        return list(_sq_ops(desc, qubit, cfg.single_qubit_gate_time_s))
+        return _sq_segments(desc, qubit, cfg.single_qubit_gate_time_s)
 
-    cnot_fwd = compile_remote_cnot(d1, d2, cfg) if class_id >= 1 else []
-    cnot_rev = compile_remote_cnot(d2, d1, cfg) if class_id >= 2 else []
-    ops: list[GateOp] = []
+    cnot_fwd = (tuple(compile_remote_cnot(d1, d2, cfg)),) if class_id >= 1 else ()
+    cnot_rev = (tuple(compile_remote_cnot(d2, d1, cfg)),) if class_id >= 2 else ()
+    segments: tuple[tuple[GateOp, ...], ...] = ()
     if class_id in (1, 2):
         # S3 = {identity, E, E.E}: zero, one or two copies of the cycler
-        ops += sq(_CYCLER_DESC, d1) * s1 + sq(_CYCLER_DESC, d2) * s2
+        segments += sq(_CYCLER_DESC, d1) * s1 + sq(_CYCLER_DESC, d2) * s2
     if class_id == 1:
-        ops += cnot_fwd
+        segments += cnot_fwd
     elif class_id == 2:
         dress = _ISWAP_DRESSING
-        ops += sq(dress["c"], d1) + sq(dress["d"], d2)
-        ops += cnot_fwd + cnot_rev
-        ops += sq(dress["a"], d1) + sq(dress["b"], d2)
+        segments += sq(dress["c"], d1) + sq(dress["d"], d2)
+        segments += cnot_fwd + cnot_rev
+        segments += sq(dress["a"], d1) + sq(dress["b"], d2)
     elif class_id == 3:
-        ops += cnot_fwd + cnot_rev + cnot_fwd
-    ops += sq(descs[u1], d1) + sq(descs[u2], d2)
-    return tuple(ops), class_id
-
-
-def two_qubit_clifford(index: int, cfg: DeviceConfig | None = None) -> CliffordElement:
-    """Element by canonical index, with its device-compiled decomposition."""
-    cfg = cfg if cfg is not None else load_config()
-    ops, cnots = _two_qubit_ops(index, cfg)
-    return CliffordElement(index, two_qubit_matrix(index), ops, cnots)
+        segments += cnot_fwd + cnot_rev + cnot_fwd
+    segments += sq(descs[u1], d1) + sq(descs[u2], d2)
+    return CliffordElement(index, _two_qubit_matrices(index), segments, class_id)
 
 
 # ---------------------------------------------------------------------------
 # inversion
 
-_PAULI_STRINGS_2Q = [np.kron(_PAULI[p], _PAULI[q]) for p in "ixyz" for q in "ixyz"]
-_GENERATORS_2Q = [np.kron(_PAULI[p], _PAULI[q]) for p, q in ("xi", "zi", "ix", "iz")]
+_GENERATORS_2Q = np.array([np.kron(_PAULI[p], _PAULI[q]) for p, q in ("xi", "zi", "ix", "iz")])
+# Tr(P M) = vec(M) . vec(P^T): one product gives all 16 Pauli coefficients
+_PAULI_TRACES = np.array(
+    [np.kron(_PAULI[p], _PAULI[q]).T.reshape(16) for p in "ixyz" for q in "ixyz"]
+).T
+_LOOKUP_CHUNK = 1024
 
 
-def _tableau_key(u: np.ndarray) -> tuple:
-    """Conjugation images of the four Pauli generators, with signs."""
-    stack = np.stack(_PAULI_STRINGS_2Q)
-    key = []
-    for g in _GENERATORS_2Q:
-        image = u @ g @ u.conj().T
-        coeffs = np.einsum("kij,ji->k", stack, image) / 4.0
-        which = int(np.argmax(np.abs(coeffs)))
-        c = coeffs[which]
-        if abs(abs(c) - 1.0) > 1e-8 or abs(c.imag) > 1e-8:
-            raise ValueError("matrix is not a two-qubit Clifford")
-        key.append((which, 1 if c.real > 0 else -1))
-    return tuple(key)
+def _tableau_codes(u: np.ndarray) -> np.ndarray:
+    """Tableau code of each stacked two-qubit Clifford in ``u`` (..., 4, 4).
+
+    Conjugation maps generator k of (X1, Z1, X2, Z2) to +/-P for one of the
+    16 Pauli strings (index w in "ixyz" x "ixyz" order); its digit is
+    2 w + (1 if the sign is negative), and the code is sum_k digit_k 32^k.
+    """
+    images = u[..., None, :, :] @ _GENERATORS_2Q @ u.conj().swapaxes(-1, -2)[..., None, :, :]
+    coeffs = images.reshape(*images.shape[:-2], 16) @ _PAULI_TRACES / 4.0
+    which = np.argmax(np.abs(coeffs), axis=-1)
+    c = np.take_along_axis(coeffs, which[..., None], axis=-1)[..., 0]
+    if np.any(np.abs(np.abs(c) - 1.0) > 1e-8) or np.any(np.abs(c.imag) > 1e-8):
+        raise ValueError("matrix is not a two-qubit Clifford")
+    return (2 * which + (c.real < 0)) @ (32 ** np.arange(4))
+
+
+class _TableauLookup(NamedTuple):
+    codes: np.ndarray  # every element's tableau code, ascending
+    indices: np.ndarray  # the element index of each code
 
 
 @lru_cache(maxsize=None)
-def _two_qubit_lookup() -> dict:
-    table = {}
-    for index in range(TWO_QUBIT_GROUP_ORDER):
-        table[_tableau_key(two_qubit_matrix(index))] = index
-    if len(table) != TWO_QUBIT_GROUP_ORDER:
+def _two_qubit_lookup() -> _TableauLookup:
+    """Sorted tableau codes of the whole group, computed a chunk of elements
+    at a time to bound the temporary arrays."""
+    chunks = np.split(
+        np.arange(TWO_QUBIT_GROUP_ORDER), range(_LOOKUP_CHUNK, TWO_QUBIT_GROUP_ORDER, _LOOKUP_CHUNK)
+    )
+    codes = np.concatenate([_tableau_codes(_two_qubit_matrices(c)) for c in chunks])
+    order = np.argsort(codes)
+    if np.any(np.diff(codes[order]) == 0):
         raise RuntimeError("two-qubit class construction produced duplicates")
-    return table
+    return _TableauLookup(codes[order], order)
 
 
 def invert_sequence(seq, cfg: DeviceConfig | None = None) -> CliffordElement:
     """Group element inverting the ordered product of the sequence.
 
     Single-qubit sequences resolve by phase-normalized matrix lookup;
-    two-qubit sequences by the tableau of the inverse product.
+    two-qubit sequences by the tableau code of the inverse product.
     """
     if not seq:
         raise ValueError("cannot invert an empty sequence")
@@ -488,7 +576,11 @@ def invert_sequence(seq, cfg: DeviceConfig | None = None) -> CliffordElement:
             raise RuntimeError("sequence product is not in the single-qubit group")
         return single_qubit_cliffords()[found]
     try:
-        index = _two_qubit_lookup()[_tableau_key(inverse)]
-    except (KeyError, ValueError) as exc:
+        code = _tableau_codes(inverse)
+    except ValueError as exc:
         raise RuntimeError("sequence product is not in the two-qubit group") from exc
-    return two_qubit_clifford(index, cfg)
+    codes, indices = _two_qubit_lookup()
+    pos = int(np.searchsorted(codes, code))
+    if pos == len(codes) or codes[pos] != code:
+        raise RuntimeError("sequence product is not in the two-qubit group")
+    return two_qubit_clifford(int(indices[pos]), cfg)

@@ -122,7 +122,7 @@ def simulate_prep(
     """Run a preparation circuit on the full register and return the reduced
     density matrix of the measured pair."""
     runner = _CircuitRunner(noise, QUBIT_ORDER)
-    rho = runner.run_ops(runner.initial_state(spam), ops)
+    rho = runner.run(runner.initial_state(spam), [(op,) for op in ops])
     positions = tuple(QUBIT_ORDER.index(q) for q in qubits)
     return _pair_marginal(rho, positions, len(QUBIT_ORDER))
 

@@ -16,7 +16,7 @@ from lcoupler.benchmarking import (
     run_two_qubit_rb,
     spam_apply,
 )
-from lcoupler.channels import QuantumChannel
+from lcoupler.channels import QuantumChannel, ideal_transfer_channel
 from lcoupler.cliffords import (
     L_QUBIT_PAIR,
     QUBIT_ORDER,
@@ -224,6 +224,22 @@ class TestNetworkBenchmarking:
         assert abs(fit.rate - leak) / leak < 0.15
         # the carrier itself is untouched by the pump
         assert fit_exponential(ds).decay > 0.999
+
+    def test_configured_single_qubit_gate_time_reaches_nb(self):
+        """Longer pulses give the idle l-qubit longer to relax and dephase."""
+        channels = {d: ideal_transfer_channel() for d in ("L1->L2", "L2->L1")}
+        kw = dict(lengths=(2, 8), seeds_per_length=3, shots=1000)
+        csv = {}
+        for gate_time in (35e-9, 500e-9):
+            cfg = load_config({"single_qubit_gate_time_s": gate_time})
+            noise = NoiseModel.from_config(cfg, transfer_channels=channels)
+            assert noise.sq_gate_time_s == gate_time
+            csv[gate_time] = run_network_benchmarking(
+                noise, SpamModel.from_config(cfg), rng=RngHandle(seed=4), **kw
+            ).to_csv()
+        assert csv[35e-9] != csv[500e-9]
+        # 35 ns is the library default, so default datasets are unchanged
+        assert NoiseModel(transfer_channels=channels).sq_gate_time_s == 35e-9
 
     def test_readout_error_moves_amplitude_not_decay(self):
         noise = NoiseModel.with_transfer_depolarizing(0.012)

@@ -32,8 +32,14 @@ from lcoupler.cliffords import (
     two_qubit_clifford,
     two_qubit_matrix,
     virtual_z,
+    _ISWAP_DRESSING,
+    _CYCLER_DESC,
     _phase_key,
+    _single_qubit_table,
+    _sq_ops,
+    _tableau_codes,
     _two_qubit_lookup,
+    _two_qubit_matrices,
 )
 from lcoupler.config import load_config
 
@@ -53,6 +59,57 @@ def decomposition_product(elem, dim=2):
     for op in elem.decomposition:
         u = op_matrix(op) @ u
     return u
+
+
+_PAULI = {
+    "i": np.eye(2, dtype=complex),
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+_PAULI_STRINGS = np.stack([np.kron(_PAULI[p], _PAULI[q]) for p in "ixyz" for q in "ixyz"])
+_GENERATORS = [np.kron(_PAULI[p], _PAULI[q]) for p, q in ("xi", "zi", "ix", "iz")]
+
+
+def tableau_key(u):
+    """Per-element oracle: (Pauli string index, sign) of the conjugation image
+    of each generator X1, Z1, X2, Z2, one element at a time."""
+    key = []
+    for g in _GENERATORS:
+        image = u @ g @ u.conj().T
+        coeffs = np.einsum("kij,ji->k", _PAULI_STRINGS, image) / 4.0
+        which = int(np.argmax(np.abs(coeffs)))
+        c = coeffs[which]
+        assert abs(abs(c) - 1.0) < 1e-8 and abs(c.imag) < 1e-8
+        key.append((which, 1 if c.real > 0 else -1))
+    return tuple(key)
+
+
+def oracle_two_qubit_ops(index, cfg):
+    """The element's device ops assembled op by op from the class recipe."""
+    class_id, u1, u2, s1, s2 = decode_two_qubit_index(index)
+    descs = _single_qubit_table()[1]
+    t = cfg.single_qubit_gate_time_s
+
+    def sq(desc, qubit):
+        return list(_sq_ops(desc, qubit, t))
+
+    fwd = compile_remote_cnot("D1", "D2", cfg)
+    rev = compile_remote_cnot("D2", "D1", cfg)
+    ops = []
+    if class_id in (1, 2):
+        ops += sq(_CYCLER_DESC, "D1") * s1 + sq(_CYCLER_DESC, "D2") * s2
+    if class_id == 1:
+        ops += fwd
+    elif class_id == 2:
+        dress = _ISWAP_DRESSING
+        ops += sq(dress["c"], "D1") + sq(dress["d"], "D2") + fwd + rev
+        ops += sq(dress["a"], "D1") + sq(dress["b"], "D2")
+    elif class_id == 3:
+        ops += fwd + rev + fwd
+    return tuple(ops + sq(descs[u1], "D1") + sq(descs[u2], "D2"))
 
 
 class TestGateOp:
@@ -121,6 +178,15 @@ class TestSingleQubitGroup:
             a, b = rng.integers(24, size=2)
             assert _phase_key(els[a].unitary @ els[b].unitary) in keys
 
+    def test_segments_concatenate_to_decomposition(self):
+        descs = _single_qubit_table()[1]
+        for qubit, gate_time in (("q0", 35e-9), ("L2", 500e-9)):
+            for e in single_qubit_cliffords(qubit, gate_time):
+                # one segment per element, none for the identity
+                assert len(e.segments) == (e.index != 0)
+                flat = tuple(op for segment in e.segments for op in segment)
+                assert flat == e.decomposition == _sq_ops(descs[e.index], qubit, gate_time)
+
     def test_retarget(self):
         els = single_qubit_cliffords(qubit="L1")
         moved = retarget_single_qubit(els[7], "L2")
@@ -134,8 +200,36 @@ class TestTwoQubitGroup:
         assert TWO_QUBIT_GROUP_ORDER == 11520
 
     def test_exhaustive_distinctness(self):
-        # tableau keys are a perfect canonical form; all 11520 must be distinct
-        assert len(_two_qubit_lookup()) == 11520
+        # tableau codes are a perfect canonical form; all 11520 must be distinct
+        assert len(np.unique(_two_qubit_lookup().codes)) == 11520
+
+    def test_batched_codes_match_per_element_tableau(self):
+        mats = _two_qubit_matrices(np.arange(TWO_QUBIT_GROUP_ORDER))
+        for index, code in enumerate(_tableau_codes(mats)):
+            key = tableau_key(mats[index])
+            assert code == sum(
+                (2 * which + (sign < 0)) * 32**k for k, (which, sign) in enumerate(key)
+            ), index
+
+    def test_every_inverse_is_found(self):
+        mats = _two_qubit_matrices(np.arange(TWO_QUBIT_GROUP_ORDER))
+        codes, indices = _two_qubit_lookup()
+        inverse_codes = _tableau_codes(mats.conj().swapaxes(-1, -2))
+        pos = np.searchsorted(codes, inverse_codes)
+        assert np.array_equal(codes[pos], inverse_codes)
+        products = mats[indices[pos]] @ mats
+        # each product is the identity up to a global phase
+        phases = products[:, 0, 0]
+        assert np.allclose(np.abs(phases), 1.0, atol=1e-12)
+        assert np.max(np.abs(products - phases[:, None, None] * np.eye(4))) < 1e-12
+
+    def test_segments_concatenate_to_the_recipe(self):
+        cfg = load_config()
+        for index in range(TWO_QUBIT_GROUP_ORDER):
+            elem = two_qubit_clifford(index, cfg)
+            assert all(elem.segments), index
+            flat = tuple(op for segment in elem.segments for op in segment)
+            assert flat == elem.decomposition == oracle_two_qubit_ops(index, cfg), index
 
     def test_index_decode_boundaries(self):
         assert decode_two_qubit_index(0) == (0, 0, 0, 0, 0)

@@ -7,7 +7,7 @@
   circuits (local CNOTs, transfers and all).
 - ``op_matrix`` of every transfer op against ``ideal_transfer_unitary``, with
   the emitter-first qubit order undone by reshaping, not by a matrix.
-- The circuit executor's compiled register superoperators against an op by op
+- The circuit executor's compiled segment superoperators against an op by op
   reference: the embedded unitary, then ``apply_to_qubits`` for the op's
   depolarizing or transfer channel, then each bystander's idle channel.
 """
@@ -205,20 +205,27 @@ _OPS = st.one_of(
 )
 
 
+_SEGMENTS = st.lists(_OPS, min_size=1, max_size=4).map(tuple)
+
+
 @PROPERTY_SETTINGS
 @given(
-    ops=st.lists(_OPS, min_size=1, max_size=10),
+    segments=st.lists(_SEGMENTS, min_size=1, max_size=6),
     idle=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_compiled_runner_matches_op_by_op_reference(ops, idle, seed):
+def test_compiled_runner_matches_op_by_op_reference(segments, idle, seed):
     noise = _device_noise(seed, idle)
     rho = _random_state(np.random.default_rng(seed), len(QUBIT_ORDER))
     runner = _CircuitRunner(noise, QUBIT_ORDER)
-    # twice through one runner: the second pass runs the cached superoperators
-    got = runner.run_ops(runner.run_ops(rho, ops), ops)
+    ops = [op for segment in segments for op in segment]
+    # twice through one runner: the second pass runs the cached segments, and
+    # the same ops as one-op segments reuse the cached ops
+    got = runner.run(runner.run(rho, segments), segments)
     expected = _reference_run(noise, QUBIT_ORDER, _reference_run(noise, QUBIT_ORDER, rho, ops), ops)
     assert np.max(np.abs(got - expected)) < 1e-12
+    one_op = runner.run(rho, [(op,) for op in ops])
+    assert np.max(np.abs(one_op - _reference_run(noise, QUBIT_ORDER, rho, ops))) < 1e-12
 
 
 def test_nb_element_op_by_op_equals_lumped_noise():
@@ -240,5 +247,5 @@ def test_nb_element_op_by_op_equals_lumped_noise():
             if duration > 0:
                 idle = _idle_channel(noise, bystander, duration)
                 lumped = apply_to_qubits(idle, lumped, (1 - pos,), 2)
-            got = runner.run_ops(rho, elem.decomposition)
+            got = runner.run(rho, elem.segments)
             assert np.max(np.abs(got - lumped)) < 1e-12, (carrier, elem.index)
