@@ -1,11 +1,14 @@
 """Randomized benchmarking of interconnect circuits at the density-matrix level.
 
-Two protocols share one noisy circuit executor.  Network benchmarking bounces
-a carrier qubit between the two l-qubits: each segment is a random
-single-qubit Clifford on the carrier followed by a transfer, the whole
-sequence is undone by a single inverting Clifford, and the decay of the
-return probability with segment count gives the error per segment,
-EPS = (1 - p) / 2.  Two-qubit RB draws uniform elements of the two-qubit
+Two protocols share one noisy circuit executor and one sequence loop; each
+supplies only how it draws a sequence and which qubits its survival reads.
+Circuit timing comes from the DeviceConfig, noise from the NoiseModel.
+
+Network benchmarking bounces a carrier qubit between the two l-qubits: each
+segment is a random single-qubit Clifford on the carrier followed by a
+transfer, the whole sequence is undone by a single inverting Clifford, and
+the decay of the return probability with segment count gives the error per
+segment, EPS = (1 - p) / 2.  Two-qubit RB draws uniform elements of the two-qubit
 Clifford group on the data qubits, executes their compiled decompositions
 (local gates plus transfers), and converts the fitted decay to an error per
 gate, EPG = 3 (1 - p) / 4.  Interleaved mode inserts a fixed composite
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 from scipy import sparse
@@ -41,7 +44,7 @@ from .channels import (
     ideal_transfer_channel,
 )
 from .cliffords import (
-    DEFAULT_SQ_GATE_TIME_S,
+    DATA_QUBITS,
     L_QUBIT_PAIR,
     QUBIT_ORDER,
     TWO_QUBIT_GROUP_ORDER,
@@ -53,9 +56,8 @@ from .cliffords import (
     invert_sequence,
     op_matrix,
     single_qubit_cliffords,
-    transfer_op,
+    transfer_step,
     two_qubit_clifford,
-    virtual_z,
 )
 from .config import DeviceConfig, load_config, pure_dephasing_rate
 from .rng import RngHandle
@@ -93,6 +95,12 @@ class SpamModel:
         """Column-stochastic 2x2 map from true to reported outcome."""
         f = self.readout_fidelity.get(qubit, 1.0)
         return np.array([[f, 1.0 - f], [1.0 - f, f]])
+
+    def confusion(self, qubits: tuple[str, ...]) -> np.ndarray:
+        """Column-stochastic map from true to reported outcomes of the
+        register (first qubit the most significant bit): the tensor product
+        of the per-qubit matrices."""
+        return reduce(np.kron, [self.confusion_matrix(q) for q in qubits])
 
     def initial_qubit_state(self, qubit: str) -> np.ndarray:
         t = self.thermal_population.get(qubit, 0.0)
@@ -142,8 +150,7 @@ def spam_apply(
     total = dist.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-6):
         raise ValueError(f"distribution is not normalized: sum {total}")
-    confusion = reduce(np.kron, [spam.confusion_matrix(q) for q in qubits])
-    noisy = confusion @ (dist / total)
+    noisy = spam.confusion(qubits) @ (dist / total)
     noisy = np.clip(noisy, 0.0, None)
     noisy /= noisy.sum()
     gen = rng.generator() if isinstance(rng, RngHandle) else rng
@@ -163,11 +170,9 @@ class NoiseModel:
     (L1, L2) pair in place of the ideal transfer unitary.  sq_depolarizing
     and cz_depolarizing are depolarizing probabilities added after each
     physical pulse / CZ.  With idle_decoherence set, qubits not addressed by
-    an op relax and dephase for its duration.  transfer_is_swap tells the
-    network-benchmarking runner whether the carrier changes sides; identity
-    channels with the flag cleared give the population-return control
-    experiment.  transfer_duration_s and sq_gate_time_s are the durations
-    network benchmarking gives its transfers and single-qubit pulses.
+    an op relax and dephase for its duration.  The model holds noise only:
+    the circuits it runs, and so every op's duration, come from the
+    DeviceConfig the protocol is given.
     """
 
     transfer_channels: dict[str, QuantumChannel]
@@ -177,9 +182,6 @@ class NoiseModel:
     idle_decoherence: bool = False
     qubit_t1_s: dict[str, float] = field(default_factory=dict)
     qubit_tphi_s: dict[str, float] = field(default_factory=dict)
-    transfer_is_swap: bool = True
-    transfer_duration_s: float = 206e-9
-    sq_gate_time_s: float = DEFAULT_SQ_GATE_TIME_S
 
     def validate(self) -> "NoiseModel":
         for table in (self.transfer_channels, self.half_transfer_channels):
@@ -210,19 +212,6 @@ class NoiseModel:
                 )
                 for d in TRANSFER_DIRECTIONS
             },
-        )
-
-    @classmethod
-    def static_transfers(cls) -> "NoiseModel":
-        """Transfers replaced by the identity and the carrier kept in place.
-
-        Network benchmarking under this model reproduces the moving-carrier
-        survival exactly, which pins the bookkeeping of the swap variant.
-        """
-        ident = QuantumChannel.identity(4)
-        return cls(
-            transfer_channels={d: ident for d in TRANSFER_DIRECTIONS},
-            transfer_is_swap=False,
         )
 
     @classmethod
@@ -316,8 +305,6 @@ class NoiseModel:
             idle_decoherence=True,
             qubit_t1_s={q.name: q.t1_s for q in qubits},
             qubit_tphi_s=tphi,
-            transfer_duration_s=cfg.transfer.total_duration_s,
-            sq_gate_time_s=cfg.single_qubit_gate_time_s,
         )
 
 
@@ -491,49 +478,50 @@ class RbDataset:
 
 
 # ---------------------------------------------------------------------------
-# network benchmarking
+# protocols
 
 
-@lru_cache(maxsize=None)
-def _transfer_step(emitter: str, receiver: str, duration_s: float) -> tuple[GateOp, ...]:
-    """One network-benchmarking transfer as a segment.  Dark passage flips
-    the sign of the moved amplitude; a virtual Z(pi) on the receiving
-    register cancels it, as the compiled circuits do."""
-    return (
-        transfer_op(f"{emitter}->{receiver}", duration_s),
-        virtual_z(receiver, math.pi),
-    )
+def _ground(measured: np.ndarray, order: tuple[str, ...], qubits) -> float:
+    """Probability that every qubit in ``qubits`` reads 0, from an outcome
+    distribution over the register ``order`` (first qubit the most
+    significant bit)."""
+    n = len(order)
+    mask = sum(1 << (n - 1 - order.index(q)) for q in qubits)
+    return measured[(np.arange(measured.size) & mask) == 0].sum()
 
 
-def _nb_single(
-    runner: _CircuitRunner,
-    spam: SpamModel,
-    length: int,
-    seed: int,
+def _run_sequences(
+    noise: NoiseModel,
+    spam: SpamModel | None,
+    order: tuple[str, ...],
+    lengths: tuple[int, ...],
+    seeds_per_length: int,
     shots: int,
-    gen: np.random.Generator,
-) -> RbRecord:
-    noise = runner.noise
-    carrier = "L1"
-    sequence, segments = [], []
-    for _ in range(length):
-        elements = single_qubit_cliffords(carrier, noise.sq_gate_time_s)
-        elem = elements[int(gen.integers(len(elements)))]
-        sequence.append(elem)
-        receiver = "L2" if carrier == "L1" else "L1"
-        segments += elem.segments
-        segments.append(_transfer_step(carrier, receiver, noise.transfer_duration_s))
-        if noise.transfer_is_swap:
-            carrier = receiver
-    inverse = invert_sequence(sequence)
-    segments += single_qubit_cliffords(carrier, noise.sq_gate_time_s)[inverse.index].segments
-    rho = runner.run(runner.initial_state(spam), segments)
-    measured = spam_apply(np.real(np.diag(rho)), spam, L_QUBIT_PAIR, gen, shots)
-    # order (L1, L2): L1 is the most significant bit
-    p_l1_ground = measured[0] + measured[1]
-    p_l2_ground = measured[0] + measured[2]
-    survival = p_l1_ground if carrier == "L1" else p_l2_ground
-    return RbRecord(length, seed, shots, survival, p_l1_ground, p_l2_ground)
+    stream: RngHandle,
+    draw,
+) -> list[RbRecord]:
+    """One record per (length, seed) on the register ``order``.
+
+    ``draw(length, gen)`` returns a sequence's segments and the qubits whose
+    joint ground population is its survival.  Each (length, seed) pair has
+    its own named stream under ``stream``, whose one generator draws the
+    sequence and then the shots, so the dataset is reproducible record by
+    record regardless of execution order.
+    """
+    noise.validate()
+    spam = spam if spam is not None else SpamModel.ideal(order)
+    runner = _CircuitRunner(noise, order)
+    rho0 = runner.initial_state(spam)
+    records = []
+    for n in lengths:
+        for seed in range(seeds_per_length):
+            gen = stream.stream(n, seed).generator()
+            segments, survivors = draw(n, gen)
+            rho = runner.run(rho0, segments)
+            measured = spam_apply(np.real(np.diag(rho)), spam, order, gen, shots)
+            ground = [_ground(measured, order, q) for q in (survivors, ("L1",), ("L2",))]
+            records.append(RbRecord(n, seed, shots, *ground))
+    return records
 
 
 def run_network_benchmarking(
@@ -543,58 +531,41 @@ def run_network_benchmarking(
     seeds_per_length: int = DEFAULT_SEEDS_PER_LENGTH,
     shots: int = DEFAULT_SHOTS,
     rng: RngHandle | None = None,
+    cfg: DeviceConfig | None = None,
 ) -> RbDataset:
     """Carrier-bouncing benchmarking of the transfer link.
 
-    Sequence lengths must be even so the carrier ends where it started and
-    a single local Clifford can invert the composite.  Each (length, seed)
-    pair draws from its own named random stream, so the dataset is
-    reproducible record by record regardless of execution order.
+    Each segment is a random single-qubit Clifford on the carrier, a pulse
+    train at the configured gate time, then a ``transfer_step`` of the
+    configured transfer duration to the other l-qubit.  Sequence lengths
+    must be even so the carrier ends where it started and a single local
+    Clifford can invert the composite.
     """
-    noise.validate()
-    spam = spam if spam is not None else SpamModel.ideal(L_QUBIT_PAIR)
+    cfg = cfg if cfg is not None else load_config()
     rng = rng if rng is not None else RngHandle(seed=0)
     for n in lengths:
         if n < 2 or n % 2:
             raise ValueError(f"sequence lengths must be even and >= 2, got {n}")
-    runner = _CircuitRunner(noise, L_QUBIT_PAIR)
-    records = []
-    for n in lengths:
-        for seed in range(seeds_per_length):
-            gen = rng.stream("nb", n, seed).generator()
-            records.append(_nb_single(runner, spam, n, seed, shots, gen))
+    sq_time, transfer_s = cfg.single_qubit_gate_time_s, cfg.transfer.total_duration_s
+
+    def draw(length, gen):
+        carrier, sequence, segments = "L1", [], []
+        for _ in range(length):
+            elements = single_qubit_cliffords(carrier, sq_time)
+            elem = elements[int(gen.integers(len(elements)))]
+            receiver = "L2" if carrier == "L1" else "L1"
+            sequence.append(elem)
+            segments += elem.segments
+            segments.append(transfer_step(carrier, receiver, transfer_s))
+            carrier = receiver
+        inverse = invert_sequence(sequence)
+        segments += single_qubit_cliffords(carrier, sq_time)[inverse.index].segments
+        return segments, (carrier,)
+
+    records = _run_sequences(
+        noise, spam, L_QUBIT_PAIR, lengths, seeds_per_length, shots, rng.stream("nb"), draw
+    )
     return RbDataset("NB", records)
-
-
-# ---------------------------------------------------------------------------
-# two-qubit randomized benchmarking
-
-
-def _tqrb_single(
-    runner: _CircuitRunner,
-    spam: SpamModel,
-    length: int,
-    seed: int,
-    shots: int,
-    gen: np.random.Generator,
-    interleave: CliffordElement | None,
-    cfg: DeviceConfig,
-) -> RbRecord:
-    sequence = []
-    for _ in range(length):
-        sequence.append(two_qubit_clifford(int(gen.integers(TWO_QUBIT_GROUP_ORDER)), cfg))
-        if interleave is not None:
-            sequence.append(interleave)
-    sequence.append(invert_sequence(sequence, cfg))
-    segments = [segment for elem in sequence for segment in elem.segments]
-    rho = runner.run(runner.initial_state(spam), segments)
-    measured = spam_apply(np.real(np.diag(rho)), spam, QUBIT_ORDER, gen, shots)
-    outcomes = np.arange(16)
-    # order (D1, L1, L2, D2): D1 is bit 3, D2 bit 0
-    survival = measured[(outcomes & 0b1000 == 0) & (outcomes & 0b0001 == 0)].sum()
-    p_l1_ground = measured[outcomes & 0b0100 == 0].sum()
-    p_l2_ground = measured[outcomes & 0b0010 == 0].sum()
-    return RbRecord(length, seed, shots, survival, p_l1_ground, p_l2_ground)
 
 
 def run_two_qubit_rb(
@@ -616,9 +587,7 @@ def run_two_qubit_rb(
     data_block_unitary enforces, and the fitted decay is meant to be divided
     by a reference run.
     """
-    noise.validate()
     cfg = cfg if cfg is not None else load_config()
-    spam = spam if spam is not None else SpamModel.ideal(QUBIT_ORDER)
     rng = rng if rng is not None else RngHandle(seed=0)
     for n in lengths:
         if n < 1:
@@ -633,14 +602,26 @@ def run_two_qubit_rb(
             cnot_count=0,
         )
     protocol = "INTERLEAVED" if inter_elem is not None else "TQRB"
-    runner = _CircuitRunner(noise, QUBIT_ORDER)
-    records = []
-    for n in lengths:
-        for seed in range(seeds_per_length):
-            gen = rng.stream("tqrb", protocol, n, seed).generator()
-            records.append(
-                _tqrb_single(runner, spam, n, seed, shots, gen, inter_elem, cfg)
-            )
+
+    def draw(length, gen):
+        sequence = []
+        for _ in range(length):
+            sequence.append(two_qubit_clifford(int(gen.integers(TWO_QUBIT_GROUP_ORDER)), cfg))
+            if inter_elem is not None:
+                sequence.append(inter_elem)
+        sequence.append(invert_sequence(sequence, cfg))
+        return [segment for elem in sequence for segment in elem.segments], DATA_QUBITS
+
+    records = _run_sequences(
+        noise,
+        spam,
+        QUBIT_ORDER,
+        lengths,
+        seeds_per_length,
+        shots,
+        rng.stream("tqrb", protocol),
+        draw,
+    )
     return RbDataset(protocol, records)
 
 
@@ -753,12 +734,9 @@ def eps_from_decay(fit: DecayFitResult, reference: DecayFitResult | None = None)
     NB: EPS = (1 - p) / 2.  TQRB: EPG = 3 (1 - p) / 4.  INTERLEAVED needs the
     reference fit and uses the decay ratio, EPG = 3 (1 - p_int / p_ref) / 4.
     """
-    if fit.protocol == "NB":
-        return 0.5 * (1.0 - fit.decay)
-    if fit.protocol == "TQRB":
-        return 0.75 * (1.0 - fit.decay)
-    if fit.protocol == "INTERLEAVED":
-        if reference is None:
-            raise ValueError("interleaved estimates need the reference fit")
-        return 0.75 * (1.0 - fit.decay / reference.decay)
-    raise ValueError(f"unknown protocol {fit.protocol!r}")
+    _, factor = _rate_convention(fit.protocol, "survival")
+    if fit.protocol != "INTERLEAVED":
+        return factor * (1.0 - fit.decay)
+    if reference is None:
+        raise ValueError("interleaved estimates need the reference fit")
+    return factor * (1.0 - fit.decay / reference.decay)

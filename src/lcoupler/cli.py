@@ -197,6 +197,7 @@ def cmd_nb(args, cfg, out_dir: Path, command: str, started: str) -> int:
         seeds_per_length=args.seeds,
         shots=args.shots,
         rng=RngHandle(seed=args.seed),
+        cfg=cfg,
     )
     fits = {
         "survival": fit_exponential(dataset),

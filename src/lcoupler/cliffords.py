@@ -20,7 +20,6 @@ qubit), built once and shared, so an executor can compile each segment once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache, reduce
@@ -84,14 +83,6 @@ class GateOp:
         """Hashable identity of the op (kind, targets, params, duration),
         computed once per op object."""
         return (self.kind.value, self.targets, tuple(sorted(self.params.items())), self.duration_s)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "targets": list(self.targets),
-            "params": dict(self.params),
-            "duration_s": self.duration_s,
-        }
 
 
 def sq_rot(qubit: str, axis: str, angle_rad: float, duration_s: float) -> GateOp:
@@ -174,26 +165,6 @@ def circuit_unitary(ops, qubit_order: tuple[str, ...] = QUBIT_ORDER) -> np.ndarr
         positions = [qubit_order.index(q) for q in op.targets]
         u = embed_unitary(op_matrix(op), positions, n) @ u
     return u
-
-
-def circuit_duration(ops) -> float:
-    return float(sum(op.duration_s for op in ops))
-
-
-def schedule_ops(ops, t_start_s: float = 0.0) -> list[dict]:
-    """Serial schedule: each op starts when the previous one ends."""
-    out = []
-    t = t_start_s
-    for op in ops:
-        entry = op.to_dict()
-        entry["t_start_s"] = t
-        out.append(entry)
-        t += op.duration_s
-    return out
-
-
-def ops_to_json(ops, t_start_s: float = 0.0) -> str:
-    return json.dumps(schedule_ops(ops, t_start_s), indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +271,6 @@ def single_qubit_cliffords(
     )
 
 
-def retarget_single_qubit(elem: CliffordElement, qubit: str) -> CliffordElement:
-    segments = tuple(
-        tuple(GateOp(op.kind, (qubit,), dict(op.params), op.duration_s) for op in segment)
-        for segment in elem.segments
-    )
-    return CliffordElement(elem.index, elem.unitary, segments, elem.cnot_count)
-
-
 # ---------------------------------------------------------------------------
 # two-qubit group via the layered class construction
 
@@ -411,6 +374,16 @@ def local_cnot(control: str, target: str, cfg: DeviceConfig) -> list[GateOp]:
 
 
 @lru_cache(maxsize=None)
+def transfer_step(emitter: str, receiver: str, duration_s: float) -> tuple[GateOp, GateOp]:
+    """A circuit-level transfer: the move from emitter to receiver, then a
+    virtual Z(pi) on the receiver that absorbs the dark-passage sign of the
+    moved amplitude.  Every circuit that moves a state across the bus builds
+    its transfers here, so a per-transfer frame correction belongs here too.
+    """
+    return (transfer_op(f"{emitter}->{receiver}", duration_s), virtual_z(receiver, np.pi))
+
+
+@lru_cache(maxsize=None)
 def _remote_cnot(
     control: str, target: str, sq_time_s: float, cz_near_s: float, cz_far_s: float,
     transfer_s: float,
@@ -419,11 +392,9 @@ def _remote_cnot(
     near = _local_cnot(control, l_near, sq_time_s, cz_near_s)
     return (
         *near,
-        transfer_op(f"{l_near}->{l_far}", transfer_s),
-        virtual_z(l_far, np.pi),
+        *transfer_step(l_near, l_far, transfer_s),
         *_local_cnot(l_far, target, sq_time_s, cz_far_s),
-        transfer_op(f"{l_far}->{l_near}", transfer_s),
-        virtual_z(l_near, np.pi),
+        *transfer_step(l_far, l_near, transfer_s),
         *near,
     )
 
@@ -435,14 +406,14 @@ def compile_remote_cnot(
 
     Copy the control onto the near l-qubit with a ``local_cnot``, move it
     across the bus, apply a local CNOT onto the far data qubit, move back and
-    uncompute. Every transfer is followed by a virtual Z(pi) on the
-    receiving l-qubit that absorbs the dark-passage sign, so the composite
-    equals CNOT exactly (no global-phase residue) with the l-pair back in
-    |00>. The executor (``benchmarking._CircuitRunner``) applies no
-    frequency-mismatch frame correction: it runs each transfer as the noise
-    model's channel and nothing else.  Tracking the time-dependent mismatch
-    phase is ROADMAP item 3.  The ops are built once per set of gate times
-    and shared by every caller.
+    uncompute. Each move is a ``transfer_step``, whose virtual Z(pi) on the
+    receiving l-qubit absorbs the dark-passage sign, so the composite equals
+    CNOT exactly (no global-phase residue) with the l-pair back in |00>. The
+    executor (``benchmarking._CircuitRunner``) applies no frequency-mismatch
+    frame correction: it runs each transfer as the noise model's channel and
+    nothing else.  Tracking the time-dependent mismatch phase is ROADMAP
+    item 3.  The ops are built once per set of gate times and shared by
+    every caller.
     """
     cfg = cfg if cfg is not None else load_config()
     if {control, target} != set(DATA_QUBITS):

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .basis import BasisLabel, DensityOperator, basis_index, build_basis
-from .channels import QuantumChannel, superop_to_choi
+from .channels import QuantumChannel
 from .config import DeviceConfig, pure_dephasing_rate
 from .pulses import PulseSchedule, build_transfer_schedule
 
@@ -674,12 +674,7 @@ def extract_channel(
         u = np.diag(phases)
         superop = np.kron(u, u.conj()) @ superop
 
-    channel = QuantumChannel(superop, 4, leakage_in=leakage, label="pair-channel")
-    choi = superop_to_choi(superop)
-    eigs = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))
-    if eigs[0] < -1e-8:
-        raise ValueError(f"extracted channel is not CP; Choi spectrum {np.array2string(eigs)}")
-    deficit = channel.trace_preservation_deficit()
-    if deficit > 1e-8:
-        raise ValueError(f"extracted channel is not TP, deficit {deficit:.3e}")
-    return channel
+    # a CP floor of -1e-8 and a TP deficit of at most 1e-8
+    return QuantumChannel(superop, 4, leakage_in=leakage, label="pair-channel").validate(
+        tp_tol=1e-8
+    )

@@ -15,11 +15,9 @@ coupling to angular units (2*pi*g) so both terms carry the same dimensions.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -121,58 +119,6 @@ class PulseSchedule:
         phi_e = 2 * math.pi * float(np.trapezoid(self.det_e_hz, self.times_s))
         phi_r = 2 * math.pi * float(np.trapezoid(self.det_r_hz, self.times_s))
         return phi_e, phi_r
-
-    # -- serialisation ---------------------------------------------------
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# method={self.method}\n")
-            fh.write(f"# dt_s={self.dt_s!r}\n")
-            fh.write(f"# sweep_start_s={self.sweep_start_s!r}\n")
-            fh.write(f"# sweep_duration_s={self.sweep_duration_s!r}\n")
-            fh.write(f"# g_hz={self.g_hz!r}\n")
-            fh.write(f"# theta_max={self.theta_max!r}\n")
-            fh.write(f"# emitter={self.emitter}\n")
-            fh.write(f"# receiver={self.receiver}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t_s", "g_e_hz", "g_r_hz", "det_e_hz", "det_r_hz"])
-            for row in zip(self.times_s, self.g_e_hz, self.g_r_hz, self.det_e_hz, self.det_r_hz):
-                writer.writerow([f"{x:.12e}" for x in row])
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "PulseSchedule":
-        meta: dict[str, str] = {}
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, value = line[1:].strip().partition("=")
-                    meta[key.strip()] = value.strip()
-                    continue
-                rows.append(line)
-        reader = csv.reader(rows)
-        header = next(reader)
-        if header != ["t_s", "g_e_hz", "g_r_hz", "det_e_hz", "det_r_hz"]:
-            raise ValueError(f"unexpected schedule CSV header: {header}")
-        data = np.array([[float(x) for x in row] for row in reader])
-        return cls(
-            times_s=data[:, 0],
-            g_e_hz=data[:, 1],
-            g_r_hz=data[:, 2],
-            det_e_hz=data[:, 3],
-            det_r_hz=data[:, 4],
-            method=meta.get("method", "csv"),
-            dt_s=float(meta.get("dt_s", data[1, 0] - data[0, 0])),
-            sweep_start_s=float(meta.get("sweep_start_s", 0.0)),
-            sweep_duration_s=float(meta.get("sweep_duration_s", data[-1, 0] - data[0, 0])),
-            g_hz=float(meta.get("g_hz", 0.0)),
-            theta_max=float(meta.get("theta_max", FULL_TRANSFER_ANGLE)),
-            emitter=meta.get("emitter", "L1"),
-            receiver=meta.get("receiver", "L2"),
-        )
 
 
 def _segment_samples(duration: float, dt: float, what: str) -> int:

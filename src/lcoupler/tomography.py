@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 
 import numpy as np
 from scipy.optimize import minimize
@@ -28,8 +27,7 @@ from .cliffords import (
     half_transfer_op,
     local_cnot,
     sq_rot,
-    transfer_op,
-    virtual_z,
+    transfer_step,
 )
 from .config import DeviceConfig, load_config
 from .rng import RngHandle
@@ -79,7 +77,7 @@ def bell_circuit(
         return tuple(ops)
     ops = [sq_rot("D1", "y", math.pi / 2, sq)]
     ops += local_cnot("D1", "L1", cfg)
-    ops += [transfer_op("L1->L2", transfer), virtual_z("L2", math.pi)]
+    ops += transfer_step("L1", "L2", transfer)
     ops += local_cnot("L2", "D2", cfg) + local_cnot("D2", "L2", cfg)
     return tuple(ops)
 
@@ -203,8 +201,7 @@ def tomography_of_state(
         u = np.kron(_BASIS_ROTATION[setting[0]], _BASIS_ROTATION[setting[1]])
         probs = np.real(np.diag(u @ rho2 @ u.conj().T))
         if exact:
-            confusion = reduce(np.kron, [spam.confusion_matrix(q) for q in qubits])
-            freq = confusion @ np.clip(probs, 0.0, None)
+            freq = spam.confusion(qubits) @ np.clip(probs, 0.0, None)
             freq /= freq.sum()
         else:
             gen = rng.stream("tomo", setting).generator()

@@ -235,7 +235,7 @@ def test_criterion_12_table_noise_lands_in_brackets():
     cfg = load_config(SINGLE_MODE)
     noise = NoiseModel.from_config(cfg)
     spam = SpamModel.from_config(cfg)
-    nb = run_network_benchmarking(noise, spam, rng=RngHandle(seed=0))
+    nb = run_network_benchmarking(noise, spam, rng=RngHandle(seed=0), cfg=cfg)
     eps = eps_from_decay(fit_exponential(nb))
     assert 0.003 <= eps <= 0.03
     rb = run_two_qubit_rb(noise, spam, rng=RngHandle(seed=0), cfg=cfg)

@@ -1,6 +1,5 @@
 """Clifford group machinery and remote-CNOT compilation checks."""
 
-import json
 from functools import reduce
 
 import numpy as np
@@ -14,7 +13,6 @@ from lcoupler.cliffords import (
     CliffordElement,
     GateKind,
     GateOp,
-    circuit_duration,
     circuit_unitary,
     compile_remote_cnot,
     cz_op,
@@ -23,15 +21,12 @@ from lcoupler.cliffords import (
     embed_unitary,
     invert_sequence,
     op_matrix,
-    ops_to_json,
-    retarget_single_qubit,
-    schedule_ops,
     single_qubit_cliffords,
     sq_rot,
     transfer_op,
+    transfer_step,
     two_qubit_clifford,
     two_qubit_matrix,
-    virtual_z,
     _ISWAP_DRESSING,
     _CYCLER_DESC,
     _phase_key,
@@ -42,6 +37,7 @@ from lcoupler.cliffords import (
     _two_qubit_matrices,
 )
 from lcoupler.config import load_config
+from lcoupler.tomography import bell_circuit
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 CNOT_REV = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
@@ -186,12 +182,6 @@ class TestSingleQubitGroup:
                 assert len(e.segments) == (e.index != 0)
                 flat = tuple(op for segment in e.segments for op in segment)
                 assert flat == e.decomposition == _sq_ops(descs[e.index], qubit, gate_time)
-
-    def test_retarget(self):
-        els = single_qubit_cliffords(qubit="L1")
-        moved = retarget_single_qubit(els[7], "L2")
-        assert all(op.targets == ("L2",) for op in moved.decomposition)
-        assert phase_distance(decomposition_product(moved), els[7].unitary) < 1e-10
 
 
 class TestTwoQubitGroup:
@@ -373,39 +363,30 @@ class TestRemoteCnot:
         fixed = 2 * 135e-9 + 100e-9 + 2 * 206e-9
         sq_count = sum(1 for op in ops if op.kind is GateKind.SQ_ROT)
         assert sq_count == 6
-        assert circuit_duration(ops) == pytest.approx(
+        assert sum(op.duration_s for op in ops) == pytest.approx(
             fixed + sq_count * cfg.single_qubit_gate_time_s, rel=1e-12
         )
 
-    def test_dark_sign_absorption_ops_present(self):
-        ops = compile_remote_cnot("D1", "D2")
+    @pytest.mark.parametrize(
+        "circuit, n_transfers",
+        [
+            pytest.param(lambda: compile_remote_cnot("D1", "D2"), 2, id="remote-cnot-D1-D2"),
+            pytest.param(lambda: compile_remote_cnot("D2", "D1"), 2, id="remote-cnot-D2-D1"),
+            pytest.param(lambda: transfer_step("L2", "L1", 206e-9), 1, id="nb-step"),
+            pytest.param(lambda: bell_circuit("data-full"), 1, id="bell-data-full"),
+        ],
+    )
+    def test_dark_sign_absorption_ops_present(self, circuit, n_transfers):
+        ops = circuit()
         transfers = [i for i, op in enumerate(ops) if op.kind is GateKind.TRANSFER]
-        assert len(transfers) == 2
+        assert len(transfers) == n_transfers
         for i in transfers:
             follow = ops[i + 1]
+            receiver = ops[i].params["direction"].split("->")[1]
             assert follow.kind is GateKind.VIRTUAL_Z
+            assert follow.targets == (receiver,)
             assert follow.params["angle_rad"] == pytest.approx(np.pi)
 
     def test_bad_qubit_names(self):
         with pytest.raises(ValueError, match="data qubits"):
             compile_remote_cnot("D1", "L1")
-
-
-class TestExport:
-    def test_schedule_accumulates_serial_times(self):
-        ops = compile_remote_cnot("D1", "D2")
-        rows = schedule_ops(ops)
-        t = 0.0
-        for op, row in zip(ops, rows):
-            assert row["t_start_s"] == pytest.approx(t)
-            t += op.duration_s
-        assert rows[-1]["t_start_s"] + ops[-1].duration_s == pytest.approx(
-            circuit_duration(ops)
-        )
-
-    def test_json_round_trip(self):
-        ops = [sq_rot("D1", "y", np.pi / 2, 35e-9), virtual_z("D1", 0.5)]
-        parsed = json.loads(ops_to_json(ops))
-        assert parsed[0]["kind"] == "sq_rot"
-        assert parsed[0]["params"]["axis"] == "y"
-        assert parsed[1]["t_start_s"] == pytest.approx(35e-9)

@@ -10,6 +10,8 @@
 - The circuit executor's compiled segment superoperators against an op by op
   reference: the embedded unitary, then ``apply_to_qubits`` for the op's
   depolarizing or transfer channel, then each bystander's idle channel.
+- The protocols' readout ``_ground`` against a marginal taken by reshaping
+  the outcome distribution to one axis per qubit and summing the rest.
 """
 import math
 
@@ -19,7 +21,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lcoupler.benchmarking import NoiseModel, _CircuitRunner
+from lcoupler.benchmarking import NoiseModel, _CircuitRunner, _ground
 from lcoupler.channels import (
     QuantumChannel,
     amplitude_damping_channel,
@@ -249,3 +251,22 @@ def test_nb_element_op_by_op_equals_lumped_noise():
                 lumped = apply_to_qubits(idle, lumped, (1 - pos,), 2)
             got = runner.run(rho, elem.segments)
             assert np.max(np.abs(got - lumped)) < 1e-12, (carrier, elem.index)
+
+
+@st.composite
+def registers_and_subsets(draw):
+    order = draw(st.sampled_from([L_QUBIT_PAIR, QUBIT_ORDER]))
+    qubits = draw(st.lists(st.sampled_from(order), min_size=1, unique=True))
+    return order, tuple(qubits)
+
+
+@PROPERTY_SETTINGS
+@given(register=registers_and_subsets(), seed=st.integers(0, 2**32 - 1))
+def test_ground_matches_reshaped_marginal(register, seed):
+    order, qubits = register
+    n = len(order)
+    measured = np.random.default_rng(seed).dirichlet(np.ones(2**n))
+    # axis k of the reshaped distribution is the outcome of order[k]
+    kept = [order.index(q) for q in qubits]
+    marginal = measured.reshape((2,) * n).sum(axis=tuple(k for k in range(n) if k not in kept))
+    assert abs(_ground(measured, order, qubits) - marginal.flat[0]) < 1e-12

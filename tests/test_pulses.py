@@ -7,7 +7,6 @@ from lcoupler.config import default_config
 from lcoupler.pulses import (
     FULL_TRANSFER_ANGLE,
     HALF_TRANSFER_ANGLE,
-    PulseSchedule,
     TransferMethod,
     build_transfer_schedule,
     reverse_schedule,
@@ -144,19 +143,6 @@ class TestBuildSchedule:
             build_transfer_schedule(self.cfg, total_duration_s=100e-9)
         with pytest.raises(ValueError, match="divide"):
             build_transfer_schedule(self.cfg, dt_s=1.3e-10, total_duration_s=206e-9)
-
-    def test_csv_roundtrip(self, tmp_path):
-        sched = build_transfer_schedule(self.cfg, TransferMethod.SATD, dt_s=0.5e-9)
-        path = tmp_path / "sched.csv"
-        sched.to_csv(path)
-        header = path.read_text().splitlines()
-        data_header = next(line for line in header if not line.startswith("#"))
-        assert data_header == "t_s,g_e_hz,g_r_hz,det_e_hz,det_r_hz"
-        back = PulseSchedule.from_csv(path)
-        assert back.method == "satd"
-        assert back.emitter == "L1"
-        assert np.allclose(back.g_e_hz, sched.g_e_hz, rtol=1e-11)
-        assert np.allclose(back.times_s, sched.times_s, rtol=1e-11)
 
     def test_detuning_phase_integrals(self):
         sched = build_transfer_schedule(self.cfg, TransferMethod.SATD)
