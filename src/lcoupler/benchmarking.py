@@ -35,6 +35,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import curve_fit
 
+from . import dynamics, pulses
 from .channels import (
     QuantumChannel,
     amplitude_damping_channel,
@@ -47,6 +48,7 @@ from .cliffords import (
     DATA_QUBITS,
     L_QUBIT_PAIR,
     QUBIT_ORDER,
+    TRANSFER_DIRECTIONS,
     TWO_QUBIT_GROUP_ORDER,
     CliffordElement,
     GateKind,
@@ -61,8 +63,6 @@ from .cliffords import (
 )
 from .config import DeviceConfig, load_config, pure_dephasing_rate
 from .rng import RngHandle
-
-TRANSFER_DIRECTIONS = ("L1->L2", "L2->L1")
 
 DEFAULT_NB_LENGTHS = (2, 4, 8, 16, 32, 64, 128)
 DEFAULT_TQRB_LENGTHS = (1, 2, 4, 8, 16, 24, 32, 48)
@@ -160,6 +160,24 @@ def spam_apply(
 
 # ---------------------------------------------------------------------------
 # noise model
+
+
+class _ExtractedChannels(dict):
+    """A device's transfer channels by direction, each extracted from the
+    lossy ``method`` schedule (reversed for L2->L1) the first time it is
+    looked up and kept from then on."""
+
+    def __init__(self, cfg: DeviceConfig, method: str):
+        super().__init__()
+        self.cfg, self.method = cfg, method
+
+    def __missing__(self, direction: str) -> QuantumChannel:
+        if direction not in TRANSFER_DIRECTIONS:
+            raise KeyError(direction)
+        forward = pulses.build_transfer_schedule(self.cfg, method=self.method)
+        schedule = forward if direction == "L1->L2" else pulses.reverse_schedule(forward)
+        channel = self[direction] = dynamics.extract_channel(self.cfg, schedule, lossy=True)
+        return channel
 
 
 @dataclass
@@ -262,42 +280,29 @@ class NoiseModel:
         cfg: DeviceConfig | None = None,
         transfer_channels: dict[str, QuantumChannel] | None = None,
         half_transfer_channels: dict[str, QuantumChannel] | None = None,
-        include_half: bool = False,
     ) -> "NoiseModel":
-        """Full device noise: extracted transfer channels, per-pulse
+        """Full device noise: the device's transfer channels, per-pulse
         depolarizing from the calibrated Clifford errors, CZ depolarizing
         from the calibrated gate errors, and idle decoherence.
 
-        Building the transfer channels integrates the pulse-level model for
-        both directions, which takes a while; pass precomputed channels to
-        skip it.  Calibrated single-qubit Clifford errors count one physical
-        pulse per Clifford on average, so the per-pulse depolarizing
-        probability is 2 * error (average infidelity of depolarizing is
-        lam / 2).
+        A transfer table not passed in is extracted from the lossy SATD
+        schedule (half transfers: its square-root variant) one channel at a
+        time, the first time a circuit runs that transfer.  Calibrated
+        single-qubit Clifford errors count one physical pulse per Clifford
+        on average, so the per-pulse depolarizing probability is 2 * error
+        (average infidelity of depolarizing is lam / 2).
         """
-        from .dynamics import extract_channel
-        from .pulses import build_transfer_schedule, reverse_schedule
-
         cfg = cfg if cfg is not None else load_config()
-
-        def both_directions(forward):
-            return {
-                "L1->L2": extract_channel(cfg, forward, lossy=True),
-                "L2->L1": extract_channel(cfg, reverse_schedule(forward), lossy=True),
-            }
-
         if transfer_channels is None:
-            transfer_channels = both_directions(build_transfer_schedule(cfg))
-        if half_transfer_channels is None and include_half:
-            half_transfer_channels = both_directions(
-                build_transfer_schedule(cfg, method="sqrt_satd")
-            )
+            transfer_channels = _ExtractedChannels(cfg, "satd")
+        if half_transfer_channels is None:
+            half_transfer_channels = _ExtractedChannels(cfg, "sqrt_satd")
         qubits = [*cfg.l_qubits, *cfg.data_qubits]
         rates = {q.name: pure_dephasing_rate(q) for q in qubits}
         tphi = {name: 1.0 / r if r > 0 else math.inf for name, r in rates.items()}
         return cls(
             transfer_channels=transfer_channels,
-            half_transfer_channels=half_transfer_channels or {},
+            half_transfer_channels=half_transfer_channels,
             sq_depolarizing={q.name: 2.0 * q.sq_clifford_error for q in qubits},
             cz_depolarizing={
                 frozenset(g.pair): g.error_per_gate * 4.0 / 3.0 for g in cfg.cz_gates
@@ -329,7 +334,7 @@ class _CircuitRunner:
     """
 
     def __init__(self, noise: NoiseModel, qubit_order: tuple[str, ...]):
-        self.noise = noise
+        self.noise = noise.validate()
         self.order = tuple(qubit_order)
         self.n = len(self.order)
         self._ops: dict[tuple, sparse.csr_matrix] = {}
@@ -342,14 +347,13 @@ class _CircuitRunner:
         """The op's action on its own targets, in target order."""
         noise = self.noise
         if op.kind is GateKind.TRANSFER:
-            direction = op.params["direction"]
-            half = bool(op.params.get("half"))
+            direction, half = op.params["direction"], op.params.get("half")
             table = noise.half_transfer_channels if half else noise.transfer_channels
-            channel = table.get(direction)
-            if channel is None:
+            try:
+                return table[direction].superoperator
+            except KeyError:
                 kind = "half-transfer" if half else "transfer"
-                raise KeyError(f"noise model has no {kind} channel for {direction}")
-            return channel.superoperator
+                raise KeyError(f"noise model has no {kind} channel for {direction}") from None
         u = op_matrix(op)
         superop = np.kron(u, u.conj())
         lam = 0.0
@@ -508,7 +512,6 @@ def _run_sequences(
     sequence and then the shots, so the dataset is reproducible record by
     record regardless of execution order.
     """
-    noise.validate()
     spam = spam if spam is not None else SpamModel.ideal(order)
     runner = _CircuitRunner(noise, order)
     rho0 = runner.initial_state(spam)

@@ -179,13 +179,10 @@ def cmd_sweep(args, cfg, out_dir: Path, command: str, started: str) -> int:
     return 0
 
 
-def _benchmark_models(cfg, noiseless: bool, include_half: bool = False):
+def _benchmark_models(cfg, noiseless: bool):
     if noiseless:
         return NoiseModel.ideal(), SpamModel.ideal()
-    return (
-        NoiseModel.from_config(cfg, include_half=include_half),
-        SpamModel.from_config(cfg),
-    )
+    return NoiseModel.from_config(cfg), SpamModel.from_config(cfg)
 
 
 def cmd_nb(args, cfg, out_dir: Path, command: str, started: str) -> int:
@@ -278,8 +275,7 @@ def cmd_rb(args, cfg, out_dir: Path, command: str, started: str) -> int:
 
 def cmd_bell(args, cfg, out_dir: Path, command: str, started: str) -> int:
     variant = BellVariant(args.variant)
-    needs_half = variant in (BellVariant.LQUBIT_SQRT, BellVariant.DATA_SQRT)
-    noise, spam = _benchmark_models(cfg, args.noiseless, include_half=needs_half)
+    noise, spam = _benchmark_models(cfg, args.noiseless)
     target, pair = bell_target(variant)
     # noiseless runs drop shot sampling too, so the JSON is deterministic
     result = state_tomography(

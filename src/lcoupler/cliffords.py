@@ -33,6 +33,7 @@ from .config import DeviceConfig, load_config
 
 DATA_QUBITS = ("D1", "D2")
 L_QUBIT_PAIR = ("L1", "L2")
+TRANSFER_DIRECTIONS = ("L1->L2", "L2->L1")
 QUBIT_ORDER = ("D1", "L1", "L2", "D2")
 CZ_PAIRS = (frozenset({"D1", "L1"}), frozenset({"L2", "D2"}))
 ADJACENT_L = {"D1": "L1", "D2": "L2"}
@@ -68,7 +69,7 @@ class GateOp:
         elif self.kind is GateKind.TRANSFER:
             if set(self.targets) != set(L_QUBIT_PAIR):
                 raise ValueError("transfer targets must be the l-qubit pair")
-            if self.params.get("direction") not in ("L1->L2", "L2->L1"):
+            if self.params.get("direction") not in TRANSFER_DIRECTIONS:
                 raise ValueError("transfer needs a direction of L1->L2 or L2->L1")
         elif self.kind in (GateKind.SQ_ROT, GateKind.VIRTUAL_Z):
             if len(self.targets) != 1:
@@ -411,9 +412,9 @@ def compile_remote_cnot(
     CNOT exactly (no global-phase residue) with the l-pair back in |00>. The
     executor (``benchmarking._CircuitRunner``) applies no frequency-mismatch
     frame correction: it runs each transfer as the noise model's channel and
-    nothing else.  Tracking the time-dependent mismatch phase is ROADMAP
-    item 3.  The ops are built once per set of gate times and shared by
-    every caller.
+    nothing else.  Tracking the time-dependent mismatch phase is the
+    ROADMAP's frame-tracking item.  The ops are built once per set of gate
+    times and shared by every caller.
     """
     cfg = cfg if cfg is not None else load_config()
     if {control, target} != set(DATA_QUBITS):

@@ -24,7 +24,12 @@ from lcoupler.cliffords import (
     virtual_z,
 )
 from lcoupler.config import load_config
+from lcoupler.dynamics import extract_channel
+from lcoupler.pulses import build_transfer_schedule, reverse_schedule
 from lcoupler.rng import RngHandle
+
+# one bus mode: a pair extraction takes about 0.5 s
+ONE_MODE = {"cpw": {"modes_retained": 1}}
 
 
 def synthetic_dataset(a, p, b, lengths, seeds, shots, gen, protocol="NB"):
@@ -157,6 +162,46 @@ class TestNoiseModel:
         # 1/T2 = 1/(2 T1) + 1/Tphi with T1 = 113 us, T2 = 18 us
         expected_tphi = 1.0 / (1.0 / 18e-6 - 0.5 / 113e-6)
         assert noise.qubit_tphi_s["L1"] == pytest.approx(expected_tphi)
+
+
+class TestExtractionOnFirstUse:
+    def test_circuits_decide_what_is_extracted(self, extractions):
+        cfg = load_config(ONE_MODE)
+        noise = NoiseModel.from_config(cfg)
+        assert extractions == []
+        with pytest.raises(KeyError):
+            noise.transfer_channels["L3->L1"]
+        run_network_benchmarking(noise, lengths=(2,), seeds_per_length=1, shots=100, cfg=cfg)
+        # the carrier starts on L1, so the table fills in direction order
+        assert extractions == [("satd", "L1->L2"), ("satd", "L2->L1")]
+        assert list(noise.transfer_channels) == ["L1->L2", "L2->L1"]
+        run_two_qubit_rb(
+            noise,
+            lengths=(1,),
+            seeds_per_length=1,
+            shots=100,
+            interleave=compile_remote_cnot(cfg=cfg),
+            cfg=cfg,
+        )
+        assert len(extractions) == 2
+        assert len(noise.half_transfer_channels) == 0
+
+    def test_channels_equal_direct_extraction(self, extractions):
+        cfg = load_config(ONE_MODE)
+        noise = NoiseModel.from_config(cfg)
+        tables = {"satd": noise.transfer_channels, "sqrt_satd": noise.half_transfer_channels}
+        for method, table in tables.items():
+            forward = build_transfer_schedule(cfg, method=method)
+            for direction, schedule in (
+                ("L1->L2", forward),
+                ("L2->L1", reverse_schedule(forward)),
+            ):
+                expected = extract_channel(cfg, schedule, lossy=True)
+                got = table[direction]
+                assert got.superoperator.tobytes() == expected.superoperator.tobytes()
+                assert got.leakage_in.tobytes() == expected.leakage_in.tobytes()
+                assert table[direction] is got
+        assert extractions == [(m, d) for m in tables for d in ("L1->L2", "L2->L1")]
 
 
 class TestNetworkBenchmarking:

@@ -158,6 +158,22 @@ class TestBellCommand:
     def test_missing_variant_is_usage_error(self, tmp_path):
         assert run(tmp_path, "bell") == 2
 
+    @pytest.mark.parametrize(
+        "variant, method",
+        [("lqubit-sqrt", "sqrt_satd"), ("data-sqrt", "sqrt_satd"), ("data-full", "satd")],
+    )
+    def test_extracts_only_the_channel_its_circuit_runs(
+        self, tmp_path, extractions, variant, method
+    ):
+        cfg_path = tmp_path / "one_mode.json"
+        cfg_path.write_text(json.dumps({"cpw": {"modes_retained": 1}}))
+        code = run(
+            tmp_path / "out", "bell", "--variant", variant, "--config", str(cfg_path),
+            "--shots-per-setting", "1000",
+        )
+        assert code == 0
+        assert extractions == [(method, "L1->L2")]
+
     def test_sqrt_variant_noiseless(self, tmp_path):
         code = run(tmp_path, "bell", "--variant", "lqubit-sqrt", "--noiseless")
         assert code == 0

@@ -51,9 +51,18 @@ class TestBellCircuits:
 
     def test_half_transfer_needs_a_channel(self):
         bare = NoiseModel(transfer_channels=dict(IDEAL_NOISE.transfer_channels))
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="no half-transfer channel for L1->L2"):
             simulate_prep(
                 bell_circuit("lqubit-sqrt"), bare, IDEAL_SPAM, ("L1", "L2")
+            )
+
+    def test_tomography_refuses_a_malformed_noise_model(self):
+        # the same check NB and TQRB apply: a depolarizing probability above 1
+        bad = NoiseModel.ideal()
+        bad.sq_depolarizing = {"D1": 1.5}
+        with pytest.raises(ValueError, match=r"sq_depolarizing\[D1\] out of range"):
+            state_tomography(
+                bell_circuit("data-full"), bad, IDEAL_SPAM, qubits=("D1", "D2")
             )
 
 
