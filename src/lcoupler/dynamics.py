@@ -278,7 +278,11 @@ def _expm(omega: np.ndarray) -> np.ndarray:
     OpenBLAS's worker threads, and the first such call in a process can
     stall for about a second on a 2-core host; the pieces' exponents are
     small, so the series is short.  Its degree is the least whose first
-    omitted term is below 1e-17 at the scaled norm.
+    omitted term is below 1e-17 at the scaled norm.  The series is summed
+    by Paterson and Stockmeyer (SIAM J. Comput. 2, 60 (1973)): the powers
+    x^2 .. x^q with q = isqrt(degree), then Horner's rule in x^q over
+    polynomials of degree below q, each one product of a coefficient row
+    with the powers, so degree 10 takes 5 matrix products, not 9.
     """
     norm = float(np.abs(omega).sum(axis=-2).max())
     squarings = max(0, math.ceil(math.log2(norm / _SERIES_RADIUS))) if norm > 0.0 else 0
@@ -286,13 +290,56 @@ def _expm(omega: np.ndarray) -> np.ndarray:
     theta, degree = norm / 2.0**squarings, 1
     while theta ** (degree + 1) / math.factorial(degree + 1) > 1e-17:
         degree += 1
-    eye = np.eye(omega.shape[-1])
-    out = eye + x / degree
-    for k in range(degree - 1, 0, -1):
-        out = eye + (x @ out) / k
+    q = math.isqrt(degree)
+    powers = np.empty((q + 1, *x.shape), dtype=complex)
+    powers[0] = np.eye(x.shape[-1])
+    powers[1] = x
+    for i in range(2, q + 1):
+        np.matmul(x, powers[i - 1], out=powers[i])
+    # p(x) - 1 = sum_j B_j (x^q)^j: B_j holds the terms x^n / n! with n from
+    # j q to j q + q - 1, the last one (j = top) the rest, up to x^q; the
+    # identity is added last, in one rounding, as in Horner's rule
+    top = (degree - 1) // q
+    coef = np.zeros((top + 1, q + 1))
+    for n in range(1, degree + 1):
+        j = min(n // q, top)
+        coef[j, n - j * q] = 1.0 / math.factorial(n)
+    flat = powers.reshape(q + 1, -1).view(float)
+
+    def block(j: int) -> np.ndarray:
+        # the coefficients are real: one real product over the interleaved parts
+        return (coef[j] @ flat).view(complex).reshape(x.shape)
+
+    out = block(top)
+    for j in range(top - 1, -1, -1):
+        out = out @ powers[q] + block(j)
+    out += powers[0]
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def _sector_blocks(a0, parts) -> list[tuple]:
+    """The generator's diagonal blocks: (slice of the basis, block of a0,
+    block of each part flattened to one row).
+
+    The finest split of the basis into consecutive blocks that a0 and every
+    part leave closed, without the blocks on which all of them vanish (their
+    propagator is the identity).  build_basis orders states by total
+    excitation, which H and the decay conserve, so these are the excitation
+    sectors less the ground state: 7 + 26 states for a pair on 5 modes.
+    """
+    pattern = (a0 != 0) | np.any(parts != 0, axis=0)
+    pattern |= pattern.T
+    d = len(pattern)
+    reach = np.maximum.accumulate(np.where(pattern, np.arange(d), 0).max(axis=1))
+    ends = np.flatnonzero(reach <= np.arange(d)) + 1
+    slices = [slice(int(a), int(b)) for a, b in zip([0, *ends[:-1]], ends)]
+    return [
+        (s, a0[s, s], parts[:, s, s].reshape(len(parts), -1))
+        for s in slices
+        if pattern[s, s].any()
+    ]
 
 
 def _substep_counts(a0, parts, h, lo, slope, tol: float, jump_rate: float) -> np.ndarray:
@@ -309,20 +356,32 @@ def _substep_counts(a0, parts, h, lo, slope, tol: float, jump_rate: float) -> np
     jump part commutes with the diagonal of A and its integrand turns at the
     rate of the couplings.  n equal substeps divide the interval's estimate
     |R|_F + r (c + r)^4 / 120 by n^4, so n = ceil((estimate / tol) ** (1/4)),
-    and a tighter tol never gives fewer substeps.
+    and a tighter tol never gives fewer substeps.  R and alpha1 are block
+    diagonal like A, so both norms are gathered over _sector_blocks, _CHUNK
+    intervals at a time.
     """
-    scale = h[:, None, None]
-    alpha1 = scale * (a0 + np.einsum("ni,ijk->njk", lo + 0.5 * slope, parts))
-    alpha2 = scale * np.einsum("ni,ijk->njk", slope, parts)
+    blocks = _sector_blocks(a0, parts)
+    square = np.zeros(len(h))
+    turn = np.zeros(len(h))
 
     def comm(x, y):
         return x @ y - y @ x
 
-    c12 = comm(alpha1, alpha2)
-    remainder = comm(alpha1, comm(alpha1, c12)) / 720.0 - comm(alpha2, c12) / 240.0
+    for start in range(0, len(h), _CHUNK):
+        batch = slice(start, start + _CHUNK)
+        scale = h[batch, None, None]
+        mid = lo[batch] + 0.5 * slope[batch]
+        for _, a0_block, flat in blocks:
+            k = len(a0_block)
+            alpha1 = scale * (a0_block + (mid @ flat).reshape(-1, k, k))
+            alpha2 = scale * (slope[batch] @ flat).reshape(-1, k, k)
+            c12 = comm(alpha1, alpha2)
+            remainder = comm(alpha1, comm(alpha1, c12)) / 720.0 - comm(alpha2, c12) / 240.0
+            square[batch] += np.sum(np.abs(remainder) ** 2, axis=(1, 2))
+            off_diagonal = np.abs(alpha1 - alpha1 * np.eye(k)).sum(axis=2).max(axis=1)
+            turn[batch] = np.maximum(turn[batch], off_diagonal)
     rate = h * jump_rate
-    turn = np.abs(alpha1 - alpha1 * np.eye(alpha1.shape[-1])).sum(axis=2).max(axis=1)
-    estimate = np.linalg.norm(remainder, axis=(1, 2)) + rate * (turn + rate) ** 4 / 120.0
+    estimate = np.sqrt(square) + rate * (turn + rate) ** 4 / 120.0
     counts = np.maximum(1.0, np.ceil((estimate / tol) ** 0.25))
     if counts.max() > _MAX_SUBSTEPS:
         raise RuntimeError(
@@ -337,45 +396,61 @@ def _piece_propagators(model: HamiltonianModel, a0, tol: float, jump_rate: float
     Every sample interval is cut into split * n equal pieces, n from
     _substep_counts.  A batch holds at most _CHUNK pieces and every interval
     gives a multiple of split, so split-sized groups never straddle batches.
+    The Magnus exponents and their exponentials are taken per block of
+    _sector_blocks; the propagators are block diagonal, the identity off
+    the blocks.
     """
-    times = model.schedule.times_s
     ctrl = model.control_samples()
     parts = -2j * math.pi * model.control_parts()
-    for start in range(0, len(times) - 1, _CHUNK):
-        stop = min(start + _CHUNK, len(times) - 1)
-        h = times[start + 1 : stop + 1] - times[start:stop]
-        lo, slope = ctrl[start:stop], ctrl[start + 1 : stop + 1] - ctrl[start:stop]
-        counts = split * _substep_counts(a0, parts, h, lo, slope, tol, jump_rate)
-        interval = np.repeat(np.arange(stop - start), counts)
-        index = np.arange(len(interval)) - np.repeat(np.cumsum(counts) - counts, counts)
-        for first in range(0, len(interval), _CHUNK):
-            iv = interval[first : first + _CHUNK]
-            width = 1.0 / counts[iv]
-            begin = index[first : first + _CHUNK] * width
-            lengths = (h[iv] * width)[:, None, None]
-            a1, a2 = (
-                a0 + np.einsum("ni,ijk->njk", lo[iv] + offset[:, None] * slope[iv], parts)
-                for offset in (begin + x * width for x in _GAUSS_NODES)
-            )
+    h = np.diff(model.schedule.times_s)
+    lo, slope = ctrl[:-1], np.diff(ctrl, axis=0)
+    counts = split * _substep_counts(a0, parts, h, lo, slope, tol, jump_rate)
+    interval = np.repeat(np.arange(len(h)), counts)
+    index = np.arange(len(interval)) - np.repeat(np.cumsum(counts) - counts, counts)
+    blocks = _sector_blocks(a0, parts)
+    eye = np.eye(model.dim, dtype=complex)
+    for first in range(0, len(interval), _CHUNK):
+        iv = interval[first : first + _CHUNK]
+        width = 1.0 / counts[iv]
+        begin = index[first : first + _CHUNK] * width
+        lengths = (h[iv] * width)[:, None, None]
+        c1, c2 = (lo[iv] + (begin + x * width)[:, None] * slope[iv] for x in _GAUSS_NODES)
+        props = np.repeat(eye[None], len(iv), axis=0)
+        for s, a0_block, flat in blocks:
+            k = len(a0_block)
+            a1, a2 = (a0_block + (c @ flat).reshape(-1, k, k) for c in (c1, c2))
             omega = 0.5 * lengths * (a1 + a2) + (math.sqrt(3.0) / 12.0) * lengths**2 * (
                 a2 @ a1 - a1 @ a2
             )
-            yield lengths[:, 0, 0], _expm(omega)
+            props[:, s, s] = _expm(omega)
+        yield lengths[:, 0, 0], props
 
 
-def _lawson_step(rho, u_first, u_second, h: float, jump) -> np.ndarray:
+def _time_ordered_product(u: np.ndarray) -> np.ndarray:
+    """u[-1] @ ... @ u[1] @ u[0], multiplied pairwise: log2(len(u)) batched
+    products instead of one product per factor."""
+    while len(u) > 1:
+        paired = u[1::2] @ u[: len(u) - len(u) % 2 : 2]
+        u = np.concatenate([paired, u[-1:]]) if len(u) % 2 else paired
+    return u[0]
+
+
+def _lawson_step(rho, first, second, h: float, jump) -> np.ndarray:
     """One RK4 step of length h in the interaction picture of the no-jump
-    evolution, whose half-step propagators are u_first and u_second."""
+    evolution.  first and second are the (propagator, adjoint) pairs of its
+    half steps; each conjugates one stacked pair of matrices."""
 
-    def propagate(u, m):
-        return u @ m @ u.conj().T
+    def propagate(pair, m):
+        u, u_dag = pair
+        return u @ m @ u_dag
 
-    mid = propagate(u_first, rho)
-    k1 = propagate(u_first, jump(rho))
+    mid, k1 = propagate(first, np.stack([rho, jump(rho)]))
     k2 = jump(mid + 0.5 * h * k1)
     k3 = jump(mid + 0.5 * h * k2)
-    k4 = jump(propagate(u_second, mid + h * k3))
-    return propagate(u_second, mid + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3)) + (h / 6.0) * k4
+    end, out = propagate(
+        second, np.stack([mid + h * k3, mid + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3)])
+    )
+    return out + (h / 6.0) * jump(end)
 
 
 def _propagate(
@@ -386,7 +461,8 @@ def _propagate(
 
     tol bounds the remainder estimate of every sample interval (see
     _substep_counts).  Without collapse operators the piece propagators are
-    multiplied into one, which is then applied once.
+    multiplied into one, pairwise within each batch, which is then applied
+    once.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -403,13 +479,13 @@ def _propagate(
             return (superop @ m.reshape(-1, d * d).T).T.reshape(m.shape)
 
         for lengths, props in _piece_propagators(model, a0, tol, jump_rate, split=2):
-            for h, u_first, u_second in zip(2.0 * lengths[::2], props[::2], props[1::2]):
-                y = _lawson_step(y, u_first, u_second, h, jump)
+            pairs = list(zip(props, props.conj().transpose(0, 2, 1)))
+            for k in range(0, len(pairs), 2):
+                y = _lawson_step(y, pairs[k], pairs[k + 1], 2.0 * lengths[k], jump)
     else:
         total = np.eye(d, dtype=complex)
         for _, props in _piece_propagators(model, a0, tol, 0.0, split=1):
-            for u in props:
-                total = u @ total
+            total = _time_ordered_product(props) @ total
         y = total @ y if pure else total @ y @ total.conj().T
     if not np.all(np.isfinite(y)):
         raise RuntimeError("propagation produced non-finite values")
@@ -640,10 +716,12 @@ def extract_channel(
 ) -> QuantumChannel:
     """CPTP map of a schedule on the (L1, L2) pair, L1 the more significant bit.
 
-    The 16 operators |i><j| of the pair's computational basis are evolved with
+    The operators |i><j| of the pair's computational basis are evolved with
     modes in vacuum, in the two-excitation basis that |11> needs; modes are
     traced out at the end, so any population left in them lands on
-    computational ground states.  The per-input probability of that escape
+    computational ground states.  Only the 10 with i <= j are propagated:
+    the Lindblad map preserves hermiticity, so the output for |j><i| is the
+    adjoint of the output for |i><j|, and the other 6 are filled that way.  The per-input probability of that escape
     is recorded in leakage_in.  With frame_correct the deterministic detuning
     phase (half the per-qubit ramp integral, symmetric ramps) is removed by a
     virtual Z on each qubit.
@@ -656,8 +734,13 @@ def extract_channel(
     # bits[i, a]: chain label a holds pair state i on its two end sites
     bits = (2 * occ[:, 0] + occ[:, -1] == np.arange(4)[:, None]).astype(float)
     inputs = bits * (mode_total == 0)
-    stack = np.einsum("ia,jb->ijab", inputs, inputs).reshape(16, model.dim, model.dim)
-    finals = _integrate_matrix(model, collapse, stack, tol)
+    rows, cols = np.triu_indices(4)
+    stack = inputs[rows, :, None] * inputs[cols, None, :]
+    upper = _integrate_matrix(model, collapse, stack, tol)
+    finals = np.empty((4, 4, model.dim, model.dim), dtype=complex)
+    finals[cols, rows] = upper.conj().transpose(0, 2, 1)
+    finals[rows, cols] = upper  # last, so the populations are the propagated ones
+    finals = finals.reshape(16, model.dim, model.dim)
 
     # entries whose mode occupations agree are traced into their pair bits;
     # superop[i * 4 + j, col] is entry (i, j) of input col's output, and the

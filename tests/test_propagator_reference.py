@@ -1,0 +1,286 @@
+"""The propagator against its previous, plainer route, kept here as a
+test-only reference.
+
+The reference is the route ``dynamics`` took before its products were cut:
+the exponential's Taylor series summed by Horner's rule, every piece
+exponentiated whole (no excitation-sector split), the lossless pieces
+multiplied into the total one product at a time, and every Lawson step
+conjugating its four matrices separately, with channel extraction
+propagating all 16 pair inputs.  It shares the step grid, the series degree,
+the scaling rule and the tolerance with the propagator, so the two agree to
+rounding: within 1e-12 here.  ``_expm`` is also checked against
+``scipy.linalg.expm`` over the sizes, batches and norms the propagator meets.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
+
+from lcoupler import dynamics
+from lcoupler.basis import DensityOperator, basis_index
+from lcoupler.channels import QuantumChannel
+from lcoupler.config import default_config, load_config
+from lcoupler.dynamics import (
+    _CHUNK,
+    _GAUSS_NODES,
+    _MAX_SUBSTEPS,
+    _SERIES_RADIUS,
+    CollapseSet,
+    _integrate_matrix,
+    _integrate_state,
+    build_hamiltonian,
+    extract_channel,
+)
+from lcoupler.pulses import PulseSchedule, build_transfer_schedule, reverse_schedule
+
+AGREEMENT = 1e-12
+ONE_MODE = {"cpw": {"modes_retained": 1}}
+
+# ---------------------------------------------------------------------------
+# the reference route
+
+
+def reference_expm(omega):
+    norm = float(np.abs(omega).sum(axis=-2).max())
+    squarings = max(0, math.ceil(math.log2(norm / _SERIES_RADIUS))) if norm > 0.0 else 0
+    x = omega / 2.0**squarings
+    theta, degree = norm / 2.0**squarings, 1
+    while theta ** (degree + 1) / math.factorial(degree + 1) > 1e-17:
+        degree += 1
+    eye = np.eye(omega.shape[-1])
+    out = eye + x / degree
+    for k in range(degree - 1, 0, -1):
+        out = eye + (x @ out) / k
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def reference_substep_counts(a0, parts, h, lo, slope, tol, jump_rate):
+    scale = h[:, None, None]
+    alpha1 = scale * (a0 + np.einsum("ni,ijk->njk", lo + 0.5 * slope, parts))
+    alpha2 = scale * np.einsum("ni,ijk->njk", slope, parts)
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    c12 = comm(alpha1, alpha2)
+    remainder = comm(alpha1, comm(alpha1, c12)) / 720.0 - comm(alpha2, c12) / 240.0
+    rate = h * jump_rate
+    turn = np.abs(alpha1 - alpha1 * np.eye(alpha1.shape[-1])).sum(axis=2).max(axis=1)
+    estimate = np.linalg.norm(remainder, axis=(1, 2)) + rate * (turn + rate) ** 4 / 120.0
+    counts = np.maximum(1.0, np.ceil((estimate / tol) ** 0.25))
+    assert counts.max() <= _MAX_SUBSTEPS
+    return counts.astype(int)
+
+
+def reference_pieces(model, a0, tol, jump_rate, split):
+    times = model.schedule.times_s
+    ctrl = model.control_samples()
+    parts = -2j * math.pi * model.control_parts()
+    for start in range(0, len(times) - 1, _CHUNK):
+        stop = min(start + _CHUNK, len(times) - 1)
+        h = times[start + 1 : stop + 1] - times[start:stop]
+        lo, slope = ctrl[start:stop], ctrl[start + 1 : stop + 1] - ctrl[start:stop]
+        counts = split * reference_substep_counts(a0, parts, h, lo, slope, tol, jump_rate)
+        interval = np.repeat(np.arange(stop - start), counts)
+        index = np.arange(len(interval)) - np.repeat(np.cumsum(counts) - counts, counts)
+        for first in range(0, len(interval), _CHUNK):
+            iv = interval[first : first + _CHUNK]
+            width = 1.0 / counts[iv]
+            begin = index[first : first + _CHUNK] * width
+            lengths = (h[iv] * width)[:, None, None]
+            a1, a2 = (
+                a0 + np.einsum("ni,ijk->njk", lo[iv] + offset[:, None] * slope[iv], parts)
+                for offset in (begin + x * width for x in _GAUSS_NODES)
+            )
+            omega = 0.5 * lengths * (a1 + a2) + (math.sqrt(3.0) / 12.0) * lengths**2 * (
+                a2 @ a1 - a1 @ a2
+            )
+            yield lengths[:, 0, 0], reference_expm(omega)
+
+
+def reference_lawson_step(rho, u_first, u_second, h, jump):
+    def propagate(u, m):
+        return u @ m @ u.conj().T
+
+    mid = propagate(u_first, rho)
+    k1 = propagate(u_first, jump(rho))
+    k2 = jump(mid + 0.5 * h * k1)
+    k3 = jump(mid + 0.5 * h * k2)
+    k4 = jump(propagate(u_second, mid + h * k3))
+    return propagate(u_second, mid + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3)) + (h / 6.0) * k4
+
+
+def reference_propagate(model, collapse, y0, tol, pure):
+    y = np.array(y0, dtype=complex)
+    d = model.dim
+    decay, superop = collapse.split(d)
+    a0 = -2j * math.pi * model.static_hz - 0.5 * decay
+    if collapse.operators:
+        jump_rate = float(abs(superop).sum(axis=1).max())
+
+        def jump(m):
+            return (superop @ m.reshape(-1, d * d).T).T.reshape(m.shape)
+
+        for lengths, props in reference_pieces(model, a0, tol, jump_rate, split=2):
+            for h, u_first, u_second in zip(2.0 * lengths[::2], props[::2], props[1::2]):
+                y = reference_lawson_step(y, u_first, u_second, h, jump)
+    else:
+        total = np.eye(d, dtype=complex)
+        for _, props in reference_pieces(model, a0, tol, 0.0, split=1):
+            for u in props:
+                total = u @ total
+        y = total @ y if pure else total @ y @ total.conj().T
+    return y
+
+
+def reference_extract_channel(cfg, schedule, lossy, tol=1e-9):
+    """extract_channel with all 16 inputs propagated by the reference route."""
+    model = build_hamiltonian(cfg, schedule, 2)
+    collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet.lossless()
+    occ = np.array([label.occupations for label in model.basis])
+    modes = occ[:, 1:-1]
+    mode_total = modes.sum(axis=1)
+    bits = (2 * occ[:, 0] + occ[:, -1] == np.arange(4)[:, None]).astype(float)
+    inputs = bits * (mode_total == 0)
+    stack = np.einsum("ia,jb->ijab", inputs, inputs).reshape(16, model.dim, model.dim)
+    finals = reference_propagate(model, collapse, stack, tol, pure=False)
+    same_modes = np.all(modes[:, None, :] == modes[None, :, :], axis=2)
+    superop = np.einsum("ia,nab,jb->ijn", bits, finals * same_modes, bits).reshape(16, 16)
+    populations = np.diagonal(finals[::5], axis1=1, axis2=2)
+    leakage = np.real(np.sum((mode_total > 0) * populations, axis=1))
+    phi_e, phi_r = schedule.detuning_phase_rad()
+    chi = 0.5 * (phi_e + phi_r)
+    u = np.diag([np.exp(1j * chi * bin(i).count("1")) for i in range(4)])
+    return QuantumChannel(np.kron(u, u.conj()) @ superop, 4, leakage_in=leakage)
+
+
+# ---------------------------------------------------------------------------
+# agreement on the runs the program makes
+
+
+@pytest.mark.parametrize("method", ["satd", "stirap"])
+@pytest.mark.parametrize("g_hz", [1e6, 4e6])
+def test_sweep_cells_match_reference(method, g_hz):
+    # the benchmark's sweep grid: 5 modes, T from 50 to 400 ns in 5 points
+    cfg = default_config()
+    ramps = cfg.transfer.total_duration_s - cfg.transfer.satd_duration_s
+    for sweep_s in np.linspace(50e-9, 400e-9, 5):
+        sched = build_transfer_schedule(cfg, method, g_hz, sweep_s, sweep_s + ramps)
+        model = build_hamiltonian(cfg, sched)
+        psi0 = np.zeros(model.dim, dtype=complex)
+        psi0[basis_index(model.basis)[(1, 0, 0, 0, 0, 0, 0)]] = 1.0
+        psi = _integrate_state(model, psi0, 1e-9)
+        reference = reference_propagate(model, CollapseSet.lossless(), psi0, 1e-9, pure=True)
+        assert np.max(np.abs(psi - reference)) < AGREEMENT
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_pair_extraction_matches_reference(lossy, reverse):
+    # 10 propagated inputs and 6 adjoints against 16 propagated inputs
+    cfg = load_config(ONE_MODE)
+    sched = build_transfer_schedule(cfg)
+    if reverse:
+        sched = reverse_schedule(sched)
+    channel = extract_channel(cfg, sched, lossy=lossy)
+    reference = reference_extract_channel(cfg, sched, lossy)
+    assert np.max(np.abs(channel.superoperator - reference.superoperator)) < AGREEMENT
+    assert np.max(np.abs(channel.leakage_in - reference.leakage_in)) < AGREEMENT
+
+
+def test_lossy_transfer_matches_reference():
+    cfg = default_config()
+    result = dynamics.simulate_transfer(cfg, lossy=True)
+    model = build_hamiltonian(cfg, build_transfer_schedule(cfg))
+    collapse = CollapseSet.from_config(cfg, model.basis)
+    rho0 = DensityOperator.single_excitation(model.emitter_site, model.basis).matrix
+    reference = reference_propagate(model, collapse, rho0, 1e-9, pure=False)
+    assert np.max(np.abs(result.final_state.matrix - reference)) < AGREEMENT
+
+
+@st.composite
+def random_schedules(draw):
+    n = draw(st.integers(2, 6))
+    dt = draw(st.floats(0.2e-9, 5e-9))
+
+    def column(bound):
+        return np.array(draw(st.lists(st.floats(-bound, bound), min_size=n, max_size=n)))
+
+    return PulseSchedule(
+        times_s=np.arange(n) * dt,
+        g_e_hz=column(5e6),
+        g_r_hz=column(5e6),
+        det_e_hz=column(60e6),
+        det_r_hz=column(60e6),
+        method="random",
+        dt_s=dt,
+        sweep_start_s=0.0,
+        sweep_duration_s=(n - 1) * dt,
+        g_hz=5e6,
+        theta_max=0.0,
+    )
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sched=random_schedules(), lossy=st.booleans())
+def test_operator_basis_matches_reference(sched, lossy):
+    # every |a><b| of the pair's two-excitation basis, so the blocks below the
+    # diagonal (more excitations in the ket than in the bra) are populated too
+    cfg = load_config(ONE_MODE)
+    model = build_hamiltonian(cfg, sched, truncation=2)
+    collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet.lossless()
+    basis = np.eye(model.dim**2, dtype=complex).reshape(-1, model.dim, model.dim)
+    finals = _integrate_matrix(model, collapse, basis, 1e-9)
+    reference = reference_propagate(model, collapse, basis, 1e-9, pure=False)
+    assert np.max(np.abs(finals - reference)) < AGREEMENT
+
+
+# ---------------------------------------------------------------------------
+# _expm against scipy
+
+
+def _degree_switches():
+    """1-norms where _expm changes its series degree or squaring count."""
+    switches = [_SERIES_RADIUS * 2.0**k for k in range(5)]
+    for m in range(1, 30):
+        theta = (1e-17 * math.factorial(m + 1)) ** (1.0 / (m + 1))
+        if 1e-6 <= theta <= _SERIES_RADIUS:
+            switches.append(theta)
+    return switches
+
+
+NORMS = st.one_of(
+    st.floats(math.log(1e-6), math.log(10.0)).map(math.exp),
+    st.tuples(st.sampled_from(_degree_switches()), st.sampled_from([1 - 1e-6, 1 + 1e-6])).map(
+        lambda pair: pair[0] * pair[1]
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    batch=st.integers(1, 64),
+    d=st.integers(1, 34),
+    norm=NORMS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_expm_matches_scipy(batch, d, norm, seed):
+    rng = np.random.default_rng(seed)
+    omega = rng.normal(size=(batch, d, d)) + 1j * rng.normal(size=(batch, d, d))
+    omega *= norm / np.abs(omega).sum(axis=-2).max()
+    exact = expm(omega)
+    scale = max(1.0, float(np.abs(exact).sum(axis=-2).max()))
+    assert np.max(np.abs(dynamics._expm(omega) - exact)) <= 1e-12 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(batch=st.integers(1, 64), d=st.integers(1, 34))
+def test_expm_of_zero_is_exactly_the_identity(batch, d):
+    out = dynamics._expm(np.zeros((batch, d, d), dtype=complex))
+    assert np.array_equal(out, np.broadcast_to(np.eye(d), (batch, d, d)))
