@@ -638,7 +638,11 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class DecayFitResult:
-    """Parameters of survival = amplitude * decay**n + offset."""
+    """Parameters of survival = amplitude * decay**n + offset.
+
+    at_bound names the fitted parameters that sit on their box bound (see
+    fit_exponential); their errors do not describe the data.
+    """
 
     amplitude: float
     decay: float
@@ -651,6 +655,14 @@ class DecayFitResult:
     residual_rms: float
     channel: str
     protocol: str
+    at_bound: tuple[str, ...] = ()
+
+
+_FIT_PARAMETERS = ("amplitude", "decay", "offset")
+_FIT_BOUNDS = (np.array([0.0, 0.0, 0.0]), np.array([1.5, 1.0, 1.0]))
+# the fit's trust-region iterates stay strictly inside the box, so a parameter
+# pressed against a bound stops short of it, by well under this share of the box
+_AT_BOUND = 1e-4
 
 
 def _decay_model(n, a, p, b):
@@ -672,7 +684,8 @@ def fit_exponential(data: RbDataset, channel: str = "survival") -> DecayFitResul
 
     Per-length standard errors weight the residuals.  Constant data (every
     mean identical, e.g. a noiseless run) short-circuits to p = 1 with zero
-    rate, since the model is degenerate there.
+    rate, since the model is degenerate there.  A fitted parameter within
+    _AT_BOUND of the box width from a bound is named in at_bound.
     """
     lengths, means, sems = data.series(channel)
     if len(lengths) < 3:
@@ -708,13 +721,15 @@ def fit_exponential(data: RbDataset, channel: str = "survival") -> DecayFitResul
             p0=[amp0, p0, offset0],
             sigma=sigma,
             absolute_sigma=True,
-            bounds=([0.0, 0.0, 0.0], [1.5, 1.0, 1.0]),
+            bounds=_FIT_BOUNDS,
             maxfev=20000,
         )
     except RuntimeError as exc:
         raise FitError(f"decay fit failed on channel {channel!r}: {exc}") from exc
     errs = np.sqrt(np.abs(np.diag(cov)))
     a, p, b = (float(v) for v in params)
+    lower, upper = _FIT_BOUNDS
+    near = np.minimum(params - lower, upper - params) <= _AT_BOUND * (upper - lower)
     residual = float(np.sqrt(np.mean((_decay_model(lengths, a, p, b) - means) ** 2)))
     return DecayFitResult(
         amplitude=a,
@@ -728,6 +743,7 @@ def fit_exponential(data: RbDataset, channel: str = "survival") -> DecayFitResul
         residual_rms=residual,
         channel=channel,
         protocol=data.protocol,
+        at_bound=tuple(name for name, hit in zip(_FIT_PARAMETERS, near) if hit),
     )
 
 

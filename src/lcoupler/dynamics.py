@@ -27,6 +27,7 @@ _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _CHUNK = 64  # sample intervals, and then pieces, per batch; even, bounds memory
 _MAX_SUBSTEPS = 4096  # per sample interval, before the propagator gives up
 _SERIES_RADIUS = 0.5  # exponents are scaled to this 1-norm before summing
+_PAIRS = np.triu_indices(4, 1)  # the pairs i < j of the four controls' brackets
 
 
 def mode_sign(mode_index: int, target_mode_index: int, end: str) -> float:
@@ -321,28 +322,75 @@ def _expm(omega: np.ndarray) -> np.ndarray:
 
 def _sector_blocks(a0, parts) -> list[tuple]:
     """The generator's diagonal blocks: (slice of the basis, block of a0,
-    block of each part flattened to one row).
+    block of each part flattened to one row, bracket table).
 
     The finest split of the basis into consecutive blocks that a0 and every
     part leave closed, without the blocks on which all of them vanish (their
     propagator is the identity).  build_basis orders states by total
     excitation, which H and the decay conserve, so these are the excitation
-    sectors less the ground state: 7 + 26 states for a pair on 5 modes.
+    sectors less the ground state: 7 + 26 states for a pair on 5 modes.  The
+    table holds the fixed brackets [a0, P_i] and then [P_i, P_j], i < j,
+    flattened to rows of interleaved real and imaginary parts for _bracket.
     """
     pattern = (a0 != 0) | np.any(parts != 0, axis=0)
     pattern |= pattern.T
     d = len(pattern)
     reach = np.maximum.accumulate(np.where(pattern, np.arange(d), 0).max(axis=1))
     ends = np.flatnonzero(reach <= np.arange(d)) + 1
-    slices = [slice(int(a), int(b)) for a, b in zip([0, *ends[:-1]], ends)]
-    return [
-        (s, a0[s, s], parts[:, s, s].reshape(len(parts), -1))
-        for s in slices
-        if pattern[s, s].any()
-    ]
+    first, second = _PAIRS
+    blocks = []
+    for a, b in zip([0, *ends[:-1]], ends):
+        s = slice(int(a), int(b))
+        if not pattern[s, s].any():
+            continue
+        a0_block, p = a0[s, s], parts[:, s, s]
+        table = np.concatenate(
+            [a0_block @ p - p @ a0_block, p[first] @ p[second] - p[second] @ p[first]]
+        )
+        rows = table.reshape(len(table), -1).view(float)
+        blocks.append((s, a0_block, p.reshape(len(p), -1), rows))
+    return blocks
 
 
-def _substep_counts(a0, parts, h, lo, slope, tol: float, jump_rate: float) -> np.ndarray:
+def _bracket(table, c, s) -> np.ndarray:
+    """[A(c), s . P] for rows of controls c and s, a stack of k x k blocks.
+
+    A(c) = a0 + sum_i c_i P_i is linear in the controls, so the bracket is
+    sum_i s_i [a0, P_i] + sum_{i<j} (c_i s_j - c_j s_i) [P_i, P_j]: one real
+    product of a coefficient row with the table of _sector_blocks, as in
+    _expm's block.
+    """
+    first, second = _PAIRS
+    coef = np.concatenate([s, c[:, first] * s[:, second] - c[:, second] * s[:, first]], axis=1)
+    k = math.isqrt(table.shape[1] // 2)
+    return (coef @ table).view(complex).reshape(-1, k, k)
+
+
+def _square_norm(m: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a stack."""
+    return np.square(m.reshape(len(m), -1).view(float)).sum(axis=1)
+
+
+def _screen_bound(alpha1, alpha2, c12) -> np.ndarray:
+    """An upper bound on the Frobenius norm of the Magnus remainder R (see
+    _substep_counts) of each interval, from c12 = [alpha1, alpha2].
+
+    |XY - YX|_F <= sqrt(2) |X|_F |Y|_F (Boettcher & Wenzel, Linear Algebra
+    Appl. 429, 1864 (2008)) bounds |[alpha2, c12]| by sqrt(2) |alpha2| |c12|
+    and |[alpha1, [alpha1, c12]]| by 2 |alpha1'|^2 |c12|, where alpha1' =
+    alpha1 - (tr alpha1 / k) I has the same commutators and a smaller norm.
+    """
+    k = alpha1.shape[-1]
+    shifted = alpha1 - np.trace(alpha1, axis1=1, axis2=2)[:, None, None] / k * np.eye(k)
+    return np.sqrt(_square_norm(c12)) * (
+        math.sqrt(2.0) * np.sqrt(_square_norm(alpha2)) / 240.0
+        + 2.0 * _square_norm(shifted) / 720.0
+    )
+
+
+def _substep_counts(
+    a0, parts, h, lo, slope, tol: float, jump_rate: float, blocks=None
+) -> np.ndarray:
     """Fewest equal substeps per sample interval whose remainder estimate
     stays at or below tol.
 
@@ -356,13 +404,20 @@ def _substep_counts(a0, parts, h, lo, slope, tol: float, jump_rate: float) -> np
     jump part commutes with the diagonal of A and its integrand turns at the
     rate of the couplings.  n equal substeps divide the interval's estimate
     |R|_F + r (c + r)^4 / 120 by n^4, so n = ceil((estimate / tol) ** (1/4)),
-    and a tighter tol never gives fewer substeps.  R and alpha1 are block
-    diagonal like A, so both norms are gathered over _sector_blocks, _CHUNK
-    intervals at a time.
+    and a tighter tol never gives fewer substeps.
+
+    R and alpha1 are block diagonal like A, so both norms are gathered over
+    the blocks of _sector_blocks (found here unless given), _CHUNK intervals
+    at a time.  c12 = [alpha1, alpha2] = h^2 [A(t_mid), slope . P] is one
+    _bracket product.  Most intervals are screened: where _screen_bound
+    plus the jump term is at or below tol, the estimate is too, and the
+    interval gets one substep without its nested commutators.  The others
+    take the estimate itself, so the counts are those of the estimate.
     """
-    blocks = _sector_blocks(a0, parts)
-    square = np.zeros(len(h))
-    turn = np.zeros(len(h))
+    if blocks is None:
+        blocks = _sector_blocks(a0, parts)
+    rate = h * jump_rate
+    counts = np.ones(len(h))
 
     def comm(x, y):
         return x @ y - y @ x
@@ -371,18 +426,28 @@ def _substep_counts(a0, parts, h, lo, slope, tol: float, jump_rate: float) -> np
         batch = slice(start, start + _CHUNK)
         scale = h[batch, None, None]
         mid = lo[batch] + 0.5 * slope[batch]
-        for _, a0_block, flat in blocks:
+        terms, bound, turn = [], 0.0, 0.0
+        for _, a0_block, flat, table in blocks:
             k = len(a0_block)
             alpha1 = scale * (a0_block + (mid @ flat).reshape(-1, k, k))
             alpha2 = scale * (slope[batch] @ flat).reshape(-1, k, k)
-            c12 = comm(alpha1, alpha2)
+            c12 = scale**2 * _bracket(table, mid, slope[batch])
+            terms.append((alpha1, alpha2, c12))
+            bound = bound + _screen_bound(alpha1, alpha2, c12) ** 2
+            if jump_rate:  # without loss the jump term is 0 whatever c is
+                off_diagonal = np.abs(alpha1 - alpha1 * np.eye(k)).sum(axis=2).max(axis=1)
+                turn = np.maximum(turn, off_diagonal)
+        jump = rate[batch] * (turn + rate[batch]) ** 4 / 120.0
+        rest = np.flatnonzero(np.sqrt(bound) + jump > tol)
+        if not rest.size:
+            continue
+        square = 0.0
+        for alpha1, alpha2, c12 in terms:
+            alpha1, alpha2, c12 = alpha1[rest], alpha2[rest], c12[rest]
             remainder = comm(alpha1, comm(alpha1, c12)) / 720.0 - comm(alpha2, c12) / 240.0
-            square[batch] += np.sum(np.abs(remainder) ** 2, axis=(1, 2))
-            off_diagonal = np.abs(alpha1 - alpha1 * np.eye(k)).sum(axis=2).max(axis=1)
-            turn[batch] = np.maximum(turn[batch], off_diagonal)
-    rate = h * jump_rate
-    estimate = np.sqrt(square) + rate * (turn + rate) ** 4 / 120.0
-    counts = np.maximum(1.0, np.ceil((estimate / tol) ** 0.25))
+            square = square + _square_norm(remainder)
+        estimate = np.sqrt(square) + jump[rest]
+        counts[start + rest] = np.maximum(1.0, np.ceil((estimate / tol) ** 0.25))
     if counts.max() > _MAX_SUBSTEPS:
         raise RuntimeError(
             f"a sample interval needs {counts.max():.3g} substeps to reach tol {tol:.1e}"
@@ -398,30 +463,34 @@ def _piece_propagators(model: HamiltonianModel, a0, tol: float, jump_rate: float
     gives a multiple of split, so split-sized groups never straddle batches.
     The Magnus exponents and their exponentials are taken per block of
     _sector_blocks; the propagators are block diagonal, the identity off
-    the blocks.
+    the blocks.  A1 = A2 - gap slope . P, gap the Gauss points' distance as
+    a fraction of the interval, so [A2, A1] = -gap [A2, slope . P], one
+    _bracket product.
     """
     ctrl = model.control_samples()
     parts = -2j * math.pi * model.control_parts()
     h = np.diff(model.schedule.times_s)
     lo, slope = ctrl[:-1], np.diff(ctrl, axis=0)
-    counts = split * _substep_counts(a0, parts, h, lo, slope, tol, jump_rate)
+    blocks = _sector_blocks(a0, parts)
+    counts = split * _substep_counts(a0, parts, h, lo, slope, tol, jump_rate, blocks)
     interval = np.repeat(np.arange(len(h)), counts)
     index = np.arange(len(interval)) - np.repeat(np.cumsum(counts) - counts, counts)
-    blocks = _sector_blocks(a0, parts)
     eye = np.eye(model.dim, dtype=complex)
     for first in range(0, len(interval), _CHUNK):
         iv = interval[first : first + _CHUNK]
         width = 1.0 / counts[iv]
         begin = index[first : first + _CHUNK] * width
         lengths = (h[iv] * width)[:, None, None]
-        c1, c2 = (lo[iv] + (begin + x * width)[:, None] * slope[iv] for x in _GAUSS_NODES)
+        gap = (_GAUSS_NODES[1] - _GAUSS_NODES[0]) * width[:, None, None]
+        twist = (math.sqrt(3.0) / 12.0) * lengths**2 * gap
+        centre = lo[iv] + (begin + 0.5 * width)[:, None] * slope[iv]
+        late = lo[iv] + (begin + _GAUSS_NODES[1] * width)[:, None] * slope[iv]
         props = np.repeat(eye[None], len(iv), axis=0)
-        for s, a0_block, flat in blocks:
+        for s, a0_block, flat, table in blocks:
             k = len(a0_block)
-            a1, a2 = (a0_block + (c @ flat).reshape(-1, k, k) for c in (c1, c2))
-            omega = 0.5 * lengths * (a1 + a2) + (math.sqrt(3.0) / 12.0) * lengths**2 * (
-                a2 @ a1 - a1 @ a2
-            )
+            # h/2 (A1 + A2) = h A(centre), (sqrt(3) / 12) h^2 [A2, A1] = -twist [A2, slope . P]
+            omega = lengths * (a0_block + (centre @ flat).reshape(-1, k, k))
+            omega -= twist * _bracket(table, late, slope[iv])
             props[:, s, s] = _expm(omega)
         yield lengths[:, 0, 0], props
 
@@ -719,10 +788,11 @@ def extract_channel(
     The operators |i><j| of the pair's computational basis are evolved with
     modes in vacuum, in the two-excitation basis that |11> needs; modes are
     traced out at the end, so any population left in them lands on
-    computational ground states.  Only the 10 with i <= j are propagated:
-    the Lindblad map preserves hermiticity, so the output for |j><i| is the
-    adjoint of the output for |i><j|, and the other 6 are filled that way.  The per-input probability of that escape
-    is recorded in leakage_in.  With frame_correct the deterministic detuning
+    computational ground states.  The per-input probability of that escape
+    is recorded in leakage_in.  Only the 10 inputs with i <= j are
+    propagated: the Lindblad map preserves hermiticity, so the output for
+    |j><i| is the adjoint of the output for |i><j|, and the other 6 are
+    filled that way.  With frame_correct the deterministic detuning
     phase (half the per-qubit ramp integral, symmetric ramps) is removed by a
     virtual Z on each qubit.
     """

@@ -406,6 +406,23 @@ class TestFits:
         assert fit.decay == pytest.approx(0.98, abs=1e-6)
         assert fit.amplitude == pytest.approx(0.5, abs=1e-6)
         assert fit.offset == pytest.approx(0.5, abs=1e-6)
+        assert fit.at_bound == ()
+
+    def test_fit_on_its_bound_is_flagged(self):
+        """A rising curve drives the amplitude onto its lower bound of 0, and
+        a drop after the first length that no amplitude up to 1.5 can follow
+        drives it onto its upper bound."""
+        lengths = (2, 4, 8, 16, 32, 64)
+        rising = [RbRecord(n, s, 1000, 0.9 + 0.001 * i, 1.0, 1.0)
+                  for i, n in enumerate(lengths) for s in range(3)]
+        fit = fit_exponential(RbDataset("NB", rising))
+        assert "amplitude" in fit.at_bound
+        assert fit.amplitude < 1e-4
+        step = [RbRecord(n, s, 1000, 0.95 if n == 2 else 0.9, 1.0, 1.0)
+                for n in lengths for s in range(3)]
+        fit = fit_exponential(RbDataset("NB", step))
+        assert fit.at_bound == ("amplitude",)
+        assert fit.amplitude > 1.5 - 1e-4
 
     def test_recovers_known_decay(self):
         gen = np.random.default_rng(42)

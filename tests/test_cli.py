@@ -111,6 +111,8 @@ class TestNbCommand:
         assert fit["eps"] < 1e-4
         assert fit["survival"]["rate_convention"] == "EPS = (1 - p) / 2"
         assert set(fit["leakage"]) == {"spectator_l1", "spectator_l2"}
+        # constant data short-circuits the fit, so nothing sits on a bound
+        assert fit["survival"]["at_bound"] == []
 
     def test_odd_length_rejected(self, tmp_path, capsys):
         code = run(tmp_path, "nb", "--noiseless", "--lengths", "3,5")

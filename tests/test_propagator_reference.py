@@ -3,13 +3,16 @@ test-only reference.
 
 The reference is the route ``dynamics`` took before its products were cut:
 the exponential's Taylor series summed by Horner's rule, every piece
-exponentiated whole (no excitation-sector split), the lossless pieces
-multiplied into the total one product at a time, and every Lawson step
-conjugating its four matrices separately, with channel extraction
-propagating all 16 pair inputs.  It shares the step grid, the series degree,
-the scaling rule and the tolerance with the propagator, so the two agree to
-rounding: within 1e-12 here.  ``_expm`` is also checked against
-``scipy.linalg.expm`` over the sizes, batches and norms the propagator meets.
+exponentiated whole (no excitation-sector split), its Magnus commutator
+and every substep estimate taken by plain matrix products with no screen,
+the lossless pieces multiplied into the total one product at a time, and
+every Lawson step conjugating its four matrices separately, with channel
+extraction propagating all 16 pair inputs.  It shares the step grid, the
+series degree, the scaling rule and the tolerance with the propagator, so
+the two agree to rounding: within 1e-12 here, and the substep counts are
+equal.  ``_expm`` is also checked against ``scipy.linalg.expm`` over the
+sizes, batches and norms the propagator meets, the bracket table against
+plain commutators, and the screen against the remainder it bounds.
 """
 
 import math
@@ -30,8 +33,12 @@ from lcoupler.dynamics import (
     _MAX_SUBSTEPS,
     _SERIES_RADIUS,
     CollapseSet,
+    _bracket,
     _integrate_matrix,
     _integrate_state,
+    _screen_bound,
+    _sector_blocks,
+    _substep_counts,
     build_hamiltonian,
     extract_channel,
 )
@@ -60,16 +67,20 @@ def reference_expm(omega):
     return out
 
 
+def comm(x, y):
+    return x @ y - y @ x
+
+
+def reference_remainder(alpha1, alpha2):
+    c12 = comm(alpha1, alpha2)
+    return comm(alpha1, comm(alpha1, c12)) / 720.0 - comm(alpha2, c12) / 240.0
+
+
 def reference_substep_counts(a0, parts, h, lo, slope, tol, jump_rate):
     scale = h[:, None, None]
     alpha1 = scale * (a0 + np.einsum("ni,ijk->njk", lo + 0.5 * slope, parts))
     alpha2 = scale * np.einsum("ni,ijk->njk", slope, parts)
-
-    def comm(x, y):
-        return x @ y - y @ x
-
-    c12 = comm(alpha1, alpha2)
-    remainder = comm(alpha1, comm(alpha1, c12)) / 720.0 - comm(alpha2, c12) / 240.0
+    remainder = reference_remainder(alpha1, alpha2)
     rate = h * jump_rate
     turn = np.abs(alpha1 - alpha1 * np.eye(alpha1.shape[-1])).sum(axis=2).max(axis=1)
     estimate = np.linalg.norm(remainder, axis=(1, 2)) + rate * (turn + rate) ** 4 / 120.0
@@ -239,6 +250,149 @@ def test_operator_basis_matches_reference(sched, lossy):
     finals = _integrate_matrix(model, collapse, basis, 1e-9)
     reference = reference_propagate(model, collapse, basis, 1e-9, pure=False)
     assert np.max(np.abs(finals - reference)) < AGREEMENT
+
+
+# ---------------------------------------------------------------------------
+# the screened substep estimate and the bracket table
+
+
+def estimate_inputs(model, collapse):
+    """The arguments _propagate hands _substep_counts, less tol."""
+    decay, superop = collapse.split(model.dim)
+    jump_rate = float(abs(superop).sum(axis=1).max()) if collapse.operators else 0.0
+    ctrl = model.control_samples()
+    return (
+        -2j * math.pi * model.static_hz - 0.5 * decay,
+        -2j * math.pi * model.control_parts(),
+        np.diff(model.schedule.times_s),
+        ctrl[:-1],
+        np.diff(ctrl, axis=0),
+        jump_rate,
+    )
+
+
+def assert_counts_match_reference(model, collapse, tol=1e-9):
+    a0, parts, h, lo, slope, jump_rate = estimate_inputs(model, collapse)
+    counts = _substep_counts(a0, parts, h, lo, slope, tol, jump_rate)
+    # the reference unscreened, _CHUNK intervals at a time to bound its memory
+    reference = np.concatenate(
+        [
+            reference_substep_counts(a0, parts, h[b], lo[b], slope[b], tol, jump_rate)
+            for b in (slice(i, i + _CHUNK) for i in range(0, len(h), _CHUNK))
+        ]
+    )
+    assert np.array_equal(counts, reference)
+    return counts
+
+
+def test_screened_counts_match_reference_on_sweep_cells():
+    # the benchmark's 20 sweep cells; some of their intervals take more than
+    # one substep, so both the screen and the exact estimate decide counts
+    cfg = default_config()
+    ramps = cfg.transfer.total_duration_s - cfg.transfer.satd_duration_s
+    counts = []
+    for method in ("satd", "stirap"):
+        for g_hz in (1e6, 4e6):
+            for sweep_s in np.linspace(50e-9, 400e-9, 5):
+                sched = build_transfer_schedule(cfg, method, g_hz, sweep_s, sweep_s + ramps)
+                model = build_hamiltonian(cfg, sched)
+                counts.append(assert_counts_match_reference(model, CollapseSet.lossless()))
+    counts = np.concatenate(counts)
+    assert len(counts) == 59_200 and 0 < np.count_nonzero(counts > 1) < len(counts)
+
+
+@pytest.mark.parametrize("modes", [1, 5])
+@pytest.mark.parametrize("lossy", [False, True])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_screened_counts_match_reference_on_pair_extraction(modes, lossy, reverse):
+    cfg = load_config({"cpw": {"modes_retained": modes}})
+    sched = build_transfer_schedule(cfg)
+    if reverse:
+        sched = reverse_schedule(sched)
+    model = build_hamiltonian(cfg, sched, 2)
+    collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet.lossless()
+    assert_counts_match_reference(model, collapse)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    sched=random_schedules(),
+    lossy=st.booleans(),
+    jump_rate=st.one_of(st.none(), st.just(0.0), st.floats(1e4, 1e8)),
+    tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+)
+def test_screened_counts_match_reference_on_random_schedules(sched, lossy, jump_rate, tol):
+    # jump_rate None keeps the collapse set's own rate
+    cfg = load_config(ONE_MODE)
+    model = build_hamiltonian(cfg, sched, truncation=2)
+    collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet.lossless()
+    a0, parts, h, lo, slope, own_rate = estimate_inputs(model, collapse)
+    rate = own_rate if jump_rate is None else jump_rate
+    counts = _substep_counts(a0, parts, h, lo, slope, tol, rate)
+    assert np.array_equal(counts, reference_substep_counts(a0, parts, h, lo, slope, tol, rate))
+
+
+def _complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 9),
+    n=st.integers(1, 70),
+    log_scale=st.floats(-3.0, 9.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bracket_matches_commutator(k, n, log_scale, seed):
+    # a dense generator is one block, whose table gives [A(c), s . P]
+    rng = np.random.default_rng(seed)
+    a0, parts = _complex(rng, (k, k)), _complex(rng, (4, k, k))
+    c, s = 10.0**log_scale * rng.normal(size=(2, n, 4))
+    ((_, _, _, table),) = _sector_blocks(a0, parts)
+    x = a0 + np.einsum("ni,ijk->njk", c, parts)
+    y = np.einsum("ni,ijk->njk", s, parts)
+    scale = np.linalg.norm(x, axis=(1, 2)) * np.linalg.norm(y, axis=(1, 2))
+    error = np.linalg.norm(_bracket(table, c, s) - (x @ y - y @ x), axis=(1, 2))
+    assert np.all(error <= 1e-12 * scale)
+
+
+PAULI = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "raise": np.array([[0, 1], [0, 0]], dtype=complex),
+    "lower": np.array([[0, 0], [1, 0]], dtype=complex),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(2, 8),
+    pair=st.sampled_from([("x", "z"), ("z", "x"), ("lower", "raise"), None]),
+    log_ratio=st.floats(-4.0, 4.0),
+    noise=st.sampled_from([0.0, 1e-3, 1.0]),
+    shift=st.floats(-50.0, 50.0),
+    rotate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screen_bound_holds(k, pair, log_ratio, noise, shift, rotate, seed):
+    # both Boettcher-Wenzel bounds are equalities for alpha1 ~ sigma_x and
+    # alpha2 ~ sigma_z, so the draws include near-equality cases: one of the
+    # two terms dominates as the ratio of the scales moves off 1
+    rng = np.random.default_rng(seed)
+    x, y = np.zeros((2, k, k), dtype=complex)
+    if pair is not None:
+        x[:2, :2], y[:2, :2] = PAULI[pair[0]], PAULI[pair[1]]
+    x = 10.0 ** (-log_ratio / 2) * (x + noise * _complex(rng, (k, k)))
+    y = 10.0 ** (log_ratio / 2) * (y + noise * _complex(rng, (k, k)))
+    if pair is None:
+        x, y = _complex(rng, (2, k, k))
+    if rotate:
+        q, _ = np.linalg.qr(_complex(rng, (k, k)))
+        x, y = q @ x @ q.conj().T, q @ y @ q.conj().T
+    alpha1, alpha2 = (x + shift * np.eye(k))[None], y[None]
+    exact = np.linalg.norm(reference_remainder(alpha1, alpha2)[0])
+    bound = _screen_bound(alpha1, alpha2, comm(alpha1, alpha2))[0]
+    assert exact <= bound * (1.0 + 1e-10) + 1e-300
 
 
 # ---------------------------------------------------------------------------
