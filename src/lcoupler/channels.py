@@ -5,6 +5,12 @@ Kraus set {K} becomes sum_K K (x) conj(K).  The Choi matrix follows the same
 index convention, C[(i,k),(j,l)] = <k|Lambda(|i><j|)|l>, making complete
 positivity a plain eigenvalue check.
 
+The executor works in the Pauli-transfer representation instead: an n-qubit
+operator is the vector of its Pauli-string coefficients, one base-4 digit per
+qubit (I, X, Y, Z) with the first qubit the most significant.  A density
+matrix has the real vector (Tr(P rho))_P, and a channel the real matrix
+R[P, Q] = Tr(P Lambda(Q)) / 2^n, whose entries lie in [-1, 1] for a CPTP map.
+
 Channels may carry a leakage record: for each computational basis input, the
 probability that population ends up outside the computational subspace of the
 underlying physical model.  The map itself stays trace preserving (leaked
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -121,22 +128,6 @@ class QuantumChannel:
         d = self.dim
         return (d * self.process_fidelity(target_unitary) + 1.0) / (d + 1.0)
 
-    def average_gate_fidelity_mc(
-        self, target_unitary: np.ndarray, rng: np.random.Generator, n_states: int = 200
-    ) -> float:
-        """Monte-Carlo route: mean output fidelity over Haar-random pure
-        states; agrees with the trace formula up to sampling error."""
-        d = self.dim
-        u = np.asarray(target_unitary)
-        total = 0.0
-        for _ in range(n_states):
-            psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-            psi /= np.linalg.norm(psi)
-            out = self.apply(np.outer(psi, psi.conj()))
-            ref = u @ psi
-            total += float(np.real(ref.conj() @ out @ ref))
-        return total / n_states
-
 
 # -- analytic channels -----------------------------------------------------
 
@@ -201,26 +192,60 @@ def ideal_transfer_channel(half: bool = False) -> QuantumChannel:
     return QuantumChannel.from_unitary(ideal_transfer_unitary(half), label=label)
 
 
-# -- acting on a subset of qubits --------------------------------------------
+# -- Pauli-transfer representation -------------------------------------------
+
+_PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+# row P is vec(P^T), so _PAULI_CHANGE @ vec(rho) = (Tr(P rho))_P on one qubit;
+# _PAULI_CHANGE^dagger / 2 undoes it
+_PAULI_CHANGE = np.array([p.T.reshape(4) for p in _PAULIS], dtype=complex)
+# a qubit's populations from its coefficients: (I + Z) / 2 and (I - Z) / 2
+_POPULATIONS = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0]]) / 2
 
 
-def apply_to_qubits(
-    channel: QuantumChannel, rho: np.ndarray, qubits: tuple[int, ...], n_qubits: int
-) -> np.ndarray:
-    """Apply a channel to selected qubits of an n-qubit density matrix.
+def _interleaved(n: int) -> list[int]:
+    """Axes (r1, c1, r2, c2, ...) of an operator reshaped to (r1..rn, c1..cn)."""
+    return [a for q in range(n) for a in (q, n + q)]
 
-    Qubit 0 is the most significant index of the 2**n dimensional space.
+
+def _per_qubit(t: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """Contract the one-qubit matrix m into each of the first n axes of t."""
+    for axis in range(n):
+        t = np.moveaxis(np.tensordot(m, t, axes=(1, axis)), 0, axis)
+    return t
+
+
+def to_pauli(rho: np.ndarray) -> np.ndarray:
+    """Real Pauli vector (Tr(P rho))_P of a Hermitian n-qubit operator."""
+    rho = np.asarray(rho)
+    n = round(math.log2(rho.shape[0]))
+    t = rho.reshape((2,) * (2 * n)).transpose(_interleaved(n)).reshape((4,) * n)
+    return _per_qubit(t, _PAULI_CHANGE, n).real.reshape(-1)
+
+
+def from_pauli(v: np.ndarray) -> np.ndarray:
+    """The operator sum_P v_P P / 2^n of a Pauli vector."""
+    v = np.asarray(v)
+    n = round(math.log(v.size, 4))
+    t = _per_qubit(v.reshape((4,) * n), _PAULI_CHANGE.conj().T / 2, n)
+    t = t.reshape((2,) * (2 * n)).transpose(np.argsort(_interleaved(n)))
+    return t.reshape(2**n, 2**n)
+
+
+def pauli_populations(vectors: np.ndarray) -> np.ndarray:
+    """diag(rho) of Pauli vectors: columns (4^n, ...) to columns (2^n, ...)."""
+    n = round(math.log(vectors.shape[0], 4))
+    t = _per_qubit(vectors.reshape((4,) * n + vectors.shape[1:]), _POPULATIONS, n)
+    return t.reshape((2**n,) + vectors.shape[1:])
+
+
+def pauli_transfer_matrix(superop: np.ndarray) -> np.ndarray:
+    """R[P, Q] = Tr(P Lambda(Q)) / 2^n of an n-qubit superoperator.
+
+    Complex-typed; real up to rounding when the map preserves Hermiticity.
     """
-    k = len(qubits)
-    if channel.dim != 2**k:
-        raise ValueError("channel dimension does not match the qubit count")
-    t = np.asarray(rho).reshape((2,) * (2 * n_qubits))
-    row_axes = list(qubits)
-    col_axes = [n_qubits + q for q in qubits]
-    rest = [a for a in range(2 * n_qubits) if a not in row_axes + col_axes]
-    perm = row_axes + col_axes + rest
-    t = np.transpose(t, perm).reshape(4**k, -1)
-    t = channel.superoperator @ t
-    t = t.reshape([2] * (2 * k) + [2] * len(rest))
-    t = np.transpose(t, np.argsort(perm))
-    return t.reshape(2**n_qubits, 2**n_qubits)
+    superop = np.asarray(superop)
+    n = round(math.log(superop.shape[0], 4))
+    axes = _interleaved(n)
+    s = superop.reshape((2,) * (4 * n)).transpose(axes + [2 * n + a for a in axes])
+    change = reduce(np.kron, [_PAULI_CHANGE] * n)
+    return change @ s.reshape(4**n, 4**n) @ change.conj().T / 2**n

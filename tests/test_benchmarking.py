@@ -85,6 +85,14 @@ class TestSpamApply:
         )
         assert out[0] == pytest.approx(0.9, abs=0.01)
 
+    def test_prebuilt_confusion_draws_the_same_shots(self):
+        qubits = ("a", "b", "c")
+        spam = SpamModel({"a": 0.9, "b": 0.97, "c": 0.8}, {q: 0.0 for q in qubits})
+        dist = np.random.default_rng(3).dirichlet(np.ones(8))
+        built = spam_apply(dist, spam, qubits, RngHandle(seed=5), 1000)
+        given = spam_apply(dist, spam, qubits, RngHandle(seed=5), 1000, spam.confusion(qubits))
+        assert np.array_equal(built, given)
+
     def test_symmetric_confusion_erases_information(self):
         """F = 0.5 maps every state to coin flips."""
         spam = SpamModel({"q": 0.5}, {"q": 0.0})

@@ -24,6 +24,8 @@ from lcoupler.pulses import (
     reverse_schedule,
 )
 
+from oracles import average_gate_fidelity_mc
+
 SINGLE_MODE = {
     "cpw": {"modes_retained": 1, "mode_frequencies_hz": [4.881e9], "mode_t1_s": [5.23e-6]}
 }
@@ -373,7 +375,7 @@ class TestChannel:
         ch = extract_channel(cfg, build_transfer_schedule(cfg), lossy=True)
         u = ideal_transfer_unitary()
         f_trace = ch.average_gate_fidelity(u)
-        f_mc = ch.average_gate_fidelity_mc(u, np.random.default_rng(5), 200)
+        f_mc = average_gate_fidelity_mc(ch, u, np.random.default_rng(5), 200)
         assert abs(f_trace - f_mc) < 1e-3
 
 

@@ -10,6 +10,12 @@
 - The circuit executor's compiled segment superoperators against an op by op
   reference: the embedded unitary, then ``apply_to_qubits`` for the op's
   depolarizing or transfer channel, then each bystander's idle channel.
+- Batches of circuits run in lockstep against each circuit run alone and
+  against the op by op reference, and a protocol's records against the same
+  records drawn in a different batch.
+- The Pauli basis: the round trip of a density matrix, the Pauli-transfer
+  matrix of a random channel against Tr(P Lambda(Q)) / d, populations against
+  diag(rho), and Clifford pulses and CZs as signed permutations.
 - The protocols' readout ``_ground`` against a marginal taken by reshaping
   the outcome distribution to one axis per qubit and summing the rest.
 """
@@ -21,16 +27,26 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lcoupler.benchmarking import NoiseModel, _CircuitRunner, _ground
+from lcoupler.benchmarking import (
+    NoiseModel,
+    SpamModel,
+    _CircuitRunner,
+    _ground,
+    run_two_qubit_rb,
+)
 from lcoupler.channels import (
     QuantumChannel,
     amplitude_damping_channel,
-    apply_to_qubits,
     dephasing_channel,
     depolarizing_channel,
+    from_pauli,
     ideal_transfer_unitary,
+    pauli_populations,
+    pauli_transfer_matrix,
+    to_pauli,
 )
 from lcoupler.cliffords import (
+    CZ_PAIRS,
     L_QUBIT_PAIR,
     QUBIT_ORDER,
     TWO_QUBIT_GROUP_ORDER,
@@ -48,6 +64,9 @@ from lcoupler.cliffords import (
     virtual_z,
 )
 from lcoupler.config import load_config
+from lcoupler.rng import RngHandle
+
+from oracles import apply_to_qubits
 
 PROPERTY_SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -251,6 +270,89 @@ def test_nb_element_op_by_op_equals_lumped_noise():
                 lumped = apply_to_qubits(idle, lumped, (1 - pos,), 2)
             got = runner.run(rho, elem.segments)
             assert np.max(np.abs(got - lumped)) < 1e-12, (carrier, elem.index)
+
+
+@st.composite
+def unequal_batches(draw):
+    """Circuits of unequal lengths over a small pool of segments, so that
+    columns often run the same segment at the same position."""
+    pool = draw(st.lists(_SEGMENTS, min_size=1, max_size=3))
+    picks = st.lists(st.integers(0, len(pool) - 1), max_size=5)
+    circuits = draw(
+        st.lists(picks, min_size=2, max_size=4).filter(lambda c: len({len(x) for x in c}) > 1)
+    )
+    return [[pool[i] for i in circuit] for circuit in circuits]
+
+
+@PROPERTY_SETTINGS
+@given(circuits=unequal_batches(), idle=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_batch_runs_each_circuit_as_alone(circuits, idle, seed):
+    noise = _device_noise(seed, idle)
+    rho = _random_state(np.random.default_rng(seed), len(QUBIT_ORDER))
+    runner = _CircuitRunner(noise, QUBIT_ORDER)
+    batch = runner.evolve(rho, [runner.encode(c) for c in circuits])
+    for column, circuit in zip(batch.T, circuits):
+        alone = runner.evolve(rho, [runner.encode(circuit)])[:, 0]
+        assert np.array_equal(column, alone)
+        ops = [op for segment in circuit for op in segment]
+        expected = _reference_run(noise, QUBIT_ORDER, rho, ops)
+        assert np.max(np.abs(from_pauli(column) - expected)) < 1e-12
+
+
+def test_rb_records_do_not_depend_on_the_batch():
+    noise, spam = _device_noise(3, idle=True), SpamModel.from_config(load_config())
+    common = dict(noise=noise, spam=spam, shots=200, rng=RngHandle(seed=4))
+    wide = run_two_qubit_rb(lengths=(1, 4), seeds_per_length=2, **common).records
+    narrow = run_two_qubit_rb(lengths=(4,), seeds_per_length=3, **common).records
+    assert [r for r in wide if r.length == 4] == narrow[:2]
+    assert [(r.length, r.seed) for r in narrow[:2]] == [(4, 0), (4, 1)]
+
+
+# -- the Pauli basis ---------------------------------------------------------
+
+
+def _pauli_string(index, n):
+    """The Pauli string with base-4 digits (I, X, Y, Z), first qubit first."""
+    x, y, z = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])
+    singles = (np.eye(2), x, y, z)
+    digits = [(index >> 2 * (n - 1 - q)) & 3 for q in range(n)]
+    return reduce(np.kron, [singles[d] for d in digits])
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_density_matrix_survives_the_pauli_round_trip(n, seed):
+    rho = _random_state(np.random.default_rng(seed), n)
+    v = to_pauli(rho)
+    assert v.dtype == float
+    expected = [np.trace(_pauli_string(i, n) @ rho).real for i in range(4**n)]
+    assert np.max(np.abs(v - expected)) < 1e-14
+    assert np.max(np.abs(from_pauli(v) - rho)) < 1e-15
+    assert np.max(np.abs(pauli_populations(v) - np.diag(rho).real)) < 1e-15
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_pauli_transfer_matrix_of_a_channel_is_real(n, seed):
+    channel = _random_channel(np.random.default_rng(seed), 2**n)
+    ptm = pauli_transfer_matrix(channel.superoperator)
+    assert np.max(np.abs(ptm.imag)) < 1e-15
+    paulis = [_pauli_string(i, n) for i in range(4**n)]
+    expected = [[np.trace(p @ channel.apply(q)) / 2**n for q in paulis] for p in paulis]
+    assert np.max(np.abs(ptm - np.array(expected))) < 1e-14
+
+
+def test_clifford_pulses_and_czs_compile_to_signed_permutations():
+    runner = _CircuitRunner(NoiseModel.ideal(), QUBIT_ORDER)
+    ops = [op for q in QUBIT_ORDER for e in single_qubit_cliffords(q) for op in e.decomposition]
+    for a, b in map(sorted, CZ_PAIRS):
+        ops += [cz_op(a, b, 100e-9), cz_op(b, a, 100e-9)]
+    assert {op.kind for op in ops} == {GateKind.SQ_ROT, GateKind.VIRTUAL_Z, GateKind.CZ}
+    for op in ops:
+        matrix = runner._compiled_op(op)
+        assert np.all(np.diff(matrix.indptr) == 1), op  # one entry per row
+        assert np.array_equal(np.sort(matrix.indices), np.arange(4 ** len(QUBIT_ORDER))), op
+        assert np.max(np.abs(np.abs(matrix.data) - 1.0)) < 1e-15, op
 
 
 @st.composite
