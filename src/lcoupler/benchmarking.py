@@ -133,31 +133,26 @@ class SpamModel:
 
 def spam_apply(
     distribution: np.ndarray,
-    spam: SpamModel,
-    qubits: tuple[str, ...],
+    confusion: np.ndarray,
     rng: RngHandle | np.random.Generator,
     shots: int,
-    confusion: np.ndarray | None = None,
 ) -> np.ndarray:
     """Empirical outcome distribution after confusion and shot sampling.
 
     The ideal distribution over computational outcomes (first qubit is the
-    most significant bit) is mixed by the tensor product of per-qubit
-    confusion matrices (``confusion``, spam.confusion(qubits) unless a
-    caller that samples many distributions passes it in), then ``shots``
-    outcomes are drawn multinomially.  Returns counts / shots.
+    most significant bit) is mixed by the register's confusion matrix
+    (SpamModel.confusion), then ``shots`` outcomes are drawn multinomially.
+    Returns counts / shots.
     """
     dist = np.asarray(distribution, dtype=float)
-    if dist.ndim != 1 or dist.size != 2 ** len(qubits):
-        raise ValueError("distribution size does not match the qubit list")
+    if dist.ndim != 1 or dist.size != confusion.shape[1]:
+        raise ValueError("distribution size does not match the confusion matrix")
     if shots <= 0:
         raise ValueError("shots must be positive")
     dist = np.clip(dist, 0.0, None)
     total = dist.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-6):
         raise ValueError(f"distribution is not normalized: sum {total}")
-    if confusion is None:
-        confusion = spam.confusion(qubits)
     noisy = confusion @ (dist / total)
     noisy = np.clip(noisy, 0.0, None)
     noisy /= noisy.sum()
@@ -233,9 +228,7 @@ class NoiseModel:
         return cls(
             transfer_channels={d: swap for d in TRANSFER_DIRECTIONS},
             half_transfer_channels={
-                d: QuantumChannel.from_unitary(
-                    op_matrix(half_transfer_op(d, 0.0)), label=f"half_transfer({d})"
-                )
+                d: QuantumChannel.from_unitary(op_matrix(half_transfer_op(d, 0.0)))
                 for d in TRANSFER_DIRECTIONS
             },
         )
@@ -577,7 +570,7 @@ def _run_sequences(
     for (n, seed, gen, survivors), populations in zip(
         drawn, pauli_populations(states).T
     ):
-        measured = spam_apply(populations, spam, order, gen, shots, confusion)
+        measured = spam_apply(populations, confusion, gen, shots)
         ground = [_ground(measured, order, q) for q in (survivors, ("L1",), ("L2",))]
         records.append(RbRecord(n, seed, shots, *ground))
     return records

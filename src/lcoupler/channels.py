@@ -21,7 +21,7 @@ out); the record lets circuit-level consumers re-route it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -57,19 +57,18 @@ class QuantumChannel:
     superoperator: np.ndarray
     dim: int
     leakage_in: np.ndarray | None = None
-    label: str = ""
 
     @classmethod
-    def from_kraus(cls, kraus: list[np.ndarray], label: str = "") -> "QuantumChannel":
-        return cls(kraus_to_superop(kraus), kraus[0].shape[0], label=label)
+    def from_kraus(cls, kraus: list[np.ndarray]) -> "QuantumChannel":
+        return cls(kraus_to_superop(kraus), kraus[0].shape[0])
 
     @classmethod
-    def from_unitary(cls, u: np.ndarray, label: str = "") -> "QuantumChannel":
-        return cls.from_kraus([np.asarray(u, dtype=complex)], label=label)
+    def from_unitary(cls, u: np.ndarray) -> "QuantumChannel":
+        return cls.from_kraus([np.asarray(u, dtype=complex)])
 
     @classmethod
     def identity(cls, dim: int) -> "QuantumChannel":
-        return cls.from_unitary(np.eye(dim), label="identity")
+        return cls.from_unitary(np.eye(dim))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec(self.superoperator @ vec(rho))
@@ -78,11 +77,7 @@ class QuantumChannel:
         """Channel equal to self after ``first`` (self o first)."""
         if first.dim != self.dim:
             raise ValueError("channel dimensions differ")
-        return QuantumChannel(
-            self.superoperator @ first.superoperator,
-            self.dim,
-            label=f"{self.label}o{first.label}",
-        )
+        return QuantumChannel(self.superoperator @ first.superoperator, self.dim)
 
     def tensor(self, other: "QuantumChannel") -> "QuantumChannel":
         d1, d2 = self.dim, other.dim
@@ -90,7 +85,7 @@ class QuantumChannel:
         s2 = other.superoperator.reshape(d2, d2, d2, d2)
         d = d1 * d2
         s = np.einsum("aceg,bdfh->abcdefgh", s1, s2).reshape(d * d, d * d)
-        return QuantumChannel(s, d, label=f"{self.label}(x){other.label}")
+        return QuantumChannel(s, d)
 
     def choi(self) -> np.ndarray:
         return superop_to_choi(self.superoperator)
@@ -118,15 +113,13 @@ class QuantumChannel:
 
     # -- fidelity ---------------------------------------------------------
 
-    def process_fidelity(self, target_unitary: np.ndarray) -> float:
-        s_u = np.kron(target_unitary, np.asarray(target_unitary).conj())
-        d = self.dim
-        return float(np.real(np.trace(s_u.conj().T @ self.superoperator)) / d**2)
-
     def average_gate_fidelity(self, target_unitary: np.ndarray) -> float:
-        """Entanglement-fidelity route: F_avg = (d F_pro + 1) / (d + 1)."""
+        """Entanglement-fidelity route: F_avg = (d F_pro + 1) / (d + 1), with
+        the process fidelity F_pro = Tr(S_U^dagger S) / d^2."""
         d = self.dim
-        return (d * self.process_fidelity(target_unitary) + 1.0) / (d + 1.0)
+        s_u = np.kron(target_unitary, np.asarray(target_unitary).conj())
+        f_pro = float(np.real(np.trace(s_u.conj().T @ self.superoperator)) / d**2)
+        return (d * f_pro + 1.0) / (d + 1.0)
 
 
 # -- analytic channels -----------------------------------------------------
@@ -140,13 +133,13 @@ def depolarizing_channel(lam: float, n_qubits: int = 1) -> QuantumChannel:
     # + lam * |vec(I/d)> <vec(I)| picks out the trace of the input
     trace_row = vec(np.eye(d, dtype=complex))
     s += lam * np.outer(id_vec, trace_row)
-    return QuantumChannel(s, d, label=f"depol({lam})")
+    return QuantumChannel(s, d)
 
 
 def amplitude_damping_channel(p: float) -> QuantumChannel:
     k0 = np.array([[1, 0], [0, math.sqrt(1 - p)]], dtype=complex)
     k1 = np.array([[0, math.sqrt(p)], [0, 0]], dtype=complex)
-    return QuantumChannel.from_kraus([k0, k1], label=f"amp_damp({p})")
+    return QuantumChannel.from_kraus([k0, k1])
 
 
 def dephasing_channel(p: float) -> QuantumChannel:
@@ -154,7 +147,7 @@ def dephasing_channel(p: float) -> QuantumChannel:
     z = np.diag([1.0, -1.0]).astype(complex)
     k0 = math.sqrt(1 - p) * np.eye(2, dtype=complex)
     k1 = math.sqrt(p) * z
-    return QuantumChannel.from_kraus([k0, k1], label=f"dephase({p})")
+    return QuantumChannel.from_kraus([k0, k1])
 
 
 def excitation_pump_channel(prob: float) -> QuantumChannel:
@@ -162,7 +155,7 @@ def excitation_pump_channel(prob: float) -> QuantumChannel:
     k0 = math.sqrt(1 - prob) * np.eye(2, dtype=complex)
     k1 = math.sqrt(prob) * np.array([[0, 0], [1, 0]], dtype=complex)
     k2 = math.sqrt(prob) * np.array([[0, 0], [0, 1]], dtype=complex)
-    return QuantumChannel.from_kraus([k0, k1, k2], label=f"pump({prob})")
+    return QuantumChannel.from_kraus([k0, k1, k2])
 
 
 def ideal_transfer_unitary(half: bool = False) -> np.ndarray:
@@ -188,8 +181,7 @@ def ideal_transfer_unitary(half: bool = False) -> np.ndarray:
 
 
 def ideal_transfer_channel(half: bool = False) -> QuantumChannel:
-    label = "half_transfer" if half else "full_transfer"
-    return QuantumChannel.from_unitary(ideal_transfer_unitary(half), label=label)
+    return QuantumChannel.from_unitary(ideal_transfer_unitary(half))
 
 
 # -- Pauli-transfer representation -------------------------------------------

@@ -2,12 +2,14 @@
 
 Subcommands run the transfer sweeps, the benchmarking protocols and the
 Bell tomography against a JSON device config, writing CSV/JSON results plus
-static SVG plots into an output directory together with a run manifest.
-Exit codes: 0 success; 2 usage, config or lookup problems (a ``ValueError``
-or a ``KeyError``, e.g. a qubit pair with no configured CZ); 3 numerical
-failures (a ``RuntimeError``: a decay fit that refuses to converge or a
-propagator that cannot reach its tolerance).  Each failure prints one line
-to stderr.
+static SVG plots into an output directory.  Each ``cmd_*`` returns the files
+it wrote and its manifest extras; ``main`` checks that those files exist and
+writes ``run_manifest.json`` only after a run succeeds.  Exit codes: 0
+success; 2 usage, config or lookup problems (a ``ValueError`` or a
+``KeyError``, e.g. a qubit pair with no configured CZ); 3 numerical failures
+(a ``RuntimeError``: a decay fit that refuses to converge, a propagator that
+cannot reach its tolerance, or a declared output that is missing).  Each
+failure prints one line to stderr and leaves no manifest.
 """
 
 from __future__ import annotations
@@ -81,34 +83,6 @@ def _write_json(path: Path, payload: dict) -> Path:
     return path
 
 
-def _write_manifest(
-    out_dir: Path,
-    command: str,
-    cfg,
-    seed: int,
-    started: str,
-    outputs: list[Path],
-    extra: dict | None = None,
-) -> Path:
-    missing = [str(p) for p in outputs if not p.exists()]
-    if missing:
-        raise RuntimeError(f"declared outputs missing: {missing}")
-    manifest = {
-        "command": command,
-        "config_sha256": cfg.config_hash(),
-        "rng_seed": seed,
-        "tool_version": __version__,
-        "started_at": started,
-        "finished_at": datetime.now(timezone.utc).isoformat(),
-        "outputs": [p.name for p in outputs],
-    }
-    if extra:
-        manifest.update(extra)
-    path = out_dir / "run_manifest.json"
-    _write_json(path, manifest)
-    return path
-
-
 def _fit_payload(fit) -> dict:
     return {k: (v if not isinstance(v, float) or np.isfinite(v) else None)
             for k, v in asdict(fit).items()}
@@ -141,7 +115,7 @@ def _decay_artifacts(dataset, fits, title, out_csv: Path, out_svg: Path):
 # subcommands
 
 
-def cmd_sweep(args, cfg, out_dir: Path, command: str, started: str) -> int:
+def cmd_sweep(args, cfg, out_dir: Path):
     result = sweep_transfer(cfg, args.method, args.g, args.T, lossy=args.lossy)
     csv_path = out_dir / f"sweep_{result.method}.csv"
     result.to_csv(csv_path)
@@ -167,16 +141,7 @@ def cmd_sweep(args, cfg, out_dir: Path, command: str, started: str) -> int:
             f"sweep cell g={cell['g_hz']:.9e} Hz, T={cell['T_s']:.9e} s failed: {cell['error']}",
             file=sys.stderr,
         )
-    _write_manifest(
-        out_dir,
-        command,
-        cfg,
-        args.seed,
-        started,
-        [csv_path, svg_path],
-        extra={"cell_errors": cell_errors},
-    )
-    return 0
+    return [csv_path, svg_path], {"cell_errors": cell_errors}
 
 
 def _benchmark_models(cfg, noiseless: bool):
@@ -185,7 +150,15 @@ def _benchmark_models(cfg, noiseless: bool):
     return NoiseModel.from_config(cfg), SpamModel.from_config(cfg)
 
 
-def cmd_nb(args, cfg, out_dir: Path, command: str, started: str) -> int:
+_SPECTATORS = ("spectator_l1", "spectator_l2")
+
+
+def _fits(dataset) -> dict:
+    """The survival fit and the two spectator fits of one dataset."""
+    return {ch: fit_exponential(dataset, ch) for ch in ("survival", *_SPECTATORS)}
+
+
+def cmd_nb(args, cfg, out_dir: Path):
     noise, spam = _benchmark_models(cfg, args.noiseless)
     dataset = run_network_benchmarking(
         noise,
@@ -196,11 +169,7 @@ def cmd_nb(args, cfg, out_dir: Path, command: str, started: str) -> int:
         rng=RngHandle(seed=args.seed),
         cfg=cfg,
     )
-    fits = {
-        "survival": fit_exponential(dataset),
-        "spectator_l1": fit_exponential(dataset, "spectator_l1"),
-        "spectator_l2": fit_exponential(dataset, "spectator_l2"),
-    }
+    fits = _fits(dataset)
     csv_path = out_dir / "nb_dataset.csv"
     svg_path = out_dir / "nb_decay.svg"
     _decay_artifacts(dataset, fits, "network benchmarking", csv_path, svg_path)
@@ -210,44 +179,32 @@ def cmd_nb(args, cfg, out_dir: Path, command: str, started: str) -> int:
             "protocol": dataset.protocol,
             "survival": _fit_payload(fits["survival"]),
             "eps": eps_from_decay(fits["survival"]),
-            "leakage": {
-                ch: _fit_payload(fits[ch]) for ch in ("spectator_l1", "spectator_l2")
-            },
+            "leakage": {ch: _fit_payload(fits[ch]) for ch in _SPECTATORS},
         },
     )
-    _write_manifest(
-        out_dir, command, cfg, args.seed, started, [csv_path, fit_path, svg_path]
-    )
-    return 0
+    return [csv_path, fit_path, svg_path], {}
 
 
-def cmd_rb(args, cfg, out_dir: Path, command: str, started: str) -> int:
+def cmd_rb(args, cfg, out_dir: Path):
     noise, spam = _benchmark_models(cfg, args.noiseless)
-    rng = RngHandle(seed=args.seed)
     kwargs = dict(
         lengths=args.lengths,
         seeds_per_length=args.seeds,
         shots=args.shots,
-        rng=rng,
+        rng=RngHandle(seed=args.seed),
         cfg=cfg,
     )
     reference = run_two_qubit_rb(noise, spam, **kwargs)
-    fits = {
-        "survival": fit_exponential(reference),
-        "spectator_l1": fit_exponential(reference, "spectator_l1"),
-        "spectator_l2": fit_exponential(reference, "spectator_l2"),
-    }
+    fits = _fits(reference)
     csv_path = out_dir / "rb_dataset.csv"
     svg_path = out_dir / "rb_decay.svg"
     _decay_artifacts(reference, fits, "two-qubit RB", csv_path, svg_path)
-    outputs = [csv_path, svg_path]
+    interleaved_paths = []
     payload = {
         "protocol": reference.protocol,
         "reference": _fit_payload(fits["survival"]),
         "epg": eps_from_decay(fits["survival"]),
-        "leakage": {
-            ch: _fit_payload(fits[ch]) for ch in ("spectator_l1", "spectator_l2")
-        },
+        "leakage": {ch: _fit_payload(fits[ch]) for ch in _SPECTATORS},
         "interleaved": None,
         "interleaved_epg": None,
     }
@@ -256,24 +213,17 @@ def cmd_rb(args, cfg, out_dir: Path, command: str, started: str) -> int:
             noise, spam, interleave=compile_remote_cnot(cfg=cfg), **kwargs
         )
         int_fit = fit_exponential(interleaved)
-        int_csv = out_dir / "rb_interleaved.csv"
+        interleaved_paths = [out_dir / "rb_interleaved.csv", out_dir / "rb_interleaved.svg"]
         _decay_artifacts(
-            interleaved,
-            {"survival": int_fit},
-            "interleaved two-qubit RB",
-            int_csv,
-            out_dir / "rb_interleaved.svg",
+            interleaved, {"survival": int_fit}, "interleaved two-qubit RB", *interleaved_paths
         )
-        outputs += [int_csv, out_dir / "rb_interleaved.svg"]
         payload["interleaved"] = _fit_payload(int_fit)
         payload["interleaved_epg"] = eps_from_decay(int_fit, fits["survival"])
     fit_path = _write_json(out_dir / "rb_fit.json", payload)
-    outputs.insert(1, fit_path)
-    _write_manifest(out_dir, command, cfg, args.seed, started, outputs)
-    return 0
+    return [csv_path, fit_path, svg_path, *interleaved_paths], {}
 
 
-def cmd_bell(args, cfg, out_dir: Path, command: str, started: str) -> int:
+def cmd_bell(args, cfg, out_dir: Path):
     variant = BellVariant(args.variant)
     noise, spam = _benchmark_models(cfg, args.noiseless)
     target, pair = bell_target(variant)
@@ -306,16 +256,7 @@ def cmd_bell(args, cfg, out_dir: Path, command: str, started: str) -> int:
         out_dir / f"bell_{variant.value}.svg",
         bars_svg(f"|rho| for {variant.value}", labels, magnitudes, vmax=0.5),
     )
-    _write_manifest(
-        out_dir,
-        command,
-        cfg,
-        args.seed,
-        started,
-        [json_path, svg_path],
-        extra={"fidelity": optimized, "raw_fidelity": raw},
-    )
-    return 0
+    return [json_path, svg_path], {"fidelity": optimized, "raw_fidelity": raw}
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +322,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     started = datetime.now(timezone.utc).isoformat()
-    command = "lcoupler " + " ".join(argv)
     try:
         cfg = load_config(args.config or os.environ.get("LCOUPLER_CONFIG") or None)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
@@ -390,7 +330,10 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        return args.func(args, cfg, out_dir, command, started)
+        outputs, extra = args.func(args, cfg, out_dir)
+        missing = [str(p) for p in outputs if not p.exists()]
+        if missing:
+            raise RuntimeError(f"declared outputs missing: {missing}")
     except RuntimeError as exc:  # FitError included
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -400,6 +343,20 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:
         print(f"lookup failure: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
+    _write_json(
+        out_dir / "run_manifest.json",
+        {
+            "command": "lcoupler " + " ".join(argv),
+            "config_sha256": cfg.config_hash(),
+            "rng_seed": args.seed,
+            "tool_version": __version__,
+            "started_at": started,
+            "finished_at": datetime.now(timezone.utc).isoformat(),
+            "outputs": [p.name for p in outputs],
+            **extra,
+        },
+    )
+    return 0
 
 
 if __name__ == "__main__":

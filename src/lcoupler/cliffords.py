@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ideal_transfer_unitary
+from .channels import _PAULIS, ideal_transfer_unitary
 from .config import DeviceConfig, load_config
 
 DATA_QUBITS = ("D1", "D2")
@@ -40,8 +40,6 @@ ADJACENT_L = {"D1": "L1", "D2": "L2"}
 
 TWO_QUBIT_CLASS_SIZES = (576, 5184, 5184, 576)
 TWO_QUBIT_GROUP_ORDER = sum(TWO_QUBIT_CLASS_SIZES)
-
-DEFAULT_SQ_GATE_TIME_S = 35e-9
 
 
 class GateKind(str, Enum):
@@ -110,12 +108,7 @@ def half_transfer_op(direction: str, duration_s: float) -> GateOp:
     )
 
 
-_PAULI = {
-    "i": np.eye(2, dtype=complex),
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
+_PAULI = dict(zip("ixyz", _PAULIS))
 
 CZ_UNITARY = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
@@ -262,7 +255,7 @@ class CliffordElement:
 
 @lru_cache(maxsize=None)
 def single_qubit_cliffords(
-    qubit: str = "q0", gate_time_s: float = DEFAULT_SQ_GATE_TIME_S
+    qubit: str = "q0", gate_time_s: float = DeviceConfig.single_qubit_gate_time_s
 ) -> tuple[CliffordElement, ...]:
     """All 24 elements; index 0 is the identity with an empty decomposition."""
     mats, descs, _ = _single_qubit_table()
@@ -343,12 +336,16 @@ def decode_two_qubit_index(index: int) -> tuple[int, int, int, int, int]:
     return tuple(int(v) for v in _decode(index))
 
 
+def _factor_product(class_id, u1, u2, s1, s2) -> np.ndarray:
+    """Abstract 4x4 matrices of decoded elements (see ``_decode``)."""
+    layers, reps, cyclers = _class_tables()
+    return layers[u1, u2] @ reps[class_id] @ cyclers[s1, s2]
+
+
 def _two_qubit_matrices(indices) -> np.ndarray:
     """Abstract 4x4 matrices of the elements, stacked in the shape of
     ``indices``."""
-    layers, reps, cyclers = _class_tables()
-    class_id, u1, u2, s1, s2 = _decode(indices)
-    return layers[u1, u2] @ reps[class_id] @ cyclers[s1, s2]
+    return _factor_product(*_decode(indices))
 
 
 def two_qubit_matrix(index: int) -> np.ndarray:
@@ -481,7 +478,8 @@ def two_qubit_clifford(index: int, cfg: DeviceConfig | None = None) -> CliffordE
     elif class_id == 3:
         segments += cnot_fwd + cnot_rev + cnot_fwd
     segments += sq(descs[u1], d1) + sq(descs[u2], d2)
-    return CliffordElement(index, _two_qubit_matrices(index), segments, class_id)
+    matrix = _factor_product(class_id, u1, u2, s1, s2)
+    return CliffordElement(index, matrix, segments, class_id)
 
 
 # ---------------------------------------------------------------------------

@@ -828,6 +828,4 @@ def extract_channel(
         superop = np.kron(u, u.conj()) @ superop
 
     # a CP floor of -1e-8 and a TP deficit of at most 1e-8
-    return QuantumChannel(superop, 4, leakage_in=leakage, label="pair-channel").validate(
-        tp_tol=1e-8
-    )
+    return QuantumChannel(superop, 4, leakage_in=leakage).validate(tp_tol=1e-8)

@@ -20,8 +20,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .benchmarking import NoiseModel, SpamModel, _CircuitRunner, spam_apply
+from .channels import from_pauli, pauli_populations, to_pauli
 from .cliffords import (
-    _PAULI,
     QUBIT_ORDER,
     GateOp,
     half_transfer_op,
@@ -32,14 +32,10 @@ from .cliffords import (
 from .config import DeviceConfig, load_config
 from .rng import RngHandle
 
-# rotate the measured axis onto Z: u P u^dag = Z
-_BASIS_ROTATION = {
-    "X": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2),
-    "Z": np.eye(2, dtype=complex),
-}
-
 SETTINGS = tuple(p + q for p in "XYZ" for q in "XYZ")
+# setting PQ is read the way ZZ is: from the state's II, IQ, PI and PQ Pauli
+# coefficients (index 4 p + q, digits I X Y Z = 0 1 2 3) put at II, IZ, ZI, ZZ
+_SETTING_READS = np.array([[0, q, 4 * p, 4 * p + q] for p in (1, 2, 3) for q in (1, 2, 3)])
 
 
 class BellVariant(str, Enum):
@@ -98,19 +94,6 @@ def bell_target(variant: BellVariant | str) -> tuple[np.ndarray, tuple[str, str]
 # simulation and reconstruction
 
 
-def _pair_marginal(rho: np.ndarray, positions: tuple[int, int], n: int) -> np.ndarray:
-    keep = list(positions)
-    drop = [i for i in range(n) if i not in keep]
-    t = rho.reshape((2,) * (2 * n))
-    # trace out dropped qubits pairwise, highest axis first
-    for q in sorted(drop, reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + (t.ndim // 2))
-        keep = [k - 1 if k > q else k for k in keep]
-    if keep[0] > keep[1]:
-        t = t.transpose(1, 0, 3, 2)
-    return t.reshape(4, 4)
-
-
 def simulate_prep(
     ops,
     noise: NoiseModel,
@@ -118,11 +101,15 @@ def simulate_prep(
     qubits: tuple[str, str],
 ) -> np.ndarray:
     """Run a preparation circuit on the full register and return the reduced
-    density matrix of the measured pair."""
+    density matrix of the measured pair: the register's Pauli coefficients
+    with I on every other qubit are the pair's."""
     runner = _CircuitRunner(noise, QUBIT_ORDER)
-    rho = runner.run(runner.initial_state(spam), [(op,) for op in ops])
-    positions = tuple(QUBIT_ORDER.index(q) for q in qubits)
-    return _pair_marginal(rho, positions, len(QUBIT_ORDER))
+    circuit = runner.encode([(op,) for op in ops])
+    paulis = runner.evolve(runner.initial_state(spam), [circuit])[:, 0]
+    n = len(QUBIT_ORDER)
+    first, second = (4 ** (n - 1 - QUBIT_ORDER.index(q)) for q in qubits)
+    pair = np.add.outer(np.arange(4) * first, np.arange(4) * second).ravel()
+    return from_pauli(paulis[pair])
 
 
 def _project_simplex(values: np.ndarray) -> np.ndarray:
@@ -185,7 +172,8 @@ def tomography_of_state(
 ) -> TomographyResult:
     """Reconstruct a given two-qubit state from the nine Pauli settings.
 
-    With exact=True the confusion-mixed outcome probabilities are used
+    Each setting's outcome probabilities come from the state's Pauli
+    coefficients.  With exact=True the confusion-mixed probabilities are used
     directly (the infinite-shot limit); otherwise each setting is sampled
     multinomially through spam_apply.
     """
@@ -194,28 +182,27 @@ def tomography_of_state(
     if not exact and shots_per_setting < 100:
         raise ValueError("need at least 100 shots per setting")
     rng = rng if rng is not None else RngHandle(seed=0)
+    confusion = spam.confusion(qubits)
+    coefficients = np.zeros((16, len(SETTINGS)))
+    coefficients[[0, 3, 12, 15]] = to_pauli(rho2)[_SETTING_READS].T  # II IZ ZI ZZ
     signs = np.array([1.0, -1.0])
     two_q: dict[str, float] = {}
     singles: dict[str, list[float]] = {}
-    for setting in SETTINGS:
-        u = np.kron(_BASIS_ROTATION[setting[0]], _BASIS_ROTATION[setting[1]])
-        probs = np.real(np.diag(u @ rho2 @ u.conj().T))
+    for setting, probs in zip(SETTINGS, pauli_populations(coefficients).T):
         if exact:
-            freq = spam.confusion(qubits) @ np.clip(probs, 0.0, None)
+            freq = confusion @ np.clip(probs, 0.0, None)
             freq /= freq.sum()
         else:
             gen = rng.stream("tomo", setting).generator()
-            freq = spam_apply(probs, spam, qubits, gen, shots_per_setting)
+            freq = spam_apply(probs, confusion, gen, shots_per_setting)
         grid = freq.reshape(2, 2)
         two_q[setting] = float(signs @ grid @ signs)
         singles.setdefault(setting[0] + "I", []).append(float(signs @ grid.sum(axis=1)))
         singles.setdefault("I" + setting[1], []).append(float(signs @ grid.sum(axis=0)))
     expectations = dict(two_q)
     expectations.update({k: float(np.mean(v)) for k, v in singles.items()})
-    estimate = np.eye(4, dtype=complex)
-    for label, value in expectations.items():
-        estimate += value * np.kron(_PAULI[label[0].lower()], _PAULI[label[1].lower()])
-    estimate /= 4.0
+    measured = {"II": 1.0, **expectations}
+    estimate = from_pauli(np.array([measured[p + q] for p in "IXYZ" for q in "IXYZ"]))
     return TomographyResult(
         density_matrix=project_to_state(estimate),
         expectations=expectations,

@@ -1,13 +1,29 @@
 """Computational-basis oracles the tests check the program against.
 
-The circuit executor works on Pauli vectors; these act on the density matrix
-itself, one channel on one qubit subset at a time, and average a channel's
-output fidelity over random pure states.
+The circuit executor and tomography work on Pauli vectors; these act on the
+density matrix itself: one channel on one qubit subset at a time, a channel's
+output fidelity averaged over random pure states, a partial trace taken axis
+by axis, and tomography settings measured by rotating each axis onto Z.
 """
+
+import math
 
 import numpy as np
 
 from lcoupler.channels import QuantumChannel
+
+# rotate the measured axis onto Z: u P u^dag = Z
+BASIS_ROTATION = {
+    "X": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2),
+    "Z": np.eye(2, dtype=complex),
+}
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.diag([1, -1]).astype(complex),
+}
 
 
 def apply_to_qubits(
@@ -50,3 +66,46 @@ def average_gate_fidelity_mc(
         ref = u @ psi
         total += float(np.real(ref.conj() @ out @ ref))
     return total / n_states
+
+
+def pair_marginal(rho: np.ndarray, positions: tuple[int, int], n: int) -> np.ndarray:
+    """Reduced state of the qubits at ``positions`` (in that order) of an
+    n-qubit density matrix, by tracing out the other qubits one at a time."""
+    keep = list(positions)
+    drop = [i for i in range(n) if i not in keep]
+    t = rho.reshape((2,) * (2 * n))
+    # trace out dropped qubits pairwise, highest axis first
+    for q in sorted(drop, reverse=True):
+        t = np.trace(t, axis1=q, axis2=q + (t.ndim // 2))
+        keep = [k - 1 if k > q else k for k in keep]
+    if keep[0] > keep[1]:
+        t = t.transpose(1, 0, 3, 2)
+    return t.reshape(4, 4)
+
+
+def setting_probabilities(rho2: np.ndarray, setting: str) -> np.ndarray:
+    """Outcome probabilities (00, 01, 10, 11) of a two-qubit Pauli setting
+    such as "XY": rotate each measured axis onto Z and read the diagonal."""
+    u = np.kron(BASIS_ROTATION[setting[0]], BASIS_ROTATION[setting[1]])
+    return np.real(np.diag(u @ rho2 @ u.conj().T))
+
+
+def linear_inversion(rho2: np.ndarray, confusion: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Infinite-shot expectations of the nine settings through ``confusion``
+    and the linear estimate (I + sum_P <P> P) / 4 built from Pauli matrices.
+
+    A single-qubit expectation such as "XI" is the mean over the settings
+    that measure X on the first qubit."""
+    signs = np.array([1.0, -1.0])
+    expectations, singles = {}, {}
+    for setting in (p + q for p in "XYZ" for q in "XYZ"):
+        freq = confusion @ np.clip(setting_probabilities(rho2, setting), 0.0, None)
+        grid = (freq / freq.sum()).reshape(2, 2)
+        expectations[setting] = signs @ grid @ signs
+        singles.setdefault(setting[0] + "I", []).append(signs @ grid.sum(axis=1))
+        singles.setdefault("I" + setting[1], []).append(signs @ grid.sum(axis=0))
+    expectations.update({k: float(np.mean(v)) for k, v in singles.items()})
+    estimate = np.eye(4, dtype=complex)
+    for label, value in expectations.items():
+        estimate += value * np.kron(_PAULI[label[0]], _PAULI[label[1]])
+    return expectations, estimate / 4.0

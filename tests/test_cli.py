@@ -183,6 +183,47 @@ class TestBellCommand:
         assert payload["optimized_fidelity"] == pytest.approx(1.0, abs=1e-6)
 
 
+class TestManifest:
+    """``main`` writes one ``run_manifest.json`` for every subcommand, after
+    the run has written everything it declares."""
+
+    RUNS = {
+        "sweep": ("sweep", "--method", "satd", "--g", "3e6:3e6:1", "--T", "5e-8:1e-7:2"),
+        "nb": ("nb", "--noiseless", "--lengths", "2,4,8", "--seeds", "2", "--shots", "100"),
+        "rb": (
+            "rb", "--noiseless", "--interleave", "remote-cnot",
+            "--lengths", "1,2,4", "--seeds", "2", "--shots", "100",
+        ),
+        "bell": ("bell", "--variant", "data-full", "--noiseless"),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_outputs_are_the_files_written_and_command_is_the_argv(self, tmp_path, name):
+        argv = [*self.RUNS[name], "--seed", "4", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        written = {p.name for p in tmp_path.iterdir()} - {"run_manifest.json"}
+        assert sorted(manifest["outputs"]) == sorted(written)
+        assert manifest["command"] == "lcoupler " + " ".join(argv)
+        assert manifest["rng_seed"] == 4
+
+    def test_usage_failure_leaves_no_manifest(self, tmp_path):
+        assert run(tmp_path, "nb", "--noiseless", "--lengths", "3,5") == 2
+        assert not (tmp_path / "run_manifest.json").exists()
+
+    def test_fit_failure_leaves_no_manifest(self, tmp_path, capsys, monkeypatch):
+        from lcoupler import cli
+        from lcoupler.benchmarking import FitError
+
+        def failing(*args, **kwargs):
+            raise FitError("decay fit did not converge")
+
+        monkeypatch.setattr(cli, "fit_exponential", failing)
+        assert run(tmp_path, *self.RUNS["nb"]) == 3
+        assert capsys.readouterr().err == "numerical failure: decay fit did not converge\n"
+        assert not (tmp_path / "run_manifest.json").exists()
+
+
 class TestSvgHelpers:
     def test_write_svg_rejects_non_svg_content(self, tmp_path):
         from lcoupler.svg import write_svg

@@ -1,8 +1,9 @@
-"""Package layout: every module has a caller.
+"""Package layout: every module has a caller and every import a use.
 
 A module counts as used when it is reachable from the package ``__init__``
 or from the console-script entry point by following imports between package
-modules.
+modules.  An imported name counts as used when the module reads it or lists
+it in ``__all__``.
 """
 
 import ast
@@ -38,3 +39,26 @@ def test_every_module_is_reachable_from_init_or_an_entry_point():
             if name in modules
         } - reached
     assert modules - reached == set()
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_every_imported_name_is_used():
+    unused = {p.stem: _unused_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in unused.items() if names} == {}

@@ -18,7 +18,11 @@
   diag(rho), and Clifford pulses and CZs as signed permutations.
 - The protocols' readout ``_ground`` against a marginal taken by reshaping
   the outcome distribution to one axis per qubit and summing the rest.
+- Tomography: a prepared pair's state against the partial trace of the
+  register's density matrix, for every ordered pair, and the exact-limit
+  reconstruction against settings measured by rotating each axis onto Z.
 """
+import itertools
 import math
 
 from functools import reduce
@@ -65,8 +69,9 @@ from lcoupler.cliffords import (
 )
 from lcoupler.config import load_config
 from lcoupler.rng import RngHandle
+from lcoupler.tomography import project_to_state, simulate_prep, tomography_of_state
 
-from oracles import apply_to_qubits
+from oracles import apply_to_qubits, linear_inversion, pair_marginal
 
 PROPERTY_SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -372,3 +377,38 @@ def test_ground_matches_reshaped_marginal(register, seed):
     kept = [order.index(q) for q in qubits]
     marginal = measured.reshape((2,) * n).sum(axis=tuple(k for k in range(n) if k not in kept))
     assert abs(_ground(measured, order, qubits) - marginal.flat[0]) < 1e-12
+
+
+# -- tomography --------------------------------------------------------------
+
+
+@PROPERTY_SETTINGS
+@given(
+    ops=st.lists(_OPS, min_size=1, max_size=8),
+    idle=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prepared_pair_is_the_partial_trace_of_the_register(ops, idle, seed):
+    noise = _device_noise(seed, idle)
+    gen = np.random.default_rng(seed)
+    spam = SpamModel({}, {q: float(gen.uniform(0.0, 0.5)) for q in QUBIT_ORDER})
+    runner = _CircuitRunner(noise, QUBIT_ORDER)
+    rho = runner.run(runner.initial_state(spam), [(op,) for op in ops])
+    for pair in itertools.permutations(QUBIT_ORDER, 2):
+        expected = pair_marginal(rho, tuple(QUBIT_ORDER.index(q) for q in pair), len(QUBIT_ORDER))
+        got = simulate_prep(ops, noise, spam, pair)
+        assert np.max(np.abs(got - expected)) < 1e-14, pair
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_exact_tomography_matches_rotated_settings(seed):
+    gen = np.random.default_rng(seed)
+    rho2 = _random_state(gen, 2)
+    pair = ("D1", "D2")
+    spam = SpamModel({q: float(gen.uniform(0.7, 1.0)) for q in pair}, {})
+    result = tomography_of_state(rho2, spam, pair, exact=True)
+    expectations, estimate = linear_inversion(rho2, spam.confusion(pair))
+    assert result.expectations.keys() == expectations.keys()
+    assert max(abs(result.expectations[k] - v) for k, v in expectations.items()) < 1e-12
+    assert np.max(np.abs(result.density_matrix - project_to_state(estimate))) < 1e-12
