@@ -57,6 +57,7 @@ from .cliffords import (
     CliffordElement,
     GateKind,
     GateOp,
+    Segment,
     data_block_unitary,
     half_transfer_op,
     invert_sequence,
@@ -426,10 +427,13 @@ class _CircuitRunner:
         return matrix
 
     def encode(self, segments) -> np.ndarray:
-        """A circuit's segment codes, compiling each segment the first time."""
+        """A circuit's segment codes, compiling each segment the first time.
+
+        A cliffords.Segment carries its key; any other op tuple has its key
+        computed here on every call."""
         codes = []
         for segment in segments:
-            key = tuple([op.key for op in segment])
+            key = (segment if isinstance(segment, Segment) else Segment(segment)).key
             code = self._codes.get(key)
             if code is None:
                 matrix = self._compiled_op(segment[0])
@@ -646,7 +650,7 @@ def run_two_qubit_rb(
             raise ValueError(f"sequence lengths must be >= 1, got {n}")
     inter_elem = None
     if interleave is not None:
-        ops = tuple(interleave)
+        ops = Segment(interleave)
         inter_elem = CliffordElement(
             index=-1,
             unitary=data_block_unitary(ops),

@@ -84,6 +84,18 @@ class GateOp:
         return (self.kind.value, self.targets, tuple(sorted(self.params.items())), self.duration_s)
 
 
+class Segment(tuple):
+    """A fixed op tuple that recurs across circuits, with its hashable
+    ``key`` (its ops' keys), computed once when the segment is built.  The
+    builders below are cached, so every element that runs a segment shares
+    one object and an executor looks it up without rebuilding the key."""
+
+    def __new__(cls, ops):
+        segment = super().__new__(cls, ops)
+        segment.key = tuple(op.key for op in segment)
+        return segment
+
+
 def sq_rot(qubit: str, axis: str, angle_rad: float, duration_s: float) -> GateOp:
     return GateOp(GateKind.SQ_ROT, (qubit,), {"axis": axis, "angle_rad": angle_rad}, duration_s)
 
@@ -211,7 +223,7 @@ def _single_qubit_table():
 
 
 @lru_cache(maxsize=None)
-def _sq_ops(desc, qubit: str, gate_time_s: float) -> tuple[GateOp, ...]:
+def _sq_ops(desc, qubit: str, gate_time_s: float) -> Segment:
     n_pulses, z_steps = desc
     ops: list[GateOp] = []
 
@@ -224,10 +236,10 @@ def _sq_ops(desc, qubit: str, gate_time_s: float) -> tuple[GateOp, ...]:
         ops.append(sq_rot(qubit, "x", np.pi / 2.0, gate_time_s))
         z(step)
     assert n_pulses == len(z_steps) - 1
-    return tuple(ops)
+    return Segment(ops)
 
 
-def _sq_segments(desc, qubit: str, gate_time_s: float) -> tuple[tuple[GateOp, ...], ...]:
+def _sq_segments(desc, qubit: str, gate_time_s: float) -> tuple[Segment, ...]:
     """One single-qubit element as segments: its op tuple, or none for the
     identity."""
     ops = _sq_ops(desc, qubit, gate_time_s)
@@ -245,7 +257,7 @@ class CliffordElement:
 
     index: int
     unitary: np.ndarray
-    segments: tuple[tuple[GateOp, ...], ...]
+    segments: tuple[Segment, ...]
     cnot_count: int = 0
 
     @property
@@ -372,34 +384,36 @@ def local_cnot(control: str, target: str, cfg: DeviceConfig) -> list[GateOp]:
 
 
 @lru_cache(maxsize=None)
-def transfer_step(emitter: str, receiver: str, duration_s: float) -> tuple[GateOp, GateOp]:
+def transfer_step(emitter: str, receiver: str, duration_s: float) -> Segment:
     """A circuit-level transfer: the move from emitter to receiver, then a
     virtual Z(pi) on the receiver that absorbs the dark-passage sign of the
     moved amplitude.  Every circuit that moves a state across the bus builds
     its transfers here, so a per-transfer frame correction belongs here too.
     """
-    return (transfer_op(f"{emitter}->{receiver}", duration_s), virtual_z(receiver, np.pi))
+    return Segment((transfer_op(f"{emitter}->{receiver}", duration_s), virtual_z(receiver, np.pi)))
 
 
 @lru_cache(maxsize=None)
 def _remote_cnot(
     control: str, target: str, sq_time_s: float, cz_near_s: float, cz_far_s: float,
     transfer_s: float,
-) -> tuple[GateOp, ...]:
+) -> Segment:
     l_near, l_far = ADJACENT_L[control], ADJACENT_L[target]
     near = _local_cnot(control, l_near, sq_time_s, cz_near_s)
-    return (
-        *near,
-        *transfer_step(l_near, l_far, transfer_s),
-        *_local_cnot(l_far, target, sq_time_s, cz_far_s),
-        *transfer_step(l_far, l_near, transfer_s),
-        *near,
+    return Segment(
+        (
+            *near,
+            *transfer_step(l_near, l_far, transfer_s),
+            *_local_cnot(l_far, target, sq_time_s, cz_far_s),
+            *transfer_step(l_far, l_near, transfer_s),
+            *near,
+        )
     )
 
 
 def compile_remote_cnot(
     control: str = "D1", target: str = "D2", cfg: DeviceConfig | None = None
-) -> list[GateOp]:
+) -> Segment:
     """Abstract CNOT(control -> target) between the data qubits.
 
     Copy the control onto the near l-qubit with a ``local_cnot``, move it
@@ -411,21 +425,20 @@ def compile_remote_cnot(
     frame correction: it runs each transfer as the noise model's channel and
     nothing else.  Tracking the time-dependent mismatch phase is the
     ROADMAP's frame-tracking item.  The ops are built once per set of gate
-    times and shared by every caller.
+    times, as one Segment shared by every caller and every two-qubit
+    element that runs them.
     """
     cfg = cfg if cfg is not None else load_config()
     if {control, target} != set(DATA_QUBITS):
         raise ValueError("control and target must be the two data qubits")
     l_near, l_far = ADJACENT_L[control], ADJACENT_L[target]
-    return list(
-        _remote_cnot(
-            control,
-            target,
-            cfg.single_qubit_gate_time_s,
-            cfg.cz_for(control, l_near).duration_s,
-            cfg.cz_for(l_far, target).duration_s,
-            cfg.transfer.total_duration_s,
-        )
+    return _remote_cnot(
+        control,
+        target,
+        cfg.single_qubit_gate_time_s,
+        cfg.cz_for(control, l_near).duration_s,
+        cfg.cz_for(l_far, target).duration_s,
+        cfg.transfer.total_duration_s,
     )
 
 
@@ -462,9 +475,9 @@ def two_qubit_clifford(index: int, cfg: DeviceConfig | None = None) -> CliffordE
     def sq(desc, qubit):
         return _sq_segments(desc, qubit, cfg.single_qubit_gate_time_s)
 
-    cnot_fwd = (tuple(compile_remote_cnot(d1, d2, cfg)),) if class_id >= 1 else ()
-    cnot_rev = (tuple(compile_remote_cnot(d2, d1, cfg)),) if class_id >= 2 else ()
-    segments: tuple[tuple[GateOp, ...], ...] = ()
+    cnot_fwd = (compile_remote_cnot(d1, d2, cfg),) if class_id >= 1 else ()
+    cnot_rev = (compile_remote_cnot(d2, d1, cfg),) if class_id >= 2 else ()
+    segments: tuple[Segment, ...] = ()
     if class_id in (1, 2):
         # S3 = {identity, E, E.E}: zero, one or two copies of the cycler
         segments += sq(_CYCLER_DESC, d1) * s1 + sq(_CYCLER_DESC, d2) * s2

@@ -504,21 +504,39 @@ def _time_ordered_product(u: np.ndarray) -> np.ndarray:
     return u[0]
 
 
-def _lawson_step(rho, first, second, h: float, jump) -> np.ndarray:
+def _stacked_jump(superop: sparse.csr_matrix, d: int, batch: int) -> sparse.csr_matrix:
+    """The jump superoperator of CollapseSet.split re-indexed to the flat
+    index of _propagate's stacked layout x[r, b, c] = m_b[r, c]: entry
+    (r d + c, s d + e) lands at (r B d + b d + c, s B d + b d + e) for each
+    of the B = batch matrices, so one sparse product jumps them all."""
+    entries = superop.tocoo()
+
+    def place(vec):
+        return (vec // d * batch * d + vec % d)[None, :] + d * np.arange(batch)[:, None]
+
+    n = d * batch * d
+    data = np.broadcast_to(entries.data, (batch, entries.nnz))
+    rows, cols = place(entries.row), place(entries.col)
+    return sparse.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+
+
+def _lawson_step(x, first, second, h: float, jump) -> np.ndarray:
     """One RK4 step of length h in the interaction picture of the no-jump
-    evolution.  first and second are the (propagator, adjoint) pairs of its
-    half steps; each conjugates one stacked pair of matrices."""
+    evolution, on the stacked layout x[r, b, c] = m_b[r, c] of _propagate.
+    first and second are the (propagator, adjoint) pairs of its half steps.
+    Each conjugation u m_b u^dag of all B matrices is two GEMMs: u times the
+    d x (B d) rows of x, then the (d B) x d result times u^dag."""
+    d = len(x)
 
     def propagate(pair, m):
         u, u_dag = pair
-        return u @ m @ u_dag
+        return ((u @ m.reshape(d, -1)).reshape(-1, d) @ u_dag).reshape(m.shape)
 
-    mid, k1 = propagate(first, np.stack([rho, jump(rho)]))
+    mid, k1 = propagate(first, x), propagate(first, jump(x))
     k2 = jump(mid + 0.5 * h * k1)
     k3 = jump(mid + 0.5 * h * k2)
-    end, out = propagate(
-        second, np.stack([mid + h * k3, mid + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3)])
-    )
+    end = propagate(second, mid + h * k3)
+    out = propagate(second, mid + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3))
     return out + (h / 6.0) * jump(end)
 
 
@@ -531,7 +549,11 @@ def _propagate(
     tol bounds the remainder estimate of every sample interval (see
     _substep_counts).  Without collapse operators the piece propagators are
     multiplied into one, pairwise within each batch, which is then applied
-    once.
+    once.  With them, the B matrices of the stack are held for the whole
+    propagation in one array x[r, b, c] = m_b[r, c] of shape (d, B, d),
+    transposed once on the way in and once on the way out, so that every
+    Lawson step conjugates all of them in two GEMMs and jumps them in one
+    sparse product on x's flat index.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -543,14 +565,17 @@ def _propagate(
     a0 = -2j * math.pi * model.static_hz - 0.5 * decay
     if collapse.operators:
         jump_rate = float(abs(superop).sum(axis=1).max())
+        x = np.ascontiguousarray(y.reshape(-1, d, d).transpose(1, 0, 2))
+        stacked = _stacked_jump(superop, d, x.shape[1])
 
         def jump(m):
-            return (superop @ m.reshape(-1, d * d).T).T.reshape(m.shape)
+            return (stacked @ m.ravel()).reshape(m.shape)
 
         for lengths, props in _piece_propagators(model, a0, tol, jump_rate, split=2):
             pairs = list(zip(props, props.conj().transpose(0, 2, 1)))
             for k in range(0, len(pairs), 2):
-                y = _lawson_step(y, pairs[k], pairs[k + 1], 2.0 * lengths[k], jump)
+                x = _lawson_step(x, pairs[k], pairs[k + 1], 2.0 * lengths[k], jump)
+        y = x.transpose(1, 0, 2).reshape(y.shape)
     else:
         total = np.eye(d, dtype=complex)
         for _, props in _piece_propagators(model, a0, tol, 0.0, split=1):

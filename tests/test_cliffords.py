@@ -92,8 +92,8 @@ def oracle_two_qubit_ops(index, cfg):
     def sq(desc, qubit):
         return list(_sq_ops(desc, qubit, t))
 
-    fwd = compile_remote_cnot("D1", "D2", cfg)
-    rev = compile_remote_cnot("D2", "D1", cfg)
+    fwd = list(compile_remote_cnot("D1", "D2", cfg))
+    rev = list(compile_remote_cnot("D2", "D1", cfg))
     ops = []
     if class_id in (1, 2):
         ops += sq(_CYCLER_DESC, "D1") * s1 + sq(_CYCLER_DESC, "D2") * s2

@@ -191,11 +191,21 @@ def test_sweep_cells_match_reference(method, g_hz):
         assert np.max(np.abs(psi - reference)) < AGREEMENT
 
 
-@pytest.mark.parametrize("lossy", [False, True])
-@pytest.mark.parametrize("reverse", [False, True])
-def test_pair_extraction_matches_reference(lossy, reverse):
+@pytest.mark.parametrize(
+    "overrides, lossy, reverse",
+    [
+        *(
+            pytest.param(ONE_MODE, lossy, reverse, id=f"{reverse}-{lossy}")
+            for lossy in (False, True)
+            for reverse in (False, True)
+        ),
+        # the default 5-mode device (d = 34) that every CLI run extracts
+        pytest.param({}, True, False, id="5modes-lossy-forward"),
+    ],
+)
+def test_pair_extraction_matches_reference(overrides, lossy, reverse):
     # 10 propagated inputs and 6 adjoints against 16 propagated inputs
-    cfg = load_config(ONE_MODE)
+    cfg = load_config(overrides)
     sched = build_transfer_schedule(cfg)
     if reverse:
         sched = reverse_schedule(sched)
