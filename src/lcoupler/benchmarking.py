@@ -427,19 +427,16 @@ class _CircuitRunner:
         return matrix
 
     def encode(self, segments) -> np.ndarray:
-        """A circuit's segment codes, compiling each segment the first time.
-
-        A cliffords.Segment carries its key; any other op tuple has its key
-        computed here on every call."""
+        """A circuit's segment codes, compiling each segment the first time;
+        the segments are cliffords.Segment, which carry their keys."""
         codes = []
         for segment in segments:
-            key = (segment if isinstance(segment, Segment) else Segment(segment)).key
-            code = self._codes.get(key)
+            code = self._codes.get(segment.key)
             if code is None:
                 matrix = self._compiled_op(segment[0])
                 for op in segment[1:]:
                     matrix = self._compiled_op(op) @ matrix
-                code = self._codes[key] = len(self._segments)
+                code = self._codes[segment.key] = len(self._segments)
                 self._segments.append(matrix)
             codes.append(code)
         return np.array(codes, dtype=np.int32)

@@ -64,41 +64,26 @@ def _exchange_operator(
     basis: list[BasisLabel], qubit_site: int, mode_sites: list[int], signs: list[float]
 ) -> np.ndarray:
     """sum_m s_m (sigma+_q a_m + h.c.), unit coupling."""
-    index = basis_index(basis)
-    d = len(basis)
-    op = np.zeros((d, d), dtype=complex)
-    for j, label in enumerate(basis):
-        occ = label.occupations
-        if occ[qubit_site] != 0:
-            continue
-        for m_site, s in zip(mode_sites, signs):
-            n = occ[m_site]
-            if n == 0:
-                continue
-            raised = list(occ)
-            raised[qubit_site] = 1
-            raised[m_site] = n - 1
-            i = index[tuple(raised)]
-            op[i, j] += s * math.sqrt(n)
+    modes = sum(s * _lowering_operator(basis, site) for site, s in zip(mode_sites, signs))
+    op = _lowering_operator(basis, qubit_site).conj().T @ modes
     return op + op.conj().T
 
 
 @dataclass
 class HamiltonianModel:
-    """H(t)/h on the chain basis, split into static and driven parts.
+    """H(t)/h on the chain basis: static_hz plus the controls times parts.
 
-    matrix_at returns Hz; the equation of motion applies the 2*pi.  The _e
-    operators belong to the schedule's g_e/det_e columns (the L1 end of the
-    chain), the _r operators to g_r/det_r (the L2 end); emitter_site and
-    receiver_site resolve the schedule's role labels to chain sites.
+    parts stacks the operators the controls multiply, shape (4, d, d), in
+    control_samples order: the exchange of the L1 end of the chain (the
+    schedule's g_e column), that of the L2 end (g_r), then the L1 and L2
+    qubit numbers (det_e, det_r).  matrix_at returns Hz; the equation of
+    motion applies the 2*pi.  emitter_site and receiver_site resolve the
+    schedule's role labels to chain sites.
     """
 
     basis: list[BasisLabel]
     static_hz: np.ndarray
-    coupling_e: np.ndarray
-    coupling_r: np.ndarray
-    number_e: np.ndarray
-    number_r: np.ndarray
+    parts: np.ndarray
     schedule: PulseSchedule
     emitter_site: int
     receiver_site: int
@@ -107,33 +92,16 @@ class HamiltonianModel:
     def dim(self) -> int:
         return len(self.basis)
 
-    def controls_at(self, t_s: float | np.ndarray) -> tuple:
-        s = self.schedule
-        return (
-            np.interp(t_s, s.times_s, s.g_e_hz),
-            np.interp(t_s, s.times_s, s.g_r_hz),
-            np.interp(t_s, s.times_s, s.det_e_hz),
-            np.interp(t_s, s.times_s, s.det_r_hz),
-        )
-
     def control_samples(self) -> np.ndarray:
         """Control samples (g_e, g_r, det_e, det_r) in Hz, shape (n_times, 4)."""
         s = self.schedule
         return np.stack([s.g_e_hz, s.g_r_hz, s.det_e_hz, s.det_r_hz], axis=1)
 
-    def control_parts(self) -> np.ndarray:
-        """The operators the controls multiply, in control_samples order."""
-        return np.stack([self.coupling_e, self.coupling_r, self.number_e, self.number_r])
-
     def matrix_at(self, t_s: float) -> np.ndarray:
-        g_e, g_r, det_e, det_r = self.controls_at(t_s)
-        return (
-            self.static_hz
-            + g_e * self.coupling_e
-            + g_r * self.coupling_r
-            + det_e * self.number_e
-            + det_r * self.number_r
-        )
+        s = self.schedule
+        columns = (s.g_e_hz, s.g_r_hz, s.det_e_hz, s.det_r_hz)  # control_samples order
+        controls = [np.interp(t_s, s.times_s, column) for column in columns]
+        return sum((c * part for c, part in zip(controls, self.parts)), self.static_hz)
 
 
 def build_hamiltonian(
@@ -175,19 +143,18 @@ def build_hamiltonian(
         signs = [mode_sign(m, cfg.cpw.target_mode_index, end) for m in indices]
         return _exchange_operator(basis, site, mode_sites, signs)
 
+    ends = (l1_site, l2_site)
+    parts = [exchange(site) for site in ends] + [_number_operator(basis, site) for site in ends]
     model = HamiltonianModel(
         basis=basis,
         static_hz=static,
-        coupling_e=exchange(l1_site),
-        coupling_r=exchange(l2_site),
-        number_e=_number_operator(basis, l1_site),
-        number_r=_number_operator(basis, l2_site),
+        parts=np.stack(parts),
         schedule=schedule,
         emitter_site=e_site,
         receiver_site=r_site,
     )
     # the controls are real, so hermitian parts make H(t) hermitian at every t
-    for part in (model.static_hz, *model.control_parts()):
+    for part in (model.static_hz, *model.parts):
         if not np.allclose(part, part.conj().T, atol=1e-9):
             raise ValueError("Hamiltonian part is not hermitian")
     return model
@@ -195,13 +162,10 @@ def build_hamiltonian(
 
 @dataclass
 class CollapseSet:
-    """Lindblad operators with rates folded in (units 1/sqrt(s))."""
+    """Lindblad operators with rates folded in (units 1/sqrt(s)); CollapseSet()
+    is the lossless chain."""
 
     operators: list[np.ndarray] = field(default_factory=list)
-
-    @classmethod
-    def lossless(cls) -> "CollapseSet":
-        return cls([])
 
     @classmethod
     def from_config(cls, cfg: DeviceConfig, basis: list[BasisLabel]) -> "CollapseSet":
@@ -468,7 +432,7 @@ def _piece_propagators(model: HamiltonianModel, a0, tol: float, jump_rate: float
     _bracket product.
     """
     ctrl = model.control_samples()
-    parts = -2j * math.pi * model.control_parts()
+    parts = -2j * math.pi * model.parts
     h = np.diff(model.schedule.times_s)
     lo, slope = ctrl[:-1], np.diff(ctrl, axis=0)
     blocks = _sector_blocks(a0, parts)
@@ -541,10 +505,13 @@ def _lawson_step(x, first, second, h: float, jump) -> np.ndarray:
 
 
 def _propagate(
-    model: HamiltonianModel, collapse: CollapseSet, y0: np.ndarray, tol: float, pure: bool
+    model: HamiltonianModel, collapse: CollapseSet, y0: np.ndarray, tol: float
 ) -> np.ndarray:
-    """The one propagation routine: y(T) for a state vector (pure) or for a
-    (stack of) d x d matrices under the Lindblad generator.
+    """The one propagation routine: y(T) for a state vector (y0.ndim == 1)
+    under the Schrodinger equation, or for a d x d matrix or a stack of them
+    (..., d, d) under the Lindblad generator; stacked matrices share every
+    propagator, which channel extraction leans on.  A state vector needs the
+    lossless chain, CollapseSet().
 
     tol bounds the remainder estimate of every sample interval (see
     _substep_counts).  Without collapse operators the piece propagators are
@@ -558,6 +525,8 @@ def _propagate(
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     y = np.array(y0, dtype=complex)
+    if y.ndim == 1 and collapse.operators:
+        raise ValueError("a state vector cannot be propagated with collapse operators")
     if model.schedule.duration_s <= 0.0:
         return y
     d = model.dim
@@ -580,43 +549,24 @@ def _propagate(
         total = np.eye(d, dtype=complex)
         for _, props in _piece_propagators(model, a0, tol, 0.0, split=1):
             total = _time_ordered_product(props) @ total
-        y = total @ y if pure else total @ y @ total.conj().T
+        y = total @ y if y.ndim == 1 else total @ y @ total.conj().T
     if not np.all(np.isfinite(y)):
         raise RuntimeError("propagation produced non-finite values")
     return y
 
 
-def _integrate_matrix(
-    model: HamiltonianModel,
-    collapse: CollapseSet,
-    m0: np.ndarray,
-    tol: float,
-) -> np.ndarray:
-    """Propagate matrices under the (linear) Lindblad generator.
-
-    m0 may be a single d x d matrix or a stack (..., d, d); stacked inputs
-    share every propagator, which channel extraction leans on.
-    """
-    return _propagate(model, collapse, m0, tol, pure=False)
-
-
-def _integrate_state(model: HamiltonianModel, psi0: np.ndarray, tol: float) -> np.ndarray:
-    """Schrodinger fast path for pure lossless evolution."""
-    return _propagate(model, CollapseSet.lossless(), psi0, tol, pure=True)
-
-
 def evolve(
     model: HamiltonianModel,
-    collapse: CollapseSet | None,
+    collapse: CollapseSet,
     rho0: DensityOperator,
     tol: float = 1e-9,
 ) -> DensityOperator:
-    """Integrate the master equation over the model's schedule."""
+    """Integrate the master equation over the model's schedule; CollapseSet()
+    for the lossless chain."""
     if list(rho0.basis) != list(model.basis):
         raise ValueError("state basis does not match the Hamiltonian basis")
     rho0.validate()
-    collapse = collapse or CollapseSet.lossless()
-    final = _integrate_matrix(model, collapse, rho0.matrix, tol)
+    final = _propagate(model, collapse, rho0.matrix, tol)
     out = DensityOperator(final, model.basis)
     out.validate(trace_tol=1e-9, eig_floor=-1e-8)
     return out
@@ -683,7 +633,7 @@ def simulate_transfer(
     else:
         psi0 = np.zeros(model.dim, dtype=complex)
         psi0[start] = 1.0
-        psi = _integrate_state(model, psi0, tol)
+        psi = _propagate(model, CollapseSet(), psi0, tol)
         final = DensityOperator.from_pure(psi, model.basis)
 
     pop_e, pop_r, pop_other = _populations(final, model.emitter_site, model.receiver_site)
@@ -822,7 +772,7 @@ def extract_channel(
     virtual Z on each qubit.
     """
     model = build_hamiltonian(cfg, schedule, 2)
-    collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet.lossless()
+    collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet()
     occ = np.array([label.occupations for label in model.basis])
     modes = occ[:, 1:-1]
     mode_total = modes.sum(axis=1)
@@ -831,7 +781,7 @@ def extract_channel(
     inputs = bits * (mode_total == 0)
     rows, cols = np.triu_indices(4)
     stack = inputs[rows, :, None] * inputs[cols, None, :]
-    upper = _integrate_matrix(model, collapse, stack, tol)
+    upper = _propagate(model, collapse, stack, tol)
     finals = np.empty((4, 4, model.dim, model.dim), dtype=complex)
     finals[cols, rows] = upper.conj().transpose(0, 2, 1)
     finals[rows, cols] = upper  # last, so the populations are the propagated ones

@@ -32,17 +32,10 @@ FULL_TRANSFER_ANGLE = math.pi / 2
 HALF_TRANSFER_ANGLE = math.pi / 4
 
 
-def theta(t, duration: float, theta_max: float = FULL_TRANSFER_ANGLE):
-    """Quintic smoothstep mixing angle: flat first and second derivatives at
-    both ends."""
-    x = np.asarray(t, dtype=float) / duration
-    s = 6 * x**5 - 15 * x**4 + 10 * x**3
-    return theta_max * s
-
-
 def theta_derivatives(t, duration: float, theta_max: float = FULL_TRANSFER_ANGLE):
-    """(theta, dtheta/dt, d2theta/dt2) of the quintic sweep, in rad, rad/s,
-    rad/s^2."""
+    """(theta, dtheta/dt, d2theta/dt2) of the quintic smoothstep mixing
+    angle, in rad, rad/s, rad/s^2: flat first and second derivatives at
+    both ends."""
     x = np.asarray(t, dtype=float) / duration
     s = 6 * x**5 - 15 * x**4 + 10 * x**3
     s1 = 30 * x**4 - 60 * x**3 + 30 * x**2

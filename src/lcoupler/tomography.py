@@ -24,6 +24,7 @@ from .channels import from_pauli, pauli_populations, to_pauli
 from .cliffords import (
     QUBIT_ORDER,
     GateOp,
+    Segment,
     half_transfer_op,
     local_cnot,
     sq_rot,
@@ -104,7 +105,7 @@ def simulate_prep(
     density matrix of the measured pair: the register's Pauli coefficients
     with I on every other qubit are the pair's."""
     runner = _CircuitRunner(noise, QUBIT_ORDER)
-    circuit = runner.encode([(op,) for op in ops])
+    circuit = runner.encode([Segment((op,)) for op in ops])
     paulis = runner.evolve(runner.initial_state(spam), [circuit])[:, 0]
     n = len(QUBIT_ORDER)
     first, second = (4 ** (n - 1 - QUBIT_ORDER.index(q)) for q in qubits)
@@ -229,22 +230,14 @@ def state_tomography(
 # fidelities
 
 
-def state_fidelity(rho: np.ndarray, sigma_pure: np.ndarray) -> float:
-    """Overlap <psi|rho|psi> with a pure target given as a statevector or a
-    rank-one projector."""
+def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
+    """Overlap <psi|rho|psi> with a pure target given as a statevector."""
     rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma_pure, dtype=complex)
-    if sigma.ndim == 1:
-        if sigma.shape[0] != rho.shape[0]:
-            raise ValueError("state dimensions differ")
-        psi = sigma / np.linalg.norm(sigma)
-        return float(np.real(np.vdot(psi, rho @ psi)))
-    if sigma.shape != rho.shape:
-        raise ValueError("state dimensions differ")
-    purity = np.real(np.trace(sigma @ sigma))
-    if abs(purity - 1.0) > 1e-6:
-        raise ValueError("target is not a pure-state projector")
-    return float(np.real(np.trace(rho @ sigma)))
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != rho.shape[:1]:
+        raise ValueError("target must be a statevector of the state's dimension")
+    psi = psi / np.linalg.norm(psi)
+    return float(np.real(np.vdot(psi, rho @ psi)))
 
 
 def optimize_bell_phases(

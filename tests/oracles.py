@@ -3,13 +3,16 @@
 The circuit executor and tomography work on Pauli vectors; these act on the
 density matrix itself: one channel on one qubit subset at a time, a channel's
 output fidelity averaged over random pure states, a partial trace taken axis
-by axis, and tomography settings measured by rotating each axis onto Z.
+by axis, and tomography settings measured by rotating each axis onto Z.  The
+chain's qubit-mode exchange is built label by label, apart from the products
+of lowering operators the dynamics use.
 """
 
 import math
 
 import numpy as np
 
+from lcoupler.basis import BasisLabel, basis_index
 from lcoupler.channels import QuantumChannel
 
 # rotate the measured axis onto Z: u P u^dag = Z
@@ -109,3 +112,28 @@ def linear_inversion(rho2: np.ndarray, confusion: np.ndarray) -> tuple[dict, np.
     for label, value in expectations.items():
         estimate += value * np.kron(_PAULI[label[0]], _PAULI[label[1]])
     return expectations, estimate / 4.0
+
+
+def exchange_operator(
+    basis: list[BasisLabel], qubit_site: int, mode_sites: list[int], signs: list[float]
+) -> np.ndarray:
+    """sum_m s_m (sigma+_q a_m + h.c.), unit coupling, entry by entry: each
+    label with the qubit down and mode m occupied n times is raised on the
+    qubit and lowered on the mode with amplitude s_m sqrt(n)."""
+    index = basis_index(basis)
+    d = len(basis)
+    op = np.zeros((d, d), dtype=complex)
+    for j, label in enumerate(basis):
+        occ = label.occupations
+        if occ[qubit_site] != 0:
+            continue
+        for m_site, s in zip(mode_sites, signs):
+            n = occ[m_site]
+            if n == 0:
+                continue
+            raised = list(occ)
+            raised[qubit_site] = 1
+            raised[m_site] = n - 1
+            i = index[tuple(raised)]
+            op[i, j] += s * math.sqrt(n)
+    return op + op.conj().T

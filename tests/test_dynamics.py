@@ -9,7 +9,7 @@ from lcoupler.channels import ideal_transfer_unitary
 from lcoupler.config import default_config, load_config
 from lcoupler.dynamics import (
     CollapseSet,
-    _integrate_matrix,
+    _propagate,
     build_hamiltonian,
     evolve,
     extract_channel,
@@ -24,7 +24,7 @@ from lcoupler.pulses import (
     reverse_schedule,
 )
 
-from oracles import average_gate_fidelity_mc
+from oracles import average_gate_fidelity_mc, exchange_operator
 
 SINGLE_MODE = {
     "cpw": {"modes_retained": 1, "mode_frequencies_hz": [4.881e9], "mode_t1_s": [5.23e-6]}
@@ -79,10 +79,24 @@ class TestHamiltonian:
             occ = [0] * 7
             occ[pos + 1] = 1
             sign = (-1) ** (m - 50)
-            assert model.coupling_r[idx[tuple(recv_exc)], idx[tuple(occ)]] == sign
-            assert model.coupling_e[idx[tuple(emit_exc)], idx[tuple(occ)]] == 1.0
+            assert model.parts[1][idx[tuple(recv_exc)], idx[tuple(occ)]] == sign
+            assert model.parts[0][idx[tuple(emit_exc)], idx[tuple(occ)]] == 1.0
         assert mode_sign(49, 50, "L2") == -1.0
         assert mode_sign(49, 50, "L1") == 1.0
+
+    @pytest.mark.parametrize("modes", [1, 3, 5, 7])
+    @pytest.mark.parametrize("truncation", [1, 2])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_exchange_parts_match_entrywise_oracle(self, modes, truncation, reverse):
+        cfg = load_config({"cpw": {"modes_retained": modes}})
+        sched = build_transfer_schedule(cfg)
+        if reverse:
+            sched = reverse_schedule(sched)
+        model = build_hamiltonian(cfg, sched, truncation)
+        mode_sites = list(range(1, modes + 1))
+        for part, site, end in zip(model.parts[:2], (0, modes + 1), ("L1", "L2")):
+            signs = [mode_sign(m, cfg.cpw.target_mode_index, end) for m in cfg.mode_indices()]
+            assert np.array_equal(part, exchange_operator(model.basis, site, mode_sites, signs))
 
     def test_reversed_schedule_routes_emitter_waveform_to_l2(self):
         cfg = single_mode_config()
@@ -155,7 +169,7 @@ class TestEvolve:
         cfg = single_mode_config()
         model = build_hamiltonian(cfg, build_transfer_schedule(cfg))
         rho0 = DensityOperator.single_excitation(0, model.basis)
-        final = evolve(model, None, rho0)
+        final = evolve(model, CollapseSet(), rho0)
         purity = float(np.real(np.trace(final.matrix @ final.matrix)))
         assert abs(purity - 1.0) < 1e-8
         assert abs(final.trace() - 1.0) < 1e-9
@@ -184,7 +198,7 @@ class TestEvolve:
         other = build_hamiltonian(cfg, constant_coupling_schedule(1e6, 10e-9), truncation=2)
         rho0 = DensityOperator.single_excitation(0, other.basis)
         with pytest.raises(ValueError, match="basis"):
-            evolve(model, None, rho0)
+            evolve(model, CollapseSet(), rho0)
 
 
 class TestTransfer:
@@ -269,7 +283,7 @@ class TestTransfer:
         pops = []
         for truncation in (1, 2):
             model = build_hamiltonian(cfg, sched, truncation)
-            collapse = CollapseSet.from_config(cfg, model.basis) if lossy else None
+            collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet()
             final = evolve(model, collapse, DensityOperator.single_excitation(0, model.basis))
             diag = np.real(np.diag(final.matrix))
             pops.append({label.occupations: p for label, p in zip(model.basis, diag)})
@@ -374,7 +388,7 @@ class TestChannel:
         sched = build_transfer_schedule(cfg, TransferMethod.SATD)
         ch = extract_channel(cfg, sched, lossy=lossy, frame_correct=False)
         model = build_hamiltonian(cfg, sched, truncation=2)
-        collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet.lossless()
+        collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet()
         idx = basis_index(model.basis)
         vacuum = (0,) * modes
         comp = [idx[(a >> 1, *vacuum, a & 1)] for a in range(4)]
@@ -388,7 +402,7 @@ class TestChannel:
             for a in range(4):
                 for b in range(4):
                     embedded[k, comp[a], comp[b]] = rho[a, b]
-        finals = _integrate_matrix(model, collapse, embedded, 1e-9)
+        finals = _propagate(model, collapse, embedded, 1e-9)
         for k, rho in enumerate(inputs):
             reduced = np.zeros((4, 4), dtype=complex)
             for a in range(4):

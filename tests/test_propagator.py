@@ -23,8 +23,7 @@ from lcoupler.channels import superop_to_choi
 from lcoupler.config import default_config, load_config
 from lcoupler.dynamics import (
     CollapseSet,
-    _integrate_matrix,
-    _integrate_state,
+    _propagate,
     build_hamiltonian,
     extract_channel,
 )
@@ -71,7 +70,7 @@ def oracle_matrices(model, collapse, m0):
     for l in collapse.operators:
         ldl = l.conj().T @ l
         static = static + np.kron(l, l.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
-    parts = np.stack([hamiltonian(p) for p in model.control_parts()])
+    parts = np.stack([hamiltonian(p) for p in model.parts])
     s = model.schedule
     columns = [s.g_e_hz, s.g_r_hz, s.det_e_hz, s.det_r_hz]
     m0 = np.asarray(m0, dtype=complex)
@@ -105,7 +104,7 @@ def test_states_match_dop853_oracle(method, g_hz, sweep_s):
     model = build_hamiltonian(cfg, sched)
     psi0 = np.zeros(model.dim, dtype=complex)
     psi0[basis_index(model.basis)[(1, 0, 0, 0, 0, 0, 0)]] = 1.0
-    psi = _integrate_state(model, psi0, 1e-9)
+    psi = _propagate(model, CollapseSet(), psi0, 1e-9)
     assert np.max(np.abs(psi - oracle_state(model, psi0))) < AGREEMENT
 
 
@@ -118,7 +117,7 @@ def test_pair_superoperator_matches_dop853_oracle(lossy, monkeypatch):
     def oracle_integrate(model, collapse, m0, tol):
         return oracle_matrices(model, collapse, m0)
 
-    monkeypatch.setattr(dynamics, "_integrate_matrix", oracle_integrate)
+    monkeypatch.setattr(dynamics, "_propagate", oracle_integrate)
     reference = extract_channel(cfg, sched, lossy=lossy)
     assert np.max(np.abs(channel.superoperator - reference.superoperator)) < AGREEMENT
     assert np.max(np.abs(channel.leakage_in - reference.leakage_in)) < AGREEMENT
@@ -140,7 +139,7 @@ def test_tighter_tol_never_fewer_substeps():
     sched = build_transfer_schedule(cfg, "satd", 1e6, 50e-9, 121e-9)
     model = build_hamiltonian(cfg, sched)
     a0 = -2j * math.pi * model.static_hz
-    parts = -2j * math.pi * model.control_parts()
+    parts = -2j * math.pi * model.parts
     ctrl = model.control_samples()
     h = np.diff(sched.times_s)
     counts = [
@@ -155,14 +154,22 @@ def test_nonpositive_tol_rejected():
     cfg = load_config(SINGLE_MODE)
     model = build_hamiltonian(cfg, build_transfer_schedule(cfg))
     with pytest.raises(ValueError, match="tol"):
-        _integrate_state(model, np.eye(model.dim)[1], 0.0)
+        _propagate(model, CollapseSet(), np.eye(model.dim)[1], 0.0)
 
 
 def test_unreachable_tol_is_a_runtime_error():
     cfg = load_config(SINGLE_MODE)
     model = build_hamiltonian(cfg, build_transfer_schedule(cfg))
     with pytest.raises(RuntimeError, match="substeps"):
-        _integrate_state(model, np.eye(model.dim)[1], 1e-300)
+        _propagate(model, CollapseSet(), np.eye(model.dim)[1], 1e-300)
+
+
+def test_state_vector_under_loss_rejected():
+    cfg = load_config(SINGLE_MODE)
+    model = build_hamiltonian(cfg, build_transfer_schedule(cfg))
+    collapse = CollapseSet.from_config(cfg, model.basis)
+    with pytest.raises(ValueError, match="state vector"):
+        _propagate(model, collapse, np.eye(model.dim)[1], 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +231,7 @@ def test_lossless_propagation_keeps_the_norm(sched):
     cfg = load_config(SINGLE_MODE)
     model = build_hamiltonian(cfg, sched, truncation=2)
     psi0 = np.ones(model.dim, dtype=complex) / math.sqrt(model.dim)
-    psi = _integrate_state(model, psi0, 1e-9)
+    psi = _propagate(model, CollapseSet(), psi0, 1e-9)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
 
@@ -249,8 +256,8 @@ def test_split_schedule_composes(sched, data):
     model = build_hamiltonian(cfg, sched, truncation=2)
     collapse = CollapseSet.from_config(cfg, model.basis)
     basis = _operator_basis(model.dim)
-    whole = _integrate_matrix(model, collapse, basis, 1e-9)
+    whole = _propagate(model, collapse, basis, 1e-9)
     halves = basis
     for part in (_sub_schedule(sched, 0, cut), _sub_schedule(sched, cut, len(sched.times_s) - 1)):
-        halves = _integrate_matrix(build_hamiltonian(cfg, part, 2), collapse, halves, 1e-9)
+        halves = _propagate(build_hamiltonian(cfg, part, 2), collapse, halves, 1e-9)
     assert np.max(np.abs(whole - halves)) < 1e-10

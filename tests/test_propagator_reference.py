@@ -34,8 +34,7 @@ from lcoupler.dynamics import (
     _SERIES_RADIUS,
     CollapseSet,
     _bracket,
-    _integrate_matrix,
-    _integrate_state,
+    _propagate,
     _screen_bound,
     _sector_blocks,
     _substep_counts,
@@ -92,7 +91,7 @@ def reference_substep_counts(a0, parts, h, lo, slope, tol, jump_rate):
 def reference_pieces(model, a0, tol, jump_rate, split):
     times = model.schedule.times_s
     ctrl = model.control_samples()
-    parts = -2j * math.pi * model.control_parts()
+    parts = -2j * math.pi * model.parts
     for start in range(0, len(times) - 1, _CHUNK):
         stop = min(start + _CHUNK, len(times) - 1)
         h = times[start + 1 : stop + 1] - times[start:stop]
@@ -127,7 +126,7 @@ def reference_lawson_step(rho, u_first, u_second, h, jump):
     return propagate(u_second, mid + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3)) + (h / 6.0) * k4
 
 
-def reference_propagate(model, collapse, y0, tol, pure):
+def reference_propagate(model, collapse, y0, tol):
     y = np.array(y0, dtype=complex)
     d = model.dim
     decay, superop = collapse.split(d)
@@ -146,21 +145,21 @@ def reference_propagate(model, collapse, y0, tol, pure):
         for _, props in reference_pieces(model, a0, tol, 0.0, split=1):
             for u in props:
                 total = u @ total
-        y = total @ y if pure else total @ y @ total.conj().T
+        y = total @ y if y.ndim == 1 else total @ y @ total.conj().T
     return y
 
 
 def reference_extract_channel(cfg, schedule, lossy, tol=1e-9):
     """extract_channel with all 16 inputs propagated by the reference route."""
     model = build_hamiltonian(cfg, schedule, 2)
-    collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet.lossless()
+    collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet()
     occ = np.array([label.occupations for label in model.basis])
     modes = occ[:, 1:-1]
     mode_total = modes.sum(axis=1)
     bits = (2 * occ[:, 0] + occ[:, -1] == np.arange(4)[:, None]).astype(float)
     inputs = bits * (mode_total == 0)
     stack = np.einsum("ia,jb->ijab", inputs, inputs).reshape(16, model.dim, model.dim)
-    finals = reference_propagate(model, collapse, stack, tol, pure=False)
+    finals = reference_propagate(model, collapse, stack, tol)
     same_modes = np.all(modes[:, None, :] == modes[None, :, :], axis=2)
     superop = np.einsum("ia,nab,jb->ijn", bits, finals * same_modes, bits).reshape(16, 16)
     populations = np.diagonal(finals[::5], axis1=1, axis2=2)
@@ -186,8 +185,8 @@ def test_sweep_cells_match_reference(method, g_hz):
         model = build_hamiltonian(cfg, sched)
         psi0 = np.zeros(model.dim, dtype=complex)
         psi0[basis_index(model.basis)[(1, 0, 0, 0, 0, 0, 0)]] = 1.0
-        psi = _integrate_state(model, psi0, 1e-9)
-        reference = reference_propagate(model, CollapseSet.lossless(), psi0, 1e-9, pure=True)
+        psi = _propagate(model, CollapseSet(), psi0, 1e-9)
+        reference = reference_propagate(model, CollapseSet(), psi0, 1e-9)
         assert np.max(np.abs(psi - reference)) < AGREEMENT
 
 
@@ -221,7 +220,7 @@ def test_lossy_transfer_matches_reference():
     model = build_hamiltonian(cfg, build_transfer_schedule(cfg))
     collapse = CollapseSet.from_config(cfg, model.basis)
     rho0 = DensityOperator.single_excitation(model.emitter_site, model.basis).matrix
-    reference = reference_propagate(model, collapse, rho0, 1e-9, pure=False)
+    reference = reference_propagate(model, collapse, rho0, 1e-9)
     assert np.max(np.abs(result.final_state.matrix - reference)) < AGREEMENT
 
 
@@ -255,10 +254,10 @@ def test_operator_basis_matches_reference(sched, lossy):
     # diagonal (more excitations in the ket than in the bra) are populated too
     cfg = load_config(ONE_MODE)
     model = build_hamiltonian(cfg, sched, truncation=2)
-    collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet.lossless()
+    collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet()
     basis = np.eye(model.dim**2, dtype=complex).reshape(-1, model.dim, model.dim)
-    finals = _integrate_matrix(model, collapse, basis, 1e-9)
-    reference = reference_propagate(model, collapse, basis, 1e-9, pure=False)
+    finals = _propagate(model, collapse, basis, 1e-9)
+    reference = reference_propagate(model, collapse, basis, 1e-9)
     assert np.max(np.abs(finals - reference)) < AGREEMENT
 
 
@@ -273,7 +272,7 @@ def estimate_inputs(model, collapse):
     ctrl = model.control_samples()
     return (
         -2j * math.pi * model.static_hz - 0.5 * decay,
-        -2j * math.pi * model.control_parts(),
+        -2j * math.pi * model.parts,
         np.diff(model.schedule.times_s),
         ctrl[:-1],
         np.diff(ctrl, axis=0),
@@ -306,7 +305,7 @@ def test_screened_counts_match_reference_on_sweep_cells():
             for sweep_s in np.linspace(50e-9, 400e-9, 5):
                 sched = build_transfer_schedule(cfg, method, g_hz, sweep_s, sweep_s + ramps)
                 model = build_hamiltonian(cfg, sched)
-                counts.append(assert_counts_match_reference(model, CollapseSet.lossless()))
+                counts.append(assert_counts_match_reference(model, CollapseSet()))
     counts = np.concatenate(counts)
     assert len(counts) == 59_200 and 0 < np.count_nonzero(counts > 1) < len(counts)
 
@@ -320,7 +319,7 @@ def test_screened_counts_match_reference_on_pair_extraction(modes, lossy, revers
     if reverse:
         sched = reverse_schedule(sched)
     model = build_hamiltonian(cfg, sched, 2)
-    collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet.lossless()
+    collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet()
     assert_counts_match_reference(model, collapse)
 
 
@@ -335,7 +334,7 @@ def test_screened_counts_match_reference_on_random_schedules(sched, lossy, jump_
     # jump_rate None keeps the collapse set's own rate
     cfg = load_config(ONE_MODE)
     model = build_hamiltonian(cfg, sched, truncation=2)
-    collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet.lossless()
+    collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet()
     a0, parts, h, lo, slope, own_rate = estimate_inputs(model, collapse)
     rate = own_rate if jump_rate is None else jump_rate
     counts = _substep_counts(a0, parts, h, lo, slope, tol, rate)

@@ -55,6 +55,7 @@ from lcoupler.cliffords import (
     QUBIT_ORDER,
     TWO_QUBIT_GROUP_ORDER,
     GateKind,
+    Segment,
     cz_op,
     data_block_unitary,
     embed_unitary,
@@ -231,7 +232,7 @@ _OPS = st.one_of(
 )
 
 
-_SEGMENTS = st.lists(_OPS, min_size=1, max_size=4).map(tuple)
+_SEGMENTS = st.lists(_OPS, min_size=1, max_size=4).map(Segment)
 
 
 @PROPERTY_SETTINGS
@@ -250,7 +251,7 @@ def test_compiled_runner_matches_op_by_op_reference(segments, idle, seed):
     got = runner.run(runner.run(rho, segments), segments)
     expected = _reference_run(noise, QUBIT_ORDER, _reference_run(noise, QUBIT_ORDER, rho, ops), ops)
     assert np.max(np.abs(got - expected)) < 1e-12
-    one_op = runner.run(rho, [(op,) for op in ops])
+    one_op = runner.run(rho, [Segment((op,)) for op in ops])
     assert np.max(np.abs(one_op - _reference_run(noise, QUBIT_ORDER, rho, ops))) < 1e-12
 
 
@@ -393,7 +394,7 @@ def test_prepared_pair_is_the_partial_trace_of_the_register(ops, idle, seed):
     gen = np.random.default_rng(seed)
     spam = SpamModel({}, {q: float(gen.uniform(0.0, 0.5)) for q in QUBIT_ORDER})
     runner = _CircuitRunner(noise, QUBIT_ORDER)
-    rho = runner.run(runner.initial_state(spam), [(op,) for op in ops])
+    rho = runner.run(runner.initial_state(spam), [Segment((op,)) for op in ops])
     for pair in itertools.permutations(QUBIT_ORDER, 2):
         expected = pair_marginal(rho, tuple(QUBIT_ORDER.index(q) for q in pair), len(QUBIT_ORDER))
         got = simulate_prep(ops, noise, spam, pair)

@@ -12,7 +12,6 @@ from lcoupler.pulses import (
     reverse_schedule,
     satd_couplings,
     stirap_couplings,
-    theta,
     theta_derivatives,
 )
 
@@ -22,8 +21,8 @@ G = 3.5e6
 
 def test_theta_quintic_fixed_point():
     # 6 x^5 - 15 x^4 + 10 x^3 at x = 0.3 is 0.16308
-    assert theta(0.3 * T, T, 1.0) == pytest.approx(0.16308, abs=1e-12)
-    assert theta(0.3 * T, T) == pytest.approx(0.16308 * math.pi / 2, rel=1e-12)
+    assert theta_derivatives(0.3 * T, T, 1.0)[0] == pytest.approx(0.16308, abs=1e-12)
+    assert theta_derivatives(0.3 * T, T)[0] == pytest.approx(0.16308 * math.pi / 2, rel=1e-12)
 
 
 def test_theta_endpoints_and_monotonicity():
@@ -33,15 +32,16 @@ def test_theta_endpoints_and_monotonicity():
     assert thd0 == 0.0 and thdT == pytest.approx(0.0, abs=1e-20)
     assert thdd0 == 0.0 and thddT == pytest.approx(0.0, abs=1e-6)
     ts = np.linspace(0, T, 401)
-    assert np.all(np.diff(theta(ts, T)) >= 0)
+    assert np.all(np.diff(theta_derivatives(ts, T)[0]) >= 0)
 
 
 def test_theta_derivatives_match_finite_differences():
     ts = np.linspace(0.05 * T, 0.95 * T, 19)
     h = T * 1e-6
     _, thd, thdd = theta_derivatives(ts, T)
-    fd1 = (theta(ts + h, T) - theta(ts - h, T)) / (2 * h)
-    fd2 = (theta(ts + h, T) - 2 * theta(ts, T) + theta(ts - h, T)) / h**2
+    before, now, after = (theta_derivatives(x, T)[0] for x in (ts - h, ts, ts + h))
+    fd1 = (after - before) / (2 * h)
+    fd2 = (after - 2 * now + before) / h**2
     assert np.allclose(thd, fd1, rtol=1e-6)
     assert np.allclose(thdd, fd2, rtol=1e-3, atol=1e-3 * np.max(np.abs(thdd)))
 
@@ -64,7 +64,7 @@ def test_satd_boundaries_and_midpoint():
     assert grT == pytest.approx(0.0, abs=1e-6)
     # the angular acceleration vanishes mid-sweep, so the correction does too
     ge_m, gr_m = satd_couplings(0.5 * T, T, G)
-    th_m = theta(0.5 * T, T)
+    th_m = theta_derivatives(0.5 * T, T)[0]
     assert ge_m == pytest.approx(G * math.sin(th_m), rel=1e-12)
     assert gr_m == pytest.approx(G * math.cos(th_m), rel=1e-12)
 

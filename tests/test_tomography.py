@@ -94,17 +94,12 @@ class TestStateFidelity:
         rho = 0.9 * np.outer(psi, psi.conj()) + 0.1 * np.eye(4) / 4
         assert state_fidelity(rho, psi) == pytest.approx(0.925)
 
-    def test_accepts_projector_target(self):
-        psi = np.array([0.0, 1.0, 0.0, 0.0])
-        proj = np.outer(psi, psi.conj())
-        assert state_fidelity(proj, proj) == pytest.approx(1.0)
-
     def test_error_cases(self):
         psi = np.array([1.0, 0.0])
         with pytest.raises(ValueError):
             state_fidelity(np.eye(4) / 4, psi)
-        with pytest.raises(ValueError):
-            state_fidelity(np.eye(2) / 2, np.eye(2) / 2)  # mixed projector
+        with pytest.raises(ValueError, match="statevector"):
+            state_fidelity(np.eye(2) / 2, psi[:, None] * psi)  # a projector target
 
 
 class TestTomography:
