@@ -1,7 +1,8 @@
 """Randomized benchmarking of interconnect circuits at the density-matrix level.
 
 Two protocols share one noisy circuit executor and one sequence loop; each
-supplies only how it draws a sequence and which qubits its survival reads.
+supplies only its slot template, how it draws a sequence as template rows,
+and which qubits its survival reads.
 Circuit timing comes from the DeviceConfig, noise from the NoiseModel.
 
 Network benchmarking bounces a carrier qubit between the two l-qubits: each
@@ -54,17 +55,19 @@ from .cliffords import (
     QUBIT_ORDER,
     TRANSFER_DIRECTIONS,
     TWO_QUBIT_GROUP_ORDER,
-    CliffordElement,
+    TWO_QUBIT_SEGMENT_IDS,
     GateKind,
     GateOp,
     Segment,
+    SlotTemplate,
+    _two_qubit_matrices,
     data_block_unitary,
     half_transfer_op,
     invert_sequence,
     op_matrix,
     single_qubit_cliffords,
     transfer_step,
-    two_qubit_clifford,
+    two_qubit_template,
 )
 from .config import DeviceConfig, load_config, pure_dephasing_rate
 from .rng import RngHandle
@@ -350,8 +353,15 @@ class _CircuitRunner:
     remote CNOT 860), 23,256 in all, where the row-major vec basis needed
     94,935 complex ones (7,222 for a remote CNOT).  evolve runs a batch of
     circuits in lockstep, one sparse product per distinct segment at each
-    position.  Both caches live as long as the runner, which is one
-    protocol run or one tomography preparation.
+    position, and skips the code -1.  The protocols draw their circuits as
+    rows of a slot template (cliffords.SlotTemplate), with -1 for a hole,
+    so every column runs the same slot at the same position: a position
+    holds one code in a fixed slot (a remote CNOT, a cycler, a dressing, a
+    transfer step) and at most 23 in a single-qubit Clifford slot.  A
+    benchmark ``rb`` round (seed 3) makes 7,649 grouped products, where
+    circuits that drifted out of phase at every identity element made
+    20,128.  Both caches live as long as the runner, which is one protocol
+    run or one tomography preparation.
     """
 
     def __init__(self, noise: NoiseModel, qubit_order: tuple[str, ...]):
@@ -546,26 +556,37 @@ def _run_sequences(
     shots: int,
     stream: RngHandle,
     draw,
+    segment,
 ) -> list[RbRecord]:
     """One record per (length, seed) on the register ``order``.
 
-    ``draw(length, gen)`` returns a sequence's segments and the qubits whose
-    joint ground population is its survival.  Each (length, seed) pair has
-    its own named stream under ``stream``, whose one generator draws the
-    sequence and then the shots, so the dataset is reproducible record by
-    record, whatever else the batch holds.  Every sequence is drawn first;
-    the executor then runs them all as one batch.
+    ``draw(length, gen)`` returns a sequence as an int array of slot entries
+    (segment ids of the protocol's slot template, -1 for a hole) and the
+    qubits whose joint ground population is its survival; ``segment(id)``
+    builds the segment of an id.  Each (length, seed) pair has its own named
+    stream under ``stream``, whose one generator draws the sequence and then
+    the shots, so the dataset is reproducible record by record, whatever
+    else the batch holds.  Every sequence is drawn first.  Only the segment
+    ids the run uses are encoded, once each, so a transfer channel is still
+    extracted only when a drawn circuit runs it; one array lookup then turns
+    every sequence into segment codes, holes staying -1, and the executor
+    runs them all as one batch.
     """
     spam = spam if spam is not None else SpamModel.ideal(order)
     runner = _CircuitRunner(noise, order)
-    drawn, circuits = [], []
+    drawn, sequences = [], []
     for n in lengths:
         for seed in range(seeds_per_length):
             gen = stream.stream(n, seed).generator()
-            segments, survivors = draw(n, gen)
-            circuits.append(runner.encode(segments))
+            ids, survivors = draw(n, gen)
+            sequences.append(ids)
             drawn.append((n, seed, gen, survivors))
-    states = runner.evolve(runner.initial_state(spam), circuits)
+    used = np.unique(np.concatenate(sequences))
+    used = used[used >= 0]
+    # the last entry, past every used id, is where a hole (-1) looks up
+    codes = np.full(used.max(initial=-1) + 2, -1, dtype=np.int32)
+    codes[used] = runner.encode([segment(int(i)) for i in used])
+    states = runner.evolve(runner.initial_state(spam), [codes[ids] for ids in sequences])
     confusion = spam.confusion(order)
     records = []
     for (n, seed, gen, survivors), populations in zip(
@@ -575,6 +596,28 @@ def _run_sequences(
         ground = [_ground(measured, order, q) for q in (survivors, ("L1",), ("L2",))]
         records.append(RbRecord(n, seed, shots, *ground))
     return records
+
+
+def _nb_template(cfg: DeviceConfig) -> SlotTemplate:
+    """Network benchmarking's slot template: per step, the carrier's
+    single-qubit Clifford, then the transfer step to the other l-qubit.
+
+    Row 24 c + e is element e on carrier L_QUBIT_PAIR[c]; segment id 24 c + e
+    is that element's pulse train (e = 0, the identity, runs none) and
+    48 + c the transfer step away from carrier c.
+    """
+    sq_time, transfer_s = cfg.single_qubit_gate_time_s, cfg.transfer.total_duration_s
+    rows = np.arange(48)
+    slots = np.stack([np.where(rows % 24 != 0, rows, -1), 48 + rows // 24], axis=1)
+
+    def segment(segment_id: int) -> Segment:
+        if segment_id < 48:
+            carrier = L_QUBIT_PAIR[segment_id // 24]
+            return single_qubit_cliffords(carrier, sq_time)[segment_id % 24].segments[0]
+        emitter, receiver = L_QUBIT_PAIR if segment_id == 48 else L_QUBIT_PAIR[::-1]
+        return transfer_step(emitter, receiver, transfer_s)
+
+    return SlotTemplate(slots, segment)
 
 
 def run_network_benchmarking(
@@ -592,31 +635,37 @@ def run_network_benchmarking(
     train at the configured gate time, then a ``transfer_step`` of the
     configured transfer duration to the other l-qubit.  Sequence lengths
     must be even so the carrier ends where it started and a single local
-    Clifford can invert the composite.
+    Clifford can invert the composite.  A sequence is drawn as rows of the
+    NB slot template (``_nb_template``): one draw of all its elements, then
+    the inverse from their stacked matrices.
     """
     cfg = cfg if cfg is not None else load_config()
     rng = rng if rng is not None else RngHandle(seed=0)
     for n in lengths:
         if n < 2 or n % 2:
             raise ValueError(f"sequence lengths must be even and >= 2, got {n}")
-    sq_time, transfer_s = cfg.single_qubit_gate_time_s, cfg.transfer.total_duration_s
+    template = _nb_template(cfg)
+    unitaries = np.array([elem.unitary for elem in single_qubit_cliffords()])
 
     def draw(length, gen):
-        carrier, sequence, segments = "L1", [], []
-        for _ in range(length):
-            elements = single_qubit_cliffords(carrier, sq_time)
-            elem = elements[int(gen.integers(len(elements)))]
-            receiver = "L2" if carrier == "L1" else "L1"
-            sequence.append(elem)
-            segments += elem.segments
-            segments.append(transfer_step(carrier, receiver, transfer_s))
-            carrier = receiver
-        inverse = invert_sequence(sequence)
-        segments += single_qubit_cliffords(carrier, sq_time)[inverse.index].segments
-        return segments, (carrier,)
+        elements = gen.integers(len(unitaries), size=length)
+        carriers = np.arange(length) % 2
+        final = length % 2  # the carrier after the last transfer
+        inverse = invert_sequence(unitaries[elements])
+        steps = template.slots[24 * carriers + elements].ravel()
+        closing = template.slots[24 * final + inverse.index, 0]
+        return np.append(steps, closing), (L_QUBIT_PAIR[final],)
 
     records = _run_sequences(
-        noise, spam, L_QUBIT_PAIR, lengths, seeds_per_length, shots, rng.stream("nb"), draw
+        noise,
+        spam,
+        L_QUBIT_PAIR,
+        lengths,
+        seeds_per_length,
+        shots,
+        rng.stream("nb"),
+        draw,
+        template.segment,
     )
     return RbDataset("NB", records)
 
@@ -638,32 +687,37 @@ def run_two_qubit_rb(
     (e.g. a compiled remote CNOT) runs as one segment after each random
     element; it must act as a two-qubit Clifford on the data block, which
     data_block_unitary enforces, and the fitted decay is meant to be divided
-    by a reference run.
+    by a reference run.  A sequence is drawn as rows of the 13-slot
+    two-qubit template (``cliffords.two_qubit_template``), the interleaved
+    composite in a 14th slot: one draw of all its elements, one table
+    lookup, and the inverse from their stacked matrices.
     """
     cfg = cfg if cfg is not None else load_config()
     rng = rng if rng is not None else RngHandle(seed=0)
     for n in lengths:
         if n < 1:
             raise ValueError(f"sequence lengths must be >= 1, got {n}")
-    inter_elem = None
+    template = two_qubit_template(cfg)
+    segment = template.segment
     if interleave is not None:
         ops = Segment(interleave)
-        inter_elem = CliffordElement(
-            index=-1,
-            unitary=data_block_unitary(ops),
-            segments=(ops,) if ops else (),
-            cnot_count=0,
-        )
-    protocol = "INTERLEAVED" if inter_elem is not None else "TQRB"
+        inter_unitary = data_block_unitary(ops)
+        inter_id = TWO_QUBIT_SEGMENT_IDS if ops else -1
+
+        def segment(segment_id):
+            return ops if segment_id == inter_id else template.segment(segment_id)
+
+    protocol = "INTERLEAVED" if interleave is not None else "TQRB"
 
     def draw(length, gen):
-        sequence = []
-        for _ in range(length):
-            sequence.append(two_qubit_clifford(int(gen.integers(TWO_QUBIT_GROUP_ORDER)), cfg))
-            if inter_elem is not None:
-                sequence.append(inter_elem)
-        sequence.append(invert_sequence(sequence, cfg))
-        return [segment for elem in sequence for segment in elem.segments], DATA_QUBITS
+        indices = gen.integers(TWO_QUBIT_GROUP_ORDER, size=length)
+        rows, unitaries = template.slots[indices], _two_qubit_matrices(indices)
+        if interleave is not None:
+            rows = np.hstack([rows, np.full((length, 1), inter_id, dtype=rows.dtype)])
+            unitaries = np.stack([unitaries, np.broadcast_to(inter_unitary, unitaries.shape)], 1)
+            unitaries = unitaries.reshape(-1, 4, 4)
+        inverse = invert_sequence(unitaries, cfg)
+        return np.append(rows.ravel(), template.slots[inverse.index]), DATA_QUBITS
 
     records = _run_sequences(
         noise,
@@ -674,6 +728,7 @@ def run_two_qubit_rb(
         shots,
         rng.stream("tqrb", protocol),
         draw,
+        segment,
     )
     return RbDataset(protocol, records)
 

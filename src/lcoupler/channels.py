@@ -50,6 +50,15 @@ def superop_to_choi(superop: np.ndarray) -> np.ndarray:
     return t.transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
+def time_ordered_product(u: np.ndarray) -> np.ndarray:
+    """u[-1] @ ... @ u[1] @ u[0], multiplied pairwise: log2(len(u)) batched
+    products instead of one product per factor."""
+    while len(u) > 1:
+        paired = u[1::2] @ u[: len(u) - len(u) % 2 : 2]
+        u = np.concatenate([paired, u[-1:]]) if len(u) % 2 else paired
+    return u[0]
+
+
 @dataclass
 class QuantumChannel:
     """A completely positive map given by its superoperator."""

@@ -16,19 +16,23 @@ canonical form: 720 symplectic actions x 16 sign patterns = 11520 elements.
 An element's decomposition is a sequence of segments: fixed op tuples that
 recur across elements (one remote CNOT, one single-qubit Clifford on one
 qubit), built once and shared, so an executor can compile each segment once.
+The two-qubit slot template (``two_qubit_template``) is the one definition
+of their order: 13 slots, each holding one segment id or a hole, so that
+sequences drawn as id arrays stay aligned slot by slot.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from typing import NamedTuple
 
 import numpy as np
 
-from .channels import _PAULIS, ideal_transfer_unitary
+from .channels import _PAULIS, ideal_transfer_unitary, time_ordered_product
 from .config import DeviceConfig, load_config
 
 DATA_QUBITS = ("D1", "D2")
@@ -239,13 +243,6 @@ def _sq_ops(desc, qubit: str, gate_time_s: float) -> Segment:
     return Segment(ops)
 
 
-def _sq_segments(desc, qubit: str, gate_time_s: float) -> tuple[Segment, ...]:
-    """One single-qubit element as segments: its op tuple, or none for the
-    identity."""
-    ops = _sq_ops(desc, qubit, gate_time_s)
-    return (ops,) if ops else ()
-
-
 @dataclass(frozen=True, eq=False)
 class CliffordElement:
     """A group element and the device circuit that runs it.
@@ -271,10 +268,9 @@ def single_qubit_cliffords(
 ) -> tuple[CliffordElement, ...]:
     """All 24 elements; index 0 is the identity with an empty decomposition."""
     mats, descs, _ = _single_qubit_table()
-    return tuple(
-        CliffordElement(i, mats[i], _sq_segments(descs[i], qubit, gate_time_s))
-        for i in range(24)
-    )
+    ops = [_sq_ops(desc, qubit, gate_time_s) for desc in descs]
+    # each element is one segment, its op tuple; the identity runs none
+    return tuple(CliffordElement(i, mats[i], (ops[i],) if ops[i] else ()) for i in range(24))
 
 
 # ---------------------------------------------------------------------------
@@ -460,39 +456,94 @@ def data_block_unitary(ops, atol: float = 1e-9) -> np.ndarray:
     return block
 
 
+class SlotTemplate(NamedTuple):
+    """Every segment one element (or one protocol step) can run, in one
+    fixed slot order.
+
+    Row r of ``slots`` holds, slot by slot, the id of the segment entry r
+    runs there, or -1 (a hole) where it runs none; ``segment(id)`` builds the
+    segment of an id.  Circuits drawn as concatenated rows stay aligned slot
+    by slot, whatever their elements.
+    """
+
+    slots: np.ndarray
+    segment: Callable[[int], Segment]
+
+
+# segment ids of the two-qubit template: 24 q + u is single-qubit element u
+# on data qubit q (u = 0, the identity, runs none), then the remote CNOTs
+_CNOT_FWD, _CNOT_REV = 48, 49
+TWO_QUBIT_SEGMENT_IDS = 50
+
+
+@lru_cache(maxsize=None)
+def _two_qubit_slots() -> np.ndarray:
+    """The (11520, 13) slot table of the two-qubit group, in run order: the
+    cycler twice on D1 and twice on D2 (S3 = {identity, E, E.E}), the iSWAP
+    dressings c and d, the forward then the reverse remote CNOT, the
+    dressings a and b, the forward CNOT again (class 3), and the closing
+    single-qubit layer on D1 and on D2."""
+    class_id, u1, u2, s1, s2 = _decode(np.arange(TWO_QUBIT_GROUP_ORDER))
+    iswap = class_id == 2
+
+    def sq(qubit, u, runs=True):
+        return np.where(runs & (u != 0), 24 * DATA_QUBITS.index(qubit) + u, -1)
+
+    d1, d2 = DATA_QUBITS
+    cycler = _desc_index(_CYCLER_DESC)
+    dress = {name: _desc_index(desc) for name, desc in _ISWAP_DRESSING.items()}
+    slots = np.stack(
+        [
+            sq(d1, cycler, s1 >= 1),
+            sq(d1, cycler, s1 >= 2),
+            sq(d2, cycler, s2 >= 1),
+            sq(d2, cycler, s2 >= 2),
+            sq(d1, dress["c"], iswap),
+            sq(d2, dress["d"], iswap),
+            np.where(class_id >= 1, _CNOT_FWD, -1),
+            np.where(class_id >= 2, _CNOT_REV, -1),
+            sq(d1, dress["a"], iswap),
+            sq(d2, dress["b"], iswap),
+            np.where(class_id == 3, _CNOT_FWD, -1),
+            sq(d1, u1),
+            sq(d2, u2),
+        ],
+        axis=1,
+    ).astype(np.int16)
+    slots.flags.writeable = False
+    return slots
+
+
+def two_qubit_template(cfg: DeviceConfig | None = None) -> SlotTemplate:
+    """The two-qubit group's slot template on the device: 13 slots, of
+    which only the closing single-qubit layer's two take more than one id."""
+    cfg = cfg if cfg is not None else load_config()
+    _, descs, _ = _single_qubit_table()
+
+    def segment(segment_id: int) -> Segment:
+        if segment_id < _CNOT_FWD:
+            qubit, u = DATA_QUBITS[segment_id // 24], segment_id % 24
+            return _sq_ops(descs[u], qubit, cfg.single_qubit_gate_time_s)
+        control, target = DATA_QUBITS if segment_id == _CNOT_FWD else DATA_QUBITS[::-1]
+        return compile_remote_cnot(control, target, cfg)
+
+    return SlotTemplate(_two_qubit_slots(), segment)
+
+
 def two_qubit_clifford(index: int, cfg: DeviceConfig | None = None) -> CliffordElement:
-    """Element by canonical index, with its device-compiled segments.
+    """Element by canonical index, with its device-compiled segments: its
+    row of the slot template, holes left out.
 
     Class k runs k remote CNOTs, each one segment, and only the directions
     it uses are compiled; every single-qubit element is one segment on its
     data qubit.
     """
-    cfg = cfg if cfg is not None else load_config()
     class_id, u1, u2, s1, s2 = decode_two_qubit_index(index)
-    _, descs, _ = _single_qubit_table()
-    d1, d2 = DATA_QUBITS
-
-    def sq(desc, qubit):
-        return _sq_segments(desc, qubit, cfg.single_qubit_gate_time_s)
-
-    cnot_fwd = (compile_remote_cnot(d1, d2, cfg),) if class_id >= 1 else ()
-    cnot_rev = (compile_remote_cnot(d2, d1, cfg),) if class_id >= 2 else ()
-    segments: tuple[Segment, ...] = ()
-    if class_id in (1, 2):
-        # S3 = {identity, E, E.E}: zero, one or two copies of the cycler
-        segments += sq(_CYCLER_DESC, d1) * s1 + sq(_CYCLER_DESC, d2) * s2
-    if class_id == 1:
-        segments += cnot_fwd
-    elif class_id == 2:
-        dress = _ISWAP_DRESSING
-        segments += sq(dress["c"], d1) + sq(dress["d"], d2)
-        segments += cnot_fwd + cnot_rev
-        segments += sq(dress["a"], d1) + sq(dress["b"], d2)
-    elif class_id == 3:
-        segments += cnot_fwd + cnot_rev + cnot_fwd
-    segments += sq(descs[u1], d1) + sq(descs[u2], d2)
+    template = two_qubit_template(cfg)
+    ids = [int(i) for i in template.slots[index] if i >= 0]
+    built = {i: template.segment(i) for i in set(ids)}
     matrix = _factor_product(class_id, u1, u2, s1, s2)
-    return CliffordElement(index, matrix, segments, class_id)
+    return CliffordElement(index, matrix, tuple(built[i] for i in ids), class_id)
 
 
 # ---------------------------------------------------------------------------
@@ -542,16 +593,20 @@ def _two_qubit_lookup() -> _TableauLookup:
 
 
 def invert_sequence(seq, cfg: DeviceConfig | None = None) -> CliffordElement:
-    """Group element inverting the ordered product of the sequence.
+    """Group element inverting the ordered product of the sequence: its
+    elements in order, or their unitaries stacked (n, d, d).
 
-    Single-qubit sequences resolve by phase-normalized matrix lookup;
-    two-qubit sequences by the tableau code of the inverse product.
+    The product is one pairwise batched product.  Single-qubit sequences
+    resolve by phase-normalized matrix lookup, which rounds to 9 decimals;
+    two-qubit sequences by the tableau code of the inverse product, which
+    tolerates 1e-8.  Either way the rounding of the product cannot change
+    the element.
     """
-    if not seq:
+    unitaries = seq if isinstance(seq, np.ndarray) else np.array([e.unitary for e in seq])
+    if not len(unitaries):
         raise ValueError("cannot invert an empty sequence")
-    dim = seq[0].unitary.shape[0]
-    product = reduce(lambda acc, e: e.unitary @ acc, seq, np.eye(dim, dtype=complex))
-    inverse = product.conj().T
+    inverse = time_ordered_product(unitaries).conj().T
+    dim = inverse.shape[0]
     if dim == 2:
         _, _, index_of = _single_qubit_table()
         found = index_of.get(_phase_key(inverse))

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .basis import BasisLabel, DensityOperator, basis_index, build_basis
-from .channels import QuantumChannel
+from .channels import QuantumChannel, time_ordered_product
 from .config import DeviceConfig, pure_dephasing_rate
 from .pulses import PulseSchedule, build_transfer_schedule
 
@@ -459,15 +459,6 @@ def _piece_propagators(model: HamiltonianModel, a0, tol: float, jump_rate: float
         yield lengths[:, 0, 0], props
 
 
-def _time_ordered_product(u: np.ndarray) -> np.ndarray:
-    """u[-1] @ ... @ u[1] @ u[0], multiplied pairwise: log2(len(u)) batched
-    products instead of one product per factor."""
-    while len(u) > 1:
-        paired = u[1::2] @ u[: len(u) - len(u) % 2 : 2]
-        u = np.concatenate([paired, u[-1:]]) if len(u) % 2 else paired
-    return u[0]
-
-
 def _stacked_jump(superop: sparse.csr_matrix, d: int, batch: int) -> sparse.csr_matrix:
     """The jump superoperator of CollapseSet.split re-indexed to the flat
     index of _propagate's stacked layout x[r, b, c] = m_b[r, c]: entry
@@ -548,7 +539,7 @@ def _propagate(
     else:
         total = np.eye(d, dtype=complex)
         for _, props in _piece_propagators(model, a0, tol, 0.0, split=1):
-            total = _time_ordered_product(props) @ total
+            total = time_ordered_product(props) @ total
         y = total @ y if y.ndim == 1 else total @ y @ total.conj().T
     if not np.all(np.isfinite(y)):
         raise RuntimeError("propagation produced non-finite values")

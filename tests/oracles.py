@@ -6,6 +6,12 @@ output fidelity averaged over random pure states, a partial trace taken axis
 by axis, and tomography settings measured by rotating each axis onto Z.  The
 chain's qubit-mode exchange is built label by label, apart from the products
 of lowering operators the dynamics use.
+
+The benchmarking protocols draw sequences as slot-template arrays; the
+references here draw them element by element, as lists of segments: one
+scalar draw and one ``two_qubit_clifford`` (or single-qubit element) per
+element, ``invert_sequence`` on the element list, and each element's segments
+assembled from the layered class recipe.
 """
 
 import math
@@ -13,7 +19,34 @@ import math
 import numpy as np
 
 from lcoupler.basis import BasisLabel, basis_index
-from lcoupler.channels import QuantumChannel
+from lcoupler.benchmarking import (
+    RbDataset,
+    RbRecord,
+    SpamModel,
+    _CircuitRunner,
+    _ground,
+    spam_apply,
+)
+from lcoupler.channels import QuantumChannel, pauli_populations
+from lcoupler.cliffords import (
+    DATA_QUBITS,
+    L_QUBIT_PAIR,
+    QUBIT_ORDER,
+    TWO_QUBIT_GROUP_ORDER,
+    _CYCLER_DESC,
+    _ISWAP_DRESSING,
+    CliffordElement,
+    Segment,
+    _single_qubit_table,
+    _sq_ops,
+    compile_remote_cnot,
+    data_block_unitary,
+    decode_two_qubit_index,
+    invert_sequence,
+    single_qubit_cliffords,
+    transfer_step,
+    two_qubit_clifford,
+)
 
 # rotate the measured axis onto Z: u P u^dag = Z
 BASIS_ROTATION = {
@@ -137,3 +170,112 @@ def exchange_operator(
             i = index[tuple(raised)]
             op[i, j] += s * math.sqrt(n)
     return op + op.conj().T
+
+
+def two_qubit_segments(index: int, cfg) -> tuple[Segment, ...]:
+    """An element's segments assembled class by class: the cyclers, then
+    class 1's CNOT, class 2's dressed CNOT pair or class 3's three CNOTs,
+    then the closing single-qubit layer; an identity runs no segment."""
+    class_id, u1, u2, s1, s2 = decode_two_qubit_index(index)
+    descs = _single_qubit_table()[1]
+    d1, d2 = DATA_QUBITS
+
+    def sq(desc, qubit):
+        ops = _sq_ops(desc, qubit, cfg.single_qubit_gate_time_s)
+        return (ops,) if ops else ()
+
+    fwd, rev = compile_remote_cnot(d1, d2, cfg), compile_remote_cnot(d2, d1, cfg)
+    segments = ()
+    if class_id in (1, 2):
+        segments += sq(_CYCLER_DESC, d1) * s1 + sq(_CYCLER_DESC, d2) * s2
+    if class_id == 1:
+        segments += (fwd,)
+    elif class_id == 2:
+        dress = _ISWAP_DRESSING
+        segments += sq(dress["c"], d1) + sq(dress["d"], d2) + (fwd, rev)
+        segments += sq(dress["a"], d1) + sq(dress["b"], d2)
+    elif class_id == 3:
+        segments += (fwd, rev, fwd)
+    return segments + sq(descs[u1], d1) + sq(descs[u2], d2)
+
+
+def nb_step(carrier: str, element: int, cfg) -> tuple[Segment, ...]:
+    """One network-benchmarking step: the carrier's single-qubit Clifford,
+    then the transfer step to the other l-qubit."""
+    receiver = "L2" if carrier == "L1" else "L1"
+    elem = single_qubit_cliffords(carrier, cfg.single_qubit_gate_time_s)[element]
+    return (*elem.segments, transfer_step(carrier, receiver, cfg.transfer.total_duration_s))
+
+
+def _run_drawn(noise, spam, order, lengths, seeds_per_length, shots, stream, draw):
+    """Records of sequences drawn one (length, seed) at a time as segment
+    lists, encoded segment by segment and run as one batch; each record's
+    shots come from the generator that drew its sequence."""
+    spam = spam if spam is not None else SpamModel.ideal(order)
+    runner = _CircuitRunner(noise, order)
+    drawn, circuits = [], []
+    for n in lengths:
+        for seed in range(seeds_per_length):
+            gen = stream.stream(n, seed).generator()
+            segments, survivors = draw(n, gen)
+            circuits.append(runner.encode(segments))
+            drawn.append((n, seed, gen, survivors))
+    states = runner.evolve(runner.initial_state(spam), circuits)
+    confusion = spam.confusion(order)
+    records = []
+    for (n, seed, gen, survivors), populations in zip(drawn, pauli_populations(states).T):
+        measured = spam_apply(populations, confusion, gen, shots)
+        ground = [_ground(measured, order, q) for q in (survivors, ("L1",), ("L2",))]
+        records.append(RbRecord(n, seed, shots, *ground))
+    return records
+
+
+def network_benchmarking(noise, spam, lengths, seeds_per_length, shots, rng, cfg) -> RbDataset:
+    """NB drawn step by step: one scalar draw per element on the current
+    carrier, then ``invert_sequence`` on the element list."""
+
+    def draw(length, gen):
+        carrier, sequence, segments = "L1", [], []
+        for _ in range(length):
+            element = int(gen.integers(24))
+            sequence.append(single_qubit_cliffords(carrier)[element])
+            segments += nb_step(carrier, element, cfg)
+            carrier = "L2" if carrier == "L1" else "L1"
+        inverse = invert_sequence(sequence).index
+        segments += single_qubit_cliffords(carrier, cfg.single_qubit_gate_time_s)[inverse].segments
+        return segments, (carrier,)
+
+    return RbDataset(
+        "NB",
+        _run_drawn(
+            noise, spam, L_QUBIT_PAIR, lengths, seeds_per_length, shots, rng.stream("nb"), draw
+        ),
+    )
+
+
+def two_qubit_rb(
+    noise, spam, lengths, seeds_per_length, shots, rng, cfg, interleave=None
+) -> RbDataset:
+    """TQRB (or IRB) drawn element by element: one scalar draw and one
+    ``two_qubit_clifford`` per element, the interleaved composite as an
+    element of its own after each, then ``invert_sequence`` on the list."""
+    inter_elem = None
+    if interleave is not None:
+        ops = Segment(interleave)
+        inter_elem = CliffordElement(-1, data_block_unitary(ops), (ops,) if ops else ())
+    protocol = "INTERLEAVED" if inter_elem is not None else "TQRB"
+
+    def draw(length, gen):
+        sequence = []
+        for _ in range(length):
+            sequence.append(two_qubit_clifford(int(gen.integers(TWO_QUBIT_GROUP_ORDER)), cfg))
+            if inter_elem is not None:
+                sequence.append(inter_elem)
+        sequence.append(invert_sequence(sequence, cfg))
+        return [segment for elem in sequence for segment in elem.segments], DATA_QUBITS
+
+    stream = rng.stream("tqrb", protocol)
+    return RbDataset(
+        protocol,
+        _run_drawn(noise, spam, QUBIT_ORDER, lengths, seeds_per_length, shots, stream, draw),
+    )
