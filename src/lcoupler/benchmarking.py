@@ -581,6 +581,8 @@ def _run_sequences(
             ids, survivors = draw(n, gen)
             sequences.append(ids)
             drawn.append((n, seed, gen, survivors))
+    if not sequences:
+        return []
     used = np.unique(np.concatenate(sequences))
     used = used[used >= 0]
     # the last entry, past every used id, is where a hole (-1) looks up
@@ -687,9 +689,9 @@ def run_two_qubit_rb(
     (e.g. a compiled remote CNOT) runs as one segment after each random
     element; it must act as a two-qubit Clifford on the data block, which
     data_block_unitary enforces, and the fitted decay is meant to be divided
-    by a reference run.  A sequence is drawn as rows of the 13-slot
+    by a reference run.  A sequence is drawn as rows of the 12-slot
     two-qubit template (``cliffords.two_qubit_template``), the interleaved
-    composite in a 14th slot: one draw of all its elements, one table
+    composite in a 13th slot: one draw of all its elements, one table
     lookup, and the inverse from their stacked matrices.
     """
     cfg = cfg if cfg is not None else load_config()

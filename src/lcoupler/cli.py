@@ -4,20 +4,17 @@ Subcommands run the transfer sweeps, the benchmarking protocols and the
 Bell tomography against a JSON device config, writing CSV/JSON results plus
 static SVG plots into an output directory.  Each ``cmd_*`` returns the files
 it wrote and its manifest extras; ``main`` checks that those files exist and
-writes ``run_manifest.json`` only after a run succeeds.  Before a command
-runs, ``main`` pins OpenBLAS to one thread unless the environment sets a
-thread count (``pin_blas_threads``).  Exit codes: 0 success; 2 usage,
-config or lookup problems (a ``ValueError`` or a ``KeyError``, e.g. a qubit
-pair with no configured CZ); 3 numerical failures (a ``RuntimeError``: a
-decay fit that refuses to converge, a propagator that cannot reach its
-tolerance, or a declared output that is missing).  Each failure prints one
-line to stderr and leaves no manifest.
+writes ``run_manifest.json`` only after a run succeeds.  Exit codes: 0
+success; 2 usage, config or lookup problems (a ``ValueError`` or a
+``KeyError``, e.g. a qubit pair with no configured CZ); 3 numerical failures
+(a ``RuntimeError``: a decay fit that refuses to converge, a propagator that
+cannot reach its tolerance, or a declared output that is missing).  Each
+failure prints one line to stderr and leaves no manifest.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import sys
@@ -317,45 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the environment variables by which a user picks OpenBLAS's thread count,
-# and the setter each OpenBLAS build exports (numpy's and scipy's wheels
-# carry their own, with prefixed names)
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-_BLAS_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
-
-
-def pin_blas_threads() -> list[str]:
-    """Run every loaded OpenBLAS on one thread, unless the environment sets
-    a thread count; returns the libraries pinned.
-
-    Every matrix the commands multiply is at most 76 x 76, where a second
-    thread adds CPU time, not speed: on a 2-core host ``nb --seed 1`` used
-    11.3-13.0 s of CPU on two threads and 6.2-7.4 s on one, in the same
-    5.3-6.5 s.  The libraries are found in the process's memory map, so
-    elsewhere than on Linux nothing is pinned.
-    """
-    if any(var in os.environ for var in BLAS_THREAD_VARS):
-        return []
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({w for w in fh.read().split() if "openblas" in w and ".so" in w})
-    except OSError:
-        return []
-    pinned = []
-    for lib in libs:
-        handle = ctypes.CDLL(lib)
-        setter = next((getattr(handle, s) for s in _BLAS_SETTERS if hasattr(handle, s)), None)
-        if setter is not None:
-            setter(1)
-            pinned.append(lib)
-    return pinned
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
@@ -363,7 +321,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    pin_blas_threads()
     started = datetime.now(timezone.utc).isoformat()
     try:
         cfg = load_config(args.config or os.environ.get("LCOUPLER_CONFIG") or None)

@@ -17,7 +17,7 @@ An element's decomposition is a sequence of segments: fixed op tuples that
 recur across elements (one remote CNOT, one single-qubit Clifford on one
 qubit), built once and shared, so an executor can compile each segment once.
 The two-qubit slot template (``two_qubit_template``) is the one definition
-of their order: 13 slots, each holding one segment id or a hole, so that
+of their order: 12 slots, each holding one segment id or a hole, so that
 sequences drawn as id arrays stay aligned slot by slot.
 """
 
@@ -478,11 +478,12 @@ TWO_QUBIT_SEGMENT_IDS = 50
 
 @lru_cache(maxsize=None)
 def _two_qubit_slots() -> np.ndarray:
-    """The (11520, 13) slot table of the two-qubit group, in run order: the
+    """The (11520, 12) slot table of the two-qubit group, in run order: the
     cycler twice on D1 and twice on D2 (S3 = {identity, E, E.E}), the iSWAP
-    dressings c and d, the forward then the reverse remote CNOT, the
-    dressings a and b, the forward CNOT again (class 3), and the closing
-    single-qubit layer on D1 and on D2."""
+    dressing c, the forward then the reverse remote CNOT, the dressings a
+    and b, the forward CNOT again (class 3), and the closing single-qubit
+    layer on D1 and on D2.  Dressing d, on D2 after c, is the identity, so
+    it has no slot."""
     class_id, u1, u2, s1, s2 = _decode(np.arange(TWO_QUBIT_GROUP_ORDER))
     iswap = class_id == 2
 
@@ -499,7 +500,6 @@ def _two_qubit_slots() -> np.ndarray:
             sq(d2, cycler, s2 >= 1),
             sq(d2, cycler, s2 >= 2),
             sq(d1, dress["c"], iswap),
-            sq(d2, dress["d"], iswap),
             np.where(class_id >= 1, _CNOT_FWD, -1),
             np.where(class_id >= 2, _CNOT_REV, -1),
             sq(d1, dress["a"], iswap),
@@ -515,7 +515,7 @@ def _two_qubit_slots() -> np.ndarray:
 
 
 def two_qubit_template(cfg: DeviceConfig | None = None) -> SlotTemplate:
-    """The two-qubit group's slot template on the device: 13 slots, of
+    """The two-qubit group's slot template on the device: 12 slots, of
     which only the closing single-qubit layer's two take more than one id."""
     cfg = cfg if cfg is not None else load_config()
     _, descs, _ = _single_qubit_table()

@@ -5,14 +5,11 @@ outputs are observable without spawning subprocesses.  Noiseless modes and
 tiny grids keep the suite fast.
 """
 
-import ctypes
 import json
-from pathlib import Path
 
 import pytest
 
-from lcoupler import cli
-from lcoupler.cli import BLAS_THREAD_VARS, main, pin_blas_threads
+from lcoupler.cli import main
 from lcoupler.config import default_config
 
 SWEEP_HEADER = "g_hz,T_s,pop_emitter,pop_receiver,pop_other,saturated"
@@ -21,65 +18,6 @@ RB_HEADER = "length,seed,shots,survival,spectator_l1,spectator_l2"
 
 def run(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
-
-
-def _openblas_libs() -> list[str]:
-    maps = Path("/proc/self/maps")
-    words = maps.read_text().split() if maps.exists() else []
-    return sorted({w for w in words if "openblas" in w and ".so" in w})
-
-
-def _blas_threads(lib: str, action: str, *args):
-    """Call the library's ``<prefix>openblas_{action}_num_threads[64_]``."""
-    handle = ctypes.CDLL(lib)
-    for prefix in ("scipy_", ""):
-        for suffix in ("64_", ""):
-            name = f"{prefix}openblas_{action}_num_threads{suffix}"
-            if hasattr(handle, name):
-                return getattr(handle, name)(*args)
-    raise AttributeError(f"{lib} exports no openblas_{action}_num_threads")
-
-
-@pytest.fixture(autouse=True)
-def keep_blas_threads():
-    """main pins OpenBLAS for the whole process; give the rest of the suite
-    back the thread counts it had."""
-    libs = _openblas_libs()
-    before = [_blas_threads(lib, "get") for lib in libs]
-    yield
-    for lib, count in zip(libs, before):
-        _blas_threads(lib, "set", count)
-
-
-class TestBlasThreads:
-    def test_every_openblas_is_pinned_to_one_thread(self, monkeypatch):
-        for var in BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        libs = _openblas_libs()
-        if not libs:
-            pytest.skip("no OpenBLAS loaded")
-        for lib in libs:
-            _blas_threads(lib, "set", 2)
-        assert pin_blas_threads() == libs
-        assert [_blas_threads(lib, "get") for lib in libs] == [1] * len(libs)
-
-    @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
-    def test_a_thread_count_in_the_environment_is_kept(self, monkeypatch, var):
-        for other in BLAS_THREAD_VARS:
-            monkeypatch.delenv(other, raising=False)
-        monkeypatch.setenv(var, "2")
-        libs = _openblas_libs()
-        for lib in libs:
-            _blas_threads(lib, "set", 2)
-        counts = [_blas_threads(lib, "get") for lib in libs]
-        assert pin_blas_threads() == []
-        assert [_blas_threads(lib, "get") for lib in libs] == counts
-
-    def test_main_pins_before_it_runs_a_command(self, tmp_path, monkeypatch):
-        calls = []
-        monkeypatch.setattr(cli, "pin_blas_threads", lambda: calls.append("pinned"))
-        assert run(tmp_path, "nb", "--noiseless", "--seeds", "2", "--lengths", "2,4,8") == 0
-        assert calls == ["pinned"]
 
 
 class TestSweepCommand:

@@ -54,7 +54,7 @@ class TestTemplates:
     def test_two_qubit_rows_match_the_recipe(self):
         cfg = load_config()
         template = two_qubit_template(cfg)
-        assert template.slots.shape == (TWO_QUBIT_GROUP_ORDER, 13)
+        assert template.slots.shape == (TWO_QUBIT_GROUP_ORDER, 12)
         for index in range(TWO_QUBIT_GROUP_ORDER):
             row = _keys(_row_segments(template, template.slots[index]))
             assert row == _keys(oracles.two_qubit_segments(index, cfg)), index
@@ -63,10 +63,9 @@ class TestTemplates:
     def test_only_the_closing_layer_slots_take_more_than_one_id(self):
         slots = two_qubit_template().slots
         ids_per_slot = [len(set(column[column >= 0].tolist())) for column in slots.T]
-        # every fixed slot runs one segment or none (dressing d, slot 5, is
-        # the identity: a hole in every row); the closing layer runs any
+        # every fixed slot runs one segment; the closing layer runs any
         # non-identity single-qubit element
-        assert ids_per_slot == [1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 23, 23]
+        assert ids_per_slot == [1] * 10 + [23, 23]
 
     def test_nb_rows_match_the_step(self):
         cfg = load_config()
@@ -134,3 +133,10 @@ def test_network_benchmarking_matches_step_by_step_draws(device, seed):
     kw = dict(lengths=(2, 4, 10), seeds_per_length=3, shots=200, rng=RngHandle(seed), cfg=cfg)
     got = run_network_benchmarking(noise, spam, **kw)
     assert got.to_csv() == oracles.network_benchmarking(noise, spam, **kw).to_csv()
+
+
+@pytest.mark.parametrize("run", [run_two_qubit_rb, run_network_benchmarking])
+@pytest.mark.parametrize("lengths, seeds", [((2, 4), 0), ((), 3)])
+def test_a_run_that_draws_no_sequence_is_empty(run, lengths, seeds):
+    data = run(NoiseModel.ideal(), lengths=lengths, seeds_per_length=seeds)
+    assert data.records == []
