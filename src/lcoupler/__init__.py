@@ -23,6 +23,7 @@ from lcoupler.dynamics import (
     build_hamiltonian,
     evolve,
     extract_channel,
+    extract_channels,
     simulate_transfer,
     sweep_transfer,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "build_hamiltonian",
     "evolve",
     "extract_channel",
+    "extract_channels",
     "simulate_transfer",
     "sweep_transfer",
     "QuantumChannel",

@@ -172,19 +172,32 @@ def spam_apply(
 class _ExtractedChannels(dict):
     """A device's transfer channels by direction, each extracted from the
     lossy ``method`` schedule (reversed for L2->L1) the first time it is
-    looked up and kept from then on."""
+    asked for and kept from then on.
+
+    extract takes every direction a run is about to need, and extracts
+    those the table lacks in one dynamics.extract_channels call, so that
+    both directions share one propagation; a lookup of a missing direction
+    is that call for the one direction.
+    """
 
     def __init__(self, cfg: DeviceConfig, method: str):
         super().__init__()
         self.cfg, self.method = cfg, method
 
+    def extract(self, directions) -> None:
+        missing = [d for d in TRANSFER_DIRECTIONS if d in directions and d not in self]
+        if not missing:
+            return
+        forward = pulses.build_transfer_schedule(self.cfg, method=self.method)
+        backward = pulses.reverse_schedule(forward)
+        schedules = [forward if d == "L1->L2" else backward for d in missing]
+        self.update(zip(missing, dynamics.extract_channels(self.cfg, schedules, lossy=True)))
+
     def __missing__(self, direction: str) -> QuantumChannel:
         if direction not in TRANSFER_DIRECTIONS:
             raise KeyError(direction)
-        forward = pulses.build_transfer_schedule(self.cfg, method=self.method)
-        schedule = forward if direction == "L1->L2" else pulses.reverse_schedule(forward)
-        channel = self[direction] = dynamics.extract_channel(self.cfg, schedule, lossy=True)
-        return channel
+        self.extract([direction])
+        return self[direction]
 
 
 @dataclass
@@ -436,9 +449,28 @@ class _CircuitRunner:
             matrix = self._ops[op.key] = self._compile(op)
         return matrix
 
+    def _extract_transfers(self, segments) -> None:
+        """Have each extracting transfer table (_ExtractedChannels) extract,
+        in one call, every direction that the segments not yet compiled
+        run; a plain table is left to its lookups."""
+        wanted: dict[bool, set[str]] = {False: set(), True: set()}
+        for segment in segments:
+            if segment.key not in self._codes:
+                for op in segment:
+                    if op.kind is GateKind.TRANSFER:
+                        wanted[bool(op.params.get("half"))].add(op.params["direction"])
+        for half, directions in wanted.items():
+            table = self.noise.half_transfer_channels if half else self.noise.transfer_channels
+            if directions and isinstance(table, _ExtractedChannels):
+                table.extract(directions)
+
     def encode(self, segments) -> np.ndarray:
         """A circuit's segment codes, compiling each segment the first time;
-        the segments are cliffords.Segment, which carry their keys."""
+        the segments are cliffords.Segment, which carry their keys.  The
+        transfer channels the new segments run are extracted first, all
+        directions of a table in one propagation."""
+        segments = list(segments)
+        self._extract_transfers(segments)
         codes = []
         for segment in segments:
             code = self._codes.get(segment.key)

@@ -11,6 +11,7 @@ convention lives in mode_sign() below and nowhere else.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -459,33 +460,43 @@ def _piece_propagators(model: HamiltonianModel, a0, tol: float, jump_rate: float
         yield lengths[:, 0, 0], props
 
 
-def _stacked_jump(superop: sparse.csr_matrix, d: int, batch: int) -> sparse.csr_matrix:
+def _stacked_jump(
+    superop: sparse.csr_matrix, d: int, batch: int, schedules: int
+) -> sparse.csr_matrix:
     """The jump superoperator of CollapseSet.split re-indexed to the flat
-    index of _propagate's stacked layout x[r, b, c] = m_b[r, c]: entry
-    (r d + c, s d + e) lands at (r B d + b d + c, s B d + b d + e) for each
-    of the B = batch matrices, so one sparse product jumps them all."""
+    index of _propagate's stacked layout x[s, r, b, c] = m_sb[r, c]: entry
+    (r d + c, t d + e) lands at (n s + r B d + b d + c, n s + t B d + b d + e)
+    for each of the B = batch matrices of each of the S = schedules
+    schedules, n = d B d, so one sparse product jumps them all.  Its
+    leading n S' rows and columns are the jump of the first S' schedules."""
     entries = superop.tocoo()
+    n = d * batch * d
+    offsets = n * np.arange(schedules)[:, None, None] + d * np.arange(batch)[None, :, None]
 
     def place(vec):
-        return (vec // d * batch * d + vec % d)[None, :] + d * np.arange(batch)[:, None]
+        return (vec // d * batch * d + vec % d)[None, None, :] + offsets
 
-    n = d * batch * d
-    data = np.broadcast_to(entries.data, (batch, entries.nnz))
+    data = np.broadcast_to(entries.data, (schedules, batch, entries.nnz))
     rows, cols = place(entries.row), place(entries.col)
-    return sparse.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+    size = n * schedules
+    return sparse.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size))
 
 
-def _lawson_step(x, first, second, h: float, jump) -> np.ndarray:
-    """One RK4 step of length h in the interaction picture of the no-jump
-    evolution, on the stacked layout x[r, b, c] = m_b[r, c] of _propagate.
-    first and second are the (propagator, adjoint) pairs of its half steps.
-    Each conjugation u m_b u^dag of all B matrices is two GEMMs: u times the
-    d x (B d) rows of x, then the (d B) x d result times u^dag."""
-    d = len(x)
+def _lawson_step(x, first, second, h, jump) -> np.ndarray:
+    """One RK4 step in the interaction picture of the no-jump evolution, on
+    the stacked layout x[s, r, b, c] = m_sb[r, c] of _propagate, of length
+    h[s] for schedule s (h of shape (S, 1, 1, 1), or one scalar for all of
+    them).  first and second are
+    the (propagators, adjoints) pairs of its half steps, one d x d matrix
+    per schedule.  Each conjugation u_s m_sb u_s^dag of all S B matrices is
+    two batched GEMMs: u_s times the d x (B d) rows of x[s], then the
+    (d B) x d result times u_s^dag."""
+    schedules, d = x.shape[:2]
 
     def propagate(pair, m):
         u, u_dag = pair
-        return ((u @ m.reshape(d, -1)).reshape(-1, d) @ u_dag).reshape(m.shape)
+        rows = (u @ m.reshape(schedules, d, -1)).reshape(schedules, -1, d)
+        return (rows @ u_dag).reshape(m.shape)
 
     mid, k1 = propagate(first, x), propagate(first, jump(x))
     k2 = jump(mid + 0.5 * h * k1)
@@ -495,55 +506,122 @@ def _lawson_step(x, first, second, h: float, jump) -> np.ndarray:
     return out + (h / 6.0) * jump(end)
 
 
-def _propagate(
-    model: HamiltonianModel, collapse: CollapseSet, y0: np.ndarray, tol: float
-) -> np.ndarray:
+def _lockstep(streams, x, stacked) -> np.ndarray:
+    """Lawson steps of S schedules at once on x of shape (S, d, B, d).
+
+    streams[s] yields schedule s's (lengths, propagators) batches in time
+    order, as _piece_propagators with split=2 does; each pair of pieces is
+    one step.  Every batch but a schedule's last holds _CHUNK pieces, so
+    the schedules' batches line up and their steps are paired in order.
+    stacked is _stacked_jump for all S schedules.  A schedule whose steps
+    have run out is dropped: its rows of x are set aside, and the others
+    step on without it, under the leading rows and columns of stacked.  No
+    schedule takes a padding step, and its pieces are never batched with
+    another schedule's, so each schedule's propagators are those it has
+    alone.
+    """
+    live = np.arange(len(x))  # the schedule of each row of x
+    out = np.empty_like(x)
+    d, size = x.shape[1], x[0].size
+
+    def jump(m):
+        return (stacked @ m.ravel()).reshape(m.shape)
+
+    for batches in itertools.zip_longest(*streams):
+        # a schedule with no batch left has run out and takes no steps
+        batches = [batches[s] for s in live]
+        steps = np.array([0 if b is None else len(b[0]) // 2 for b in batches])
+        props = np.zeros((len(live), 2 * steps.max(), d, d), dtype=complex)
+        h = np.zeros((len(live), steps.max()))
+        for row, batch in enumerate(batches):
+            if batch is not None:
+                props[row, : len(batch[1])] = batch[1]
+                h[row, : steps[row]] = 2.0 * batch[0][::2]
+        adjoints = props.conj().transpose(0, 1, 3, 2)
+        # where every schedule's step has one length (as for a schedule and
+        # its reverse) the step takes it as a scalar, whose products are faster
+        uniform = bool(np.all(h == h[0]))
+        drop = steps.min()  # the first step some schedule does not have
+        for k in range(steps.max()):
+            if k == drop:
+                done = steps <= k
+                out[live[done]] = x[done]
+                keep = ~done
+                live, steps, x, props, h = (a[keep] for a in (live, steps, x, props, h))
+                adjoints = props.conj().transpose(0, 1, 3, 2)
+                stacked = stacked[: size * len(live), : size * len(live)]
+                drop = steps.min()
+            first = props[:, 2 * k], adjoints[:, 2 * k]
+            second = props[:, 2 * k + 1], adjoints[:, 2 * k + 1]
+            length = h[0, k] if uniform else h[:, k, None, None, None]
+            x = _lawson_step(x, first, second, length, jump)
+    out[live] = x
+    return out
+
+
+def _propagate(model, collapse: CollapseSet, y0: np.ndarray, tol: float) -> np.ndarray:
     """The one propagation routine: y(T) for a state vector (y0.ndim == 1)
     under the Schrodinger equation, or for a d x d matrix or a stack of them
     (..., d, d) under the Lindblad generator; stacked matrices share every
     propagator, which channel extraction leans on.  A state vector needs the
-    lossless chain, CollapseSet().
+    lossless chain, CollapseSet().  model may also be a list of S models
+    (schedules) that share their basis, static_hz and parts, a ValueError
+    otherwise; y0 and the result then hold one input per model on a leading
+    axis.
 
     tol bounds the remainder estimate of every sample interval (see
-    _substep_counts).  Without collapse operators the piece propagators are
-    multiplied into one, pairwise within each batch, which is then applied
-    once.  With them, the B matrices of the stack are held for the whole
-    propagation in one array x[r, b, c] = m_b[r, c] of shape (d, B, d),
-    transposed once on the way in and once on the way out, so that every
-    Lawson step conjugates all of them in two GEMMs and jumps them in one
-    sparse product on x's flat index.
+    _substep_counts).  Without collapse operators each model's piece
+    propagators are multiplied into one, pairwise within each batch, which
+    is then applied once.  With them, the B matrices of each of the S
+    schedules are held for the whole propagation in one array
+    x[s, r, b, c] = m_sb[r, c] of shape (S, d, B, d), transposed once on the
+    way in and once on the way out, and _lockstep steps all the schedules
+    together: every Lawson step conjugates all S B matrices in two batched
+    GEMMs and jumps them in one sparse product on x's flat index.  Each
+    schedule has its own stream of piece propagators, and one model alone
+    is the case S = 1.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    single = isinstance(model, HamiltonianModel)
+    models = [model] if single else list(model)
     y = np.array(y0, dtype=complex)
-    if y.ndim == 1 and collapse.operators:
+    ys = y[None] if single else y  # one input per model
+    if ys.ndim == 2 and collapse.operators:
         raise ValueError("a state vector cannot be propagated with collapse operators")
-    if model.schedule.duration_s <= 0.0:
-        return y
-    d = model.dim
+    if len(ys) != len(models):
+        raise ValueError(f"{len(models)} models for {len(ys)} inputs")
+    first = models[0]
+    for other in models[1:]:
+        if other.basis != first.basis or not (
+            np.array_equal(other.static_hz, first.static_hz)
+            and np.array_equal(other.parts, first.parts)
+        ):
+            raise ValueError("batched models must share their basis, static_hz and parts")
+    d = first.dim
     decay, superop = collapse.split(d)
-    a0 = -2j * math.pi * model.static_hz - 0.5 * decay
+    a0 = -2j * math.pi * first.static_hz - 0.5 * decay
+    moving = [m.schedule.duration_s > 0.0 for m in models]  # the others are left as they are
     if collapse.operators:
         jump_rate = float(abs(superop).sum(axis=1).max())
-        x = np.ascontiguousarray(y.reshape(-1, d, d).transpose(1, 0, 2))
-        stacked = _stacked_jump(superop, d, x.shape[1])
-
-        def jump(m):
-            return (stacked @ m.ravel()).reshape(m.shape)
-
-        for lengths, props in _piece_propagators(model, a0, tol, jump_rate, split=2):
-            pairs = list(zip(props, props.conj().transpose(0, 2, 1)))
-            for k in range(0, len(pairs), 2):
-                x = _lawson_step(x, pairs[k], pairs[k + 1], 2.0 * lengths[k], jump)
-        y = x.transpose(1, 0, 2).reshape(y.shape)
+        x = np.ascontiguousarray(ys.reshape(len(ys), -1, d, d).transpose(0, 2, 1, 3))
+        streams = [
+            _piece_propagators(m, a0, tol, jump_rate, split=2) if move else iter(())
+            for m, move in zip(models, moving)
+        ]
+        x = _lockstep(streams, x, _stacked_jump(superop, d, x.shape[2], len(x)))
+        ys = x.transpose(0, 2, 1, 3).reshape(ys.shape)
     else:
-        total = np.eye(d, dtype=complex)
-        for _, props in _piece_propagators(model, a0, tol, 0.0, split=1):
-            total = time_ordered_product(props) @ total
-        y = total @ y if y.ndim == 1 else total @ y @ total.conj().T
-    if not np.all(np.isfinite(y)):
+        for s, m in enumerate(models):
+            if not moving[s]:
+                continue
+            total = np.eye(d, dtype=complex)
+            for _, props in _piece_propagators(m, a0, tol, 0.0, split=1):
+                total = time_ordered_product(props) @ total
+            ys[s] = total @ ys[s] if ys[s].ndim == 1 else total @ ys[s] @ total.conj().T
+    if not np.all(np.isfinite(ys)):
         raise RuntimeError("propagation produced non-finite values")
-    return y
+    return ys[0] if single else ys
 
 
 def evolve(
@@ -742,14 +820,15 @@ def sweep_transfer(
 # -- channel extraction ------------------------------------------------------
 
 
-def extract_channel(
+def extract_channels(
     cfg: DeviceConfig,
-    schedule: PulseSchedule,
+    schedules: list[PulseSchedule],
     lossy: bool = True,
     tol: float = 1e-9,
     frame_correct: bool = True,
-) -> QuantumChannel:
-    """CPTP map of a schedule on the (L1, L2) pair, L1 the more significant bit.
+) -> list[QuantumChannel]:
+    """CPTP maps of schedules on the (L1, L2) pair, L1 the more significant
+    bit, one per schedule, all propagated together.
 
     The operators |i><j| of the pair's computational basis are evolved with
     modes in vacuum, in the two-excitation basis that |11> needs; modes are
@@ -758,13 +837,19 @@ def extract_channel(
     is recorded in leakage_in.  Only the 10 inputs with i <= j are
     propagated: the Lindblad map preserves hermiticity, so the output for
     |j><i| is the adjoint of the output for |i><j|, and the other 6 are
-    filled that way.  With frame_correct the deterministic detuning
-    phase (half the per-qubit ramp integral, symmetric ramps) is removed by a
-    virtual Z on each qubit.
+    filled that way.  Under loss, the inputs of every schedule go through
+    one _propagate call, each schedule on its own piece propagators, so each
+    channel is the one the schedule gives alone, to the last bit.  With
+    frame_correct the deterministic detuning phase (half the per-qubit ramp
+    integral, symmetric ramps) is removed by a virtual Z on each qubit.
     """
-    model = build_hamiltonian(cfg, schedule, 2)
-    collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet()
-    occ = np.array([label.occupations for label in model.basis])
+    schedules = list(schedules)
+    if not schedules:
+        raise ValueError("no schedules to extract")
+    models = [build_hamiltonian(cfg, schedule, 2) for schedule in schedules]
+    basis, d = models[0].basis, models[0].dim
+    collapse = CollapseSet.from_config(cfg, basis) if lossy else CollapseSet()
+    occ = np.array([label.occupations for label in basis])
     modes = occ[:, 1:-1]
     mode_total = modes.sum(axis=1)
     # bits[i, a]: chain label a holds pair state i on its two end sites
@@ -772,26 +857,43 @@ def extract_channel(
     inputs = bits * (mode_total == 0)
     rows, cols = np.triu_indices(4)
     stack = inputs[rows, :, None] * inputs[cols, None, :]
-    upper = _propagate(model, collapse, stack, tol)
-    finals = np.empty((4, 4, model.dim, model.dim), dtype=complex)
-    finals[cols, rows] = upper.conj().transpose(0, 2, 1)
-    finals[rows, cols] = upper  # last, so the populations are the propagated ones
-    finals = finals.reshape(16, model.dim, model.dim)
-
-    # entries whose mode occupations agree are traced into their pair bits;
-    # superop[i * 4 + j, col] is entry (i, j) of input col's output, and the
-    # populations |i><i| are the inputs 5 i
+    propagated = _propagate(models, collapse, [stack] * len(models), tol)
+    # entries whose mode occupations agree are traced into their pair bits
     same_modes = np.all(modes[:, None, :] == modes[None, :, :], axis=2)
-    superop = np.einsum("ia,nab,jb->ijn", bits, finals * same_modes, bits).reshape(16, 16)
-    populations = np.diagonal(finals[::5], axis1=1, axis2=2)
-    leakage = np.real(np.sum((mode_total > 0) * populations, axis=1))
 
-    if frame_correct:
-        phi_e, phi_r = schedule.detuning_phase_rad()
-        chi = 0.5 * (phi_e + phi_r)
-        phases = np.array([np.exp(1j * chi * bin(i).count("1")) for i in range(4)], dtype=complex)
-        u = np.diag(phases)
-        superop = np.kron(u, u.conj()) @ superop
+    channels = []
+    for schedule, upper in zip(schedules, propagated):
+        finals = np.empty((4, 4, d, d), dtype=complex)
+        finals[cols, rows] = upper.conj().transpose(0, 2, 1)
+        finals[rows, cols] = upper  # last, so the populations are the propagated ones
+        finals = finals.reshape(16, d, d)
+        # superop[i * 4 + j, col] is entry (i, j) of input col's output, and
+        # the populations |i><i| are the inputs 5 i
+        superop = np.einsum("ia,nab,jb->ijn", bits, finals * same_modes, bits).reshape(16, 16)
+        populations = np.diagonal(finals[::5], axis1=1, axis2=2)
+        leakage = np.real(np.sum((mode_total > 0) * populations, axis=1))
 
-    # a CP floor of -1e-8 and a TP deficit of at most 1e-8
-    return QuantumChannel(superop, 4, leakage_in=leakage).validate(tp_tol=1e-8)
+        if frame_correct:
+            phi_e, phi_r = schedule.detuning_phase_rad()
+            chi = 0.5 * (phi_e + phi_r)
+            phases = np.array(
+                [np.exp(1j * chi * bin(i).count("1")) for i in range(4)], dtype=complex
+            )
+            u = np.diag(phases)
+            superop = np.kron(u, u.conj()) @ superop
+
+        # a CP floor of -1e-8 and a TP deficit of at most 1e-8
+        channels.append(QuantumChannel(superop, 4, leakage_in=leakage).validate(tp_tol=1e-8))
+    return channels
+
+
+def extract_channel(
+    cfg: DeviceConfig,
+    schedule: PulseSchedule,
+    lossy: bool = True,
+    tol: float = 1e-9,
+    frame_correct: bool = True,
+) -> QuantumChannel:
+    """The CPTP map of one schedule on the (L1, L2) pair: extract_channels
+    of that schedule alone."""
+    return extract_channels(cfg, [schedule], lossy, tol, frame_correct)[0]

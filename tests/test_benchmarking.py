@@ -168,8 +168,8 @@ class TestExtractionOnFirstUse:
         with pytest.raises(KeyError):
             noise.transfer_channels["L3->L1"]
         run_network_benchmarking(noise, lengths=(2,), seeds_per_length=1, shots=100, cfg=cfg)
-        # the carrier starts on L1, so the table fills in direction order
-        assert extractions == [("satd", "L1->L2"), ("satd", "L2->L1")]
+        # one propagation carries both directions, and the table fills in direction order
+        assert extractions == [[("satd", "L1->L2"), ("satd", "L2->L1")]]
         assert list(noise.transfer_channels) == ["L1->L2", "L2->L1"]
         run_two_qubit_rb(
             noise,
@@ -179,25 +179,39 @@ class TestExtractionOnFirstUse:
             interleave=compile_remote_cnot(cfg=cfg),
             cfg=cfg,
         )
-        assert len(extractions) == 2
+        assert len(extractions) == 1
         assert len(noise.half_transfer_channels) == 0
+
+    def test_a_run_extracts_its_directions_in_one_call(self, extractions):
+        cfg = load_config(ONE_MODE)
+        noise = NoiseModel.from_config(cfg)
+        run_two_qubit_rb(
+            noise,
+            lengths=(1,),
+            seeds_per_length=1,
+            shots=100,
+            interleave=compile_remote_cnot(cfg=cfg),
+            cfg=cfg,
+        )
+        assert extractions == [[("satd", "L1->L2"), ("satd", "L2->L1")]]
 
     def test_channels_equal_direct_extraction(self, extractions):
         cfg = load_config(ONE_MODE)
         noise = NoiseModel.from_config(cfg)
         tables = {"satd": noise.transfer_channels, "sqrt_satd": noise.half_transfer_channels}
-        for method, table in tables.items():
+        expected = {}
+        for method in tables:
             forward = build_transfer_schedule(cfg, method=method)
-            for direction, schedule in (
-                ("L1->L2", forward),
-                ("L2->L1", reverse_schedule(forward)),
-            ):
-                expected = extract_channel(cfg, schedule, lossy=True)
-                got = table[direction]
-                assert got.superoperator.tobytes() == expected.superoperator.tobytes()
-                assert got.leakage_in.tobytes() == expected.leakage_in.tobytes()
-                assert table[direction] is got
-        assert extractions == [(m, d) for m in tables for d in ("L1->L2", "L2->L1")]
+            expected[method, "L1->L2"] = extract_channel(cfg, forward, lossy=True)
+            expected[method, "L2->L1"] = extract_channel(cfg, reverse_schedule(forward), lossy=True)
+        extractions.clear()
+        for (method, direction), channel in expected.items():
+            got = tables[method][direction]
+            assert got.superoperator.tobytes() == channel.superoperator.tobytes()
+            assert got.leakage_in.tobytes() == channel.leakage_in.tobytes()
+            assert tables[method][direction] is got
+        # each lookup of a missing direction is one extraction of that direction
+        assert extractions == [[key] for key in expected]
 
 
 class TestNetworkBenchmarking:

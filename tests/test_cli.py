@@ -174,7 +174,7 @@ class TestBellCommand:
             "--shots-per-setting", "1000",
         )
         assert code == 0
-        assert extractions == [(method, "L1->L2")]
+        assert extractions == [[(method, "L1->L2")]]
 
     def test_sqrt_variant_noiseless(self, tmp_path):
         code = run(tmp_path, "bell", "--variant", "lqubit-sqrt", "--noiseless")

@@ -8,6 +8,7 @@ dense Liouvillian on row-major vec(rho) for matrices.  It shares no code with
 the propagator beyond the model's operators and controls.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,8 +27,9 @@ from lcoupler.dynamics import (
     _propagate,
     build_hamiltonian,
     extract_channel,
+    extract_channels,
 )
-from lcoupler.pulses import PulseSchedule, build_transfer_schedule
+from lcoupler.pulses import PulseSchedule, build_transfer_schedule, reverse_schedule
 
 SINGLE_MODE = {
     "cpw": {"modes_retained": 1, "mode_frequencies_hz": [4.881e9], "mode_t1_s": [5.23e-6]}
@@ -114,8 +116,9 @@ def test_pair_superoperator_matches_dop853_oracle(lossy, monkeypatch):
     sched = build_transfer_schedule(cfg)
     channel = extract_channel(cfg, sched, lossy=lossy)
 
-    def oracle_integrate(model, collapse, m0, tol):
-        return oracle_matrices(model, collapse, m0)
+    def oracle_integrate(models, collapse, m0, tol):
+        # extract_channel hands _propagate a list of models, one input stack each
+        return np.stack([oracle_matrices(m, collapse, y) for m, y in zip(models, m0)])
 
     monkeypatch.setattr(dynamics, "_propagate", oracle_integrate)
     reference = extract_channel(cfg, sched, lossy=lossy)
@@ -170,6 +173,63 @@ def test_state_vector_under_loss_rejected():
     collapse = CollapseSet.from_config(cfg, model.basis)
     with pytest.raises(ValueError, match="state vector"):
         _propagate(model, collapse, np.eye(model.dim)[1], 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# schedules propagated together
+
+
+def _both_ways(cfg, method="satd"):
+    forward = build_transfer_schedule(cfg, method)
+    return [forward, reverse_schedule(forward)]
+
+
+def _assert_batch_matches_alone(cfg, schedules):
+    together = extract_channels(cfg, schedules, lossy=True)
+    assert len(together) == len(schedules)
+    for schedule, channel in zip(schedules, together):
+        alone = extract_channel(cfg, schedule, lossy=True)
+        assert channel.superoperator.tobytes() == alone.superoperator.tobytes()
+        assert channel.leakage_in.tobytes() == alone.leakage_in.tobytes()
+
+
+def test_extract_channels_equals_one_schedule_at_a_time():
+    cfg = load_config(SINGLE_MODE)
+    _assert_batch_matches_alone(cfg, _both_ways(cfg) + _both_ways(cfg, "sqrt_satd"))
+
+
+def test_extract_channels_equals_one_schedule_at_a_time_on_three_modes():
+    cfg = load_config({"cpw": {"modes_retained": 3}})
+    assert build_hamiltonian(cfg, build_transfer_schedule(cfg), 2).dim == 19
+    _assert_batch_matches_alone(cfg, _both_ways(cfg))
+
+
+def test_extract_channels_of_unequal_lengths():
+    # different sample spacings give the two schedules steps of different
+    # lengths, and different durations different step counts: the shorter
+    # one runs out of steps first, from the first row of the batch
+    cfg = load_config(SINGLE_MODE)
+    ramps = cfg.transfer.total_duration_s - cfg.transfer.satd_duration_s
+    short = build_transfer_schedule(cfg, "satd", None, 90e-9, 90e-9 + ramps, dt_s=0.25e-9)
+    full = build_transfer_schedule(cfg, "sqrt_satd")
+    assert short.duration_s < full.duration_s and short.dt_s != full.dt_s
+    _assert_batch_matches_alone(cfg, [short, full])
+
+
+def test_batched_models_must_share_their_operators():
+    cfg = load_config(SINGLE_MODE)
+    forward, backward = _both_ways(cfg)
+    model = build_hamiltonian(cfg, forward, 2)
+    collapse = CollapseSet.from_config(cfg, model.basis)
+    inputs = np.stack([np.eye(model.dim)[None]] * 2)
+    others = [
+        build_hamiltonian(cfg, backward, 1),  # another basis
+        dataclasses.replace(model, parts=2.0 * model.parts),
+        dataclasses.replace(model, static_hz=model.static_hz + np.eye(model.dim)),
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="share"):
+            _propagate([model, other], collapse, inputs, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -261,3 +321,16 @@ def test_split_schedule_composes(sched, data):
     for part in (_sub_schedule(sched, 0, cut), _sub_schedule(sched, cut, len(sched.times_s) - 1)):
         halves = _propagate(build_hamiltonian(cfg, part, 2), collapse, halves, 1e-9)
     assert np.max(np.abs(whole - halves)) < 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(first=control_schedules(), second=control_schedules())
+def test_schedules_propagated_together_match_each_alone(first, second):
+    # random spacings and sample counts: step lengths and counts differ
+    cfg = load_config(SINGLE_MODE)
+    models = [build_hamiltonian(cfg, s, truncation=2) for s in (first, second)]
+    collapse = CollapseSet.from_config(cfg, models[0].basis)
+    basis = _operator_basis(models[0].dim)
+    together = _propagate(models, collapse, [basis, basis], 1e-9)
+    for model, result in zip(models, together):
+        assert result.tobytes() == _propagate(model, collapse, basis, 1e-9).tobytes()
