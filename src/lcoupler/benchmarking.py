@@ -260,16 +260,7 @@ class NoiseModel:
         """
         if not 0.0 <= infidelity < 0.5:
             raise ValueError("transfer infidelity must lie in [0, 0.5)")
-        lam = 2.0 * infidelity
-        swap = ideal_transfer_channel()
-        one = depolarizing_channel(lam)
-        ident = QuantumChannel.identity(2)
-        channels = {}
-        for direction in TRANSFER_DIRECTIONS:
-            receiver = direction.split("->")[1]
-            pair = ident.tensor(one) if receiver == "L2" else one.tensor(ident)
-            channels[direction] = pair.compose(swap)
-        return cls(transfer_channels=channels)
+        return cls._after_swap(depolarizing_channel(2.0 * infidelity), on_receiver=True)
 
     @classmethod
     def with_transfer_leakage(cls, leak_prob: float) -> "NoiseModel":
@@ -282,13 +273,19 @@ class NoiseModel:
         """
         if not 0.0 <= leak_prob < 1.0:
             raise ValueError("leak probability must lie in [0, 1)")
+        return cls._after_swap(excitation_pump_channel(leak_prob), on_receiver=False)
+
+    @classmethod
+    def _after_swap(cls, one: QuantumChannel, on_receiver: bool) -> "NoiseModel":
+        """Ideal swap in each direction, then the one-qubit channel ``one``
+        on the receiver or on the emitter slot."""
         swap = ideal_transfer_channel()
-        pump = excitation_pump_channel(leak_prob)
         ident = QuantumChannel.identity(2)
         channels = {}
         for direction in TRANSFER_DIRECTIONS:
-            emitter = direction.split("->")[0]
-            pair = pump.tensor(ident) if emitter == "L1" else ident.tensor(pump)
+            emitter, receiver = direction.split("->")
+            slot = receiver if on_receiver else emitter
+            pair = one.tensor(ident) if slot == "L1" else ident.tensor(one)
             channels[direction] = pair.compose(swap)
         return cls(transfer_channels=channels)
 
@@ -297,15 +294,14 @@ class NoiseModel:
         cls,
         cfg: DeviceConfig | None = None,
         transfer_channels: dict[str, QuantumChannel] | None = None,
-        half_transfer_channels: dict[str, QuantumChannel] | None = None,
     ) -> "NoiseModel":
         """Full device noise: the device's transfer channels, per-pulse
         depolarizing from the calibrated Clifford errors, CZ depolarizing
         from the calibrated gate errors, and idle decoherence.
 
         A transfer table not passed in is extracted from the lossy SATD
-        schedule (half transfers: its square-root variant) one channel at a
-        time, the first time a circuit runs that transfer.  Calibrated
+        schedule, and the half-transfer table always is from its square-root
+        variant, each direction the first time a circuit runs it.  Calibrated
         single-qubit Clifford errors count one physical pulse per Clifford
         on average, so the per-pulse depolarizing probability is 2 * error
         (average infidelity of depolarizing is lam / 2).
@@ -313,14 +309,12 @@ class NoiseModel:
         cfg = cfg if cfg is not None else load_config()
         if transfer_channels is None:
             transfer_channels = _ExtractedChannels(cfg, "satd")
-        if half_transfer_channels is None:
-            half_transfer_channels = _ExtractedChannels(cfg, "sqrt_satd")
         qubits = [*cfg.l_qubits, *cfg.data_qubits]
         rates = {q.name: pure_dephasing_rate(q) for q in qubits}
         tphi = {name: 1.0 / r if r > 0 else math.inf for name, r in rates.items()}
         return cls(
             transfer_channels=transfer_channels,
-            half_transfer_channels=half_transfer_channels,
+            half_transfer_channels=_ExtractedChannels(cfg, "sqrt_satd"),
             sq_depolarizing={q.name: 2.0 * q.sq_clifford_error for q in qubits},
             cz_depolarizing={
                 frozenset(g.pair): g.error_per_gate * 4.0 / 3.0 for g in cfg.cz_gates

@@ -15,7 +15,8 @@ emitter, mirroring the population exchange.
 The deterministic pi that a transfer imprints on the moved amplitude is not
 handled here; the circuit layer folds it into the same register when it
 schedules a transfer. This module only implements the frequency-mismatch
-bookkeeping and a small closed-loop check.
+register algebra and a small closed-loop check: a Ramsey circuit of library
+ops (cliffords) that the ideal circuit executor runs on the l-qubit pair.
 """
 
 from __future__ import annotations
@@ -24,15 +25,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import ideal_transfer_unitary
-from .cliffords import _SWAP, _rotation
+from .benchmarking import NoiseModel, SpamModel, _CircuitRunner
+from .cliffords import L_QUBIT_PAIR, GateOp, Segment, sq_rot, transfer_op, virtual_z
 
 TWO_PI = 2.0 * np.pi
 
 
 def wrap_angle(angle_rad: float) -> float:
     """Reduce an angle to [0, 2*pi)."""
-    return float(np.mod(angle_rad, TWO_PI))
+    wrapped = float(np.mod(angle_rad, TWO_PI))
+    return 0.0 if wrapped == TWO_PI else wrapped  # -1e-17 rounds up to 2*pi
 
 
 @dataclass(frozen=True)
@@ -76,24 +78,6 @@ def transfer_frame(emitter: Frame, receiver: Frame, t_transfer_s: float) -> tupl
     return new_emitter, new_receiver
 
 
-def _framed_pulse(rotation: np.ndarray, register_rad: float) -> np.ndarray:
-    # a register phi offsets the rotation axis: Z(phi) R Z(-phi)
-    z = np.diag([1.0, np.exp(1j * register_rad)])
-    return z @ rotation @ z.conj().T
-
-
-def _transfer_unitary(delta_rad_s: float, t_transfer_s: float) -> np.ndarray:
-    """Pair unitary for a circuit-level transfer in the doubly rotating frame.
-
-    Basis |q_emitter q_receiver> with the emitter as the most significant
-    bit. The moved amplitude carries the dark-passage minus sign and the
-    frame-mismatch factor exp(+i * delta * t); the double-excitation element
-    keeps both signs and both factors, which cancel.
-    """
-    phase = np.exp(1j * delta_rad_s * t_transfer_s)
-    return ideal_transfer_unitary() @ np.diag([1.0, np.conj(phase), phase, 1.0])
-
-
 def ramsey_round_trip(
     frequency_1_hz: float,
     frequency_2_hz: float,
@@ -102,33 +86,48 @@ def ramsey_round_trip(
 ) -> float:
     """Return probability of the closed-loop frame check.
 
-    Circuit: pi/2 on qubit 1, transfer 1 -> 2 at the first event time,
-    transfer back at the second, then -pi/2 on qubit 1; reports P(qubit 1
-    back in |0>). With tracking the loop closes exactly; without it the
-    residual phase (omega_1 - omega_2) * (t_first - t_second) leaks into the
-    final pulse and the return probability drops for generic event times.
+    Circuit on the l-qubit pair: pi/2 on qubit 1, transfer 1 -> 2 at the
+    first event time, transfer back at the second, then -pi/2 on qubit 1;
+    reports P(qubit 1 back in |0>) from the ideal executor. With tracking
+    the loop closes exactly; without it the residual phase
+    (omega_1 - omega_2) * (t_first - t_second) leaks into the final pulse
+    and the return probability drops for generic event times.
     """
+
+    def pulse(register_rad: float, angle_rad: float) -> list[GateOp]:
+        # a register phi offsets the rotation axis: Z(phi) R Z(-phi)
+        return [
+            virtual_z("L1", -register_rad),
+            sq_rot("L1", "y", angle_rad, 0.0),
+            virtual_z("L1", register_rad),
+        ]
+
+    def transfer(emitter: Frame, receiver: Frame, t_transfer_s: float) -> list[GateOp]:
+        # the bus imprints the frame mismatch delta * t on the moved amplitude:
+        # exp(+i delta t) on the emitter's excitation, the conjugate on the
+        # receiver's
+        mismatch = (emitter.frequency_rad_s - receiver.frequency_rad_s) * t_transfer_s
+        return [
+            virtual_z(emitter.qubit, mismatch),
+            virtual_z(receiver.qubit, -mismatch),
+            transfer_op(f"{emitter.qubit}->{receiver.qubit}", 0.0),
+        ]
+
     t_first, t_second = transfer_times_s
     f1 = Frame("L1", TWO_PI * frequency_1_hz)
     f2 = Frame("L2", TWO_PI * frequency_2_hz)
-    delta = f1.frequency_rad_s - f2.frequency_rad_s
 
-    state = np.zeros(4, dtype=complex)
-    state[0] = 1.0
-    pulse = _framed_pulse(_rotation("y", np.pi / 2.0), f1.virtual_z_rad)
-    state = np.kron(pulse, np.eye(2)) @ state
-
-    state = _transfer_unitary(delta, t_first) @ state
+    ops = pulse(f1.virtual_z_rad, np.pi / 2.0) + transfer(f1, f2, t_first)
     if track_frames:
         f1, f2 = transfer_frame(f1, f2, t_first)
         f2 = apply_virtual_z(f2, np.pi)  # circuit layer absorbs the dark sign
-
-    # reverse direction: swap the roles, emitter is now qubit 2
-    state = _SWAP @ _transfer_unitary(-delta, t_second) @ _SWAP @ state
+    ops += transfer(f2, f1, t_second)
     if track_frames:
         f2, f1 = transfer_frame(f2, f1, t_second)
         f1 = apply_virtual_z(f1, np.pi)
+    ops += pulse(f1.virtual_z_rad, -np.pi / 2.0)
 
-    pulse = _framed_pulse(_rotation("y", -np.pi / 2.0), f1.virtual_z_rad)
-    state = np.kron(pulse, np.eye(2)) @ state
-    return float(np.abs(state[0]) ** 2 + np.abs(state[1]) ** 2)
+    runner = _CircuitRunner(NoiseModel.ideal(), L_QUBIT_PAIR)
+    ground = runner.initial_state(SpamModel.ideal(L_QUBIT_PAIR))
+    rho = runner.run(ground, [Segment((op,)) for op in ops])
+    return float(rho[0, 0].real + rho[1, 1].real)

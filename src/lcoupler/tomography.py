@@ -6,8 +6,9 @@ data qubits with local CZ circuits, and a data-qubit Bell pair built around
 one full transfer.  Reconstruction measures the nine two-qubit Pauli
 settings, inverts linearly, and projects the estimate onto the nearest
 physical state in Frobenius norm.  Frame conventions leave single-qubit Z
-phases arbitrary, so Bell fidelities are also reported after a two-parameter
-phase search.
+phases arbitrary, so Bell fidelities are also reported at their optimum over
+the two virtual-Z phases, which has a closed form for a target with two
+nonzero amplitudes (every Bell target).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .benchmarking import NoiseModel, SpamModel, _CircuitRunner, spam_apply
 from .channels import from_pauli, pauli_populations, to_pauli
@@ -31,6 +31,7 @@ from .cliffords import (
     transfer_step,
 )
 from .config import DeviceConfig, load_config
+from .frames import wrap_angle
 from .rng import RngHandle
 
 SETTINGS = tuple(p + q for p in "XYZ" for q in "XYZ")
@@ -245,22 +246,25 @@ def optimize_bell_phases(
 ) -> tuple[float, tuple[float, float]]:
     """Best fidelity to (Z(a) x Z(b)) |target> over the two virtual phases.
 
-    Coarse 16x16 grid, then a local simplex refinement from the best cell.
+    For a target with two nonzero amplitudes t_i and t_j the fidelity is
+    |t_i|^2 rho_ii + |t_j|^2 rho_jj + 2 Re(exp(i (phi_j - phi_i)) c) with
+    c = t_i* t_j rho_ij, so its maximum is the diagonal part plus 2 |c|, at
+    phi_j - phi_i = -arg(c).  That whole difference goes on the first qubit
+    whose bit differs between the two components, the other phase is 0.
+    Any other target raises ValueError.
     """
     target = np.asarray(target, dtype=complex)
     target = target / np.linalg.norm(target)
-
-    def fidelity(angles):
-        a, b = angles
-        phase = np.kron([1.0, np.exp(1j * a)], [1.0, np.exp(1j * b)])
-        psi = phase * target
-        return float(np.real(np.vdot(psi, rho @ psi)))
-
-    grid = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-    best = max(((a, b) for a in grid for b in grid), key=fidelity)
-    res = minimize(
-        lambda x: -fidelity(x), x0=np.array(best), method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-14},
-    )
-    a, b = (float(x) % (2.0 * math.pi) for x in res.x)
-    return float(-res.fun), (a, b)
+    support = np.flatnonzero(target)
+    if support.size != 2:
+        raise ValueError("the phase optimum needs a target with two nonzero amplitudes")
+    i, j = support
+    rho = np.asarray(rho, dtype=complex)
+    c = np.conj(target[i]) * target[j] * rho[i, j]
+    diagonal = abs(target[i]) ** 2 * rho[i, i].real + abs(target[j]) ** 2 * rho[j, j].real
+    # bit 1 of an index is the first qubit's; phi_j - phi_i is that qubit's
+    # phase times the difference of its bits
+    bit = 1 if (i ^ j) & 2 else 0
+    angle = wrap_angle(-np.angle(c) * ((j >> bit & 1) - (i >> bit & 1)))
+    phases = (angle, 0.0) if bit else (0.0, angle)
+    return float(diagonal + 2.0 * abs(c)), phases

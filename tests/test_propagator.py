@@ -29,7 +29,12 @@ from lcoupler.dynamics import (
     extract_channel,
     extract_channels,
 )
-from lcoupler.pulses import PulseSchedule, build_transfer_schedule, reverse_schedule
+from lcoupler.pulses import (
+    PulseSchedule,
+    build_transfer_schedule,
+    constant_coupling_schedule,
+    reverse_schedule,
+)
 
 SINGLE_MODE = {
     "cpw": {"modes_retained": 1, "mode_frequencies_hz": [4.881e9], "mode_t1_s": [5.23e-6]}
@@ -191,6 +196,7 @@ def _assert_batch_matches_alone(cfg, schedules):
         alone = extract_channel(cfg, schedule, lossy=True)
         assert channel.superoperator.tobytes() == alone.superoperator.tobytes()
         assert channel.leakage_in.tobytes() == alone.leakage_in.tobytes()
+    return together
 
 
 def test_extract_channels_equals_one_schedule_at_a_time():
@@ -214,6 +220,17 @@ def test_extract_channels_of_unequal_lengths():
     full = build_transfer_schedule(cfg, "sqrt_satd")
     assert short.duration_s < full.duration_s and short.dt_s != full.dt_s
     _assert_batch_matches_alone(cfg, [short, full])
+
+
+def test_extract_channels_with_a_zero_duration_schedule():
+    # a schedule of no duration takes no step: its stream is empty, and the
+    # lockstep drops it at step 0 while the full schedule steps on
+    cfg = load_config(SINGLE_MODE)
+    empty = constant_coupling_schedule(0.0, 0.0)
+    assert empty.duration_s == 0.0
+    channel, _ = _assert_batch_matches_alone(cfg, [empty, build_transfer_schedule(cfg)])
+    assert np.array_equal(channel.superoperator, np.eye(16))
+    assert not channel.leakage_in.any()
 
 
 def test_batched_models_must_share_their_operators():

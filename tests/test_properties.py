@@ -211,8 +211,8 @@ def _device_noise(seed, idle):
     noise = NoiseModel.from_config(
         load_config(),
         transfer_channels={d: _random_channel(gen, 4) for d in directions},
-        half_transfer_channels={d: _random_channel(gen, 4) for d in directions},
     )
+    noise.half_transfer_channels = {d: _random_channel(gen, 4) for d in directions}
     noise.idle_decoherence = idle
     return noise
 
