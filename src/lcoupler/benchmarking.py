@@ -146,7 +146,10 @@ def spam_apply(
     The ideal distribution over computational outcomes (first qubit is the
     most significant bit) is mixed by the register's confusion matrix
     (SpamModel.confusion), then ``shots`` outcomes are drawn multinomially.
-    Returns counts / shots.
+    The draw sees the mixed probabilities snapped to a 1e-12 grid: NumPy's
+    binomial draws on min(p, 1 - p), so a symmetric setting at 0.5 + 1 ulp
+    and one at 0.5 - 1 ulp would otherwise give different counts for one
+    seed.  Returns counts / shots.
     """
     dist = np.asarray(distribution, dtype=float)
     if dist.ndim != 1 or dist.size != confusion.shape[1]:
@@ -157,8 +160,8 @@ def spam_apply(
     total = dist.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-6):
         raise ValueError(f"distribution is not normalized: sum {total}")
-    noisy = confusion @ (dist / total)
-    noisy = np.clip(noisy, 0.0, None)
+    noisy = np.clip(confusion @ (dist / total), 0.0, None)
+    noisy = np.rint(noisy * (1e12 / noisy.sum()))  # whole multiples of 1e-12
     noisy /= noisy.sum()
     gen = rng.generator() if isinstance(rng, RngHandle) else rng
     counts = gen.multinomial(shots, noisy)

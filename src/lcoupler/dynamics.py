@@ -25,10 +25,11 @@ from .config import DeviceConfig, pure_dephasing_rate
 from .pulses import PulseSchedule, build_transfer_schedule
 
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-_CHUNK = 64  # sample intervals, and then pieces, per batch; even, bounds memory
-_MAX_SUBSTEPS = 4096  # per sample interval, before the propagator gives up
+_CHUNK = 64  # intervals, and then pieces, per batch; even, bounds memory
+_MAX_SUBSTEPS = 4096  # per sample interval spanned, before the propagator gives up
 _SERIES_RADIUS = 0.5  # exponents are scaled to this 1-norm before summing
 _PAIRS = np.triu_indices(4, 1)  # the pairs i < j of the four controls' brackets
+_LINEAR_ULPS = 16  # a sample this many eps * max|c| off its chord still counts as linear
 
 
 def mode_sign(mode_index: int, target_mode_index: int, end: str) -> float:
@@ -243,17 +244,22 @@ def _expm(omega: np.ndarray) -> np.ndarray:
     Matrix products only.  A LAPACK solve, as in a Pade approximant, wakes
     OpenBLAS's worker threads, and the first such call in a process can
     stall for about a second on a 2-core host; the pieces' exponents are
-    small, so the series is short.  Its degree is the least whose first
-    omitted term is below 1e-17 at the scaled norm.  The series is summed
+    small, so the series is short.  Each matrix is scaled by its own power
+    of 2, to a 1-norm of at most _SERIES_RADIUS, and squared back as often:
+    a whole decoupled run (1-norm up to about 90 at 5 modes) then adds no
+    squarings, nor their rounding, to the short pieces of its batch.  The
+    degree is the least whose first omitted term is below 1e-17 at the
+    largest scaled norm of the batch.  The series is summed
     by Paterson and Stockmeyer (SIAM J. Comput. 2, 60 (1973)): the powers
     x^2 .. x^q with q = isqrt(degree), then Horner's rule in x^q over
     polynomials of degree below q, each one product of a coefficient row
     with the powers, so degree 10 takes 5 matrix products, not 9.
     """
-    norm = float(np.abs(omega).sum(axis=-2).max())
-    squarings = max(0, math.ceil(math.log2(norm / _SERIES_RADIUS))) if norm > 0.0 else 0
-    x = omega / 2.0**squarings
-    theta, degree = norm / 2.0**squarings, 1
+    norms = np.abs(omega).sum(axis=-2).max(axis=-1)
+    with np.errstate(divide="ignore"):
+        squarings = np.maximum(0, np.ceil(np.log2(norms / _SERIES_RADIUS))).astype(int)
+    x = omega / np.exp2(squarings)[..., None, None]
+    theta, degree = float((norms / np.exp2(squarings)).max()), 1
     while theta ** (degree + 1) / math.factorial(degree + 1) > 1e-17:
         degree += 1
     q = math.isqrt(degree)
@@ -280,8 +286,9 @@ def _expm(omega: np.ndarray) -> np.ndarray:
     for j in range(top - 1, -1, -1):
         out = out @ powers[q] + block(j)
     out += powers[0]
-    for _ in range(squarings):
-        out = out @ out
+    for k in range(squarings.max(initial=0)):
+        more = squarings > k
+        out[more] = out[more] @ out[more]
     return out
 
 
@@ -356,8 +363,8 @@ def _screen_bound(alpha1, alpha2, c12) -> np.ndarray:
 def _substep_counts(
     a0, parts, h, lo, slope, tol: float, jump_rate: float, blocks=None
 ) -> np.ndarray:
-    """Fewest equal substeps per sample interval whose remainder estimate
-    stays at or below tol.
+    """Fewest equal substeps per interval whose remainder estimate stays at
+    or below tol, as floats (_piece_propagators caps them).
 
     The controls of each interval start at lo and change by slope.  With
     alpha1 = h A(t_mid) and alpha2 = h^2 dA/dt on an interval where A is
@@ -413,18 +420,62 @@ def _substep_counts(
             square = square + _square_norm(remainder)
         estimate = np.sqrt(square) + jump[rest]
         counts[start + rest] = np.maximum(1.0, np.ceil((estimate / tol) ** 0.25))
-    if counts.max() > _MAX_SUBSTEPS:
-        raise RuntimeError(
-            f"a sample interval needs {counts.max():.3g} substeps to reach tol {tol:.1e}"
-        )
-    return counts.astype(int)
+    return counts
+
+
+def _interval_ends(times, ctrl, a0, parts) -> np.ndarray:
+    """Indices of the samples that bound the propagation intervals: every
+    sample but those inside a decoupled run along which the controls are
+    linear in time.
+
+    An interval is decoupled when a0 is diagonal and the control of every
+    part with off-diagonal entries (the two exchanges) is exactly zero at
+    both ends.  A(t) is then diagonal, so it commutes with itself at all
+    times, and where every control is linear in t across a run of such
+    intervals, exp(h A(t_mid)) over the whole run is its exact propagator:
+    the Magnus brackets vanish, and the step's halves split exactly.
+    Linear means each sample of the run lies within _LINEAR_ULPS * eps *
+    max|c| of the chord of its column between the run's two ends; a
+    sample is a candidate when it lies that close to the chord of its two
+    neighbours, and a run of candidates whose chord test fails keeps its
+    samples.  The piecewise-linear control and the chord then differ by at
+    most that bound everywhere, so a run of length T moves a qubit's phase
+    2 pi int c dt by at most 2 pi T _LINEAR_ULPS eps max|c|: 4e-14 rad for
+    a default ramp (52 MHz, 35.3 ns), whose samples lie within 1.4 eps
+    max|c| of their chords.
+    """
+    n = len(times)
+    off = ~np.eye(len(a0), dtype=bool)
+    if a0[off].any():
+        return np.arange(n)
+    coupled = parts[:, off].any(axis=1)
+    decoupled = ~ctrl[:, coupled].any(axis=1)  # per sample
+    bound = _LINEAR_ULPS * np.finfo(float).eps * np.abs(ctrl).max(axis=0)
+
+    def near_chord(a, b, k):
+        """Samples k within bound of the chords from samples a to b."""
+        w = ((times[k] - times[a]) / (times[b] - times[a]))[:, None]
+        return np.all(np.abs(ctrl[k] - (ctrl[a] + w * (ctrl[b] - ctrl[a]))) <= bound, axis=1)
+
+    k = np.arange(1, n - 1)
+    candidate = decoupled[:-2] & decoupled[1:-1] & decoupled[2:] & near_chord(k - 1, k + 1, k)
+    keep = np.ones(n, dtype=bool)
+    edges = np.diff(np.concatenate([[0], candidate.astype(int), [0]]))
+    for first, stop in zip(np.flatnonzero(edges == 1) + 1, np.flatnonzero(edges == -1) + 1):
+        run = np.arange(first, stop)
+        if near_chord(first - 1, stop, run).all():
+            keep[run] = False
+    return np.flatnonzero(keep)
 
 
 def _piece_propagators(model: HamiltonianModel, a0, tol: float, jump_rate: float, split: int):
     """Yield (lengths, propagators) of the schedule's pieces in time order.
 
-    Every sample interval is cut into split * n equal pieces, n from
-    _substep_counts.  A batch holds at most _CHUNK pieces and every interval
+    The intervals are those between the samples of _interval_ends: each
+    sample interval, or a whole decoupled run with linear controls.  Every
+    interval is cut into split * n equal pieces, n from _substep_counts at
+    the interval's own length, so the jump term of the estimate decides n
+    on a run.  A batch holds at most _CHUNK pieces and every interval
     gives a multiple of split, so split-sized groups never straddle batches.
     The Magnus exponents and their exponentials are taken per block of
     _sector_blocks; the propagators are block diagonal, the identity off
@@ -432,12 +483,21 @@ def _piece_propagators(model: HamiltonianModel, a0, tol: float, jump_rate: float
     a fraction of the interval, so [A2, A1] = -gap [A2, slope . P], one
     _bracket product.
     """
-    ctrl = model.control_samples()
     parts = -2j * math.pi * model.parts
-    h = np.diff(model.schedule.times_s)
+    times, ctrl = model.schedule.times_s, model.control_samples()
+    ends = _interval_ends(times, ctrl, a0, parts)
+    ctrl, h = ctrl[ends], np.diff(times[ends])
     lo, slope = ctrl[:-1], np.diff(ctrl, axis=0)
     blocks = _sector_blocks(a0, parts)
-    counts = split * _substep_counts(a0, parts, h, lo, slope, tol, jump_rate, blocks)
+    counts = _substep_counts(a0, parts, h, lo, slope, tol, jump_rate, blocks)
+    spans = np.diff(ends)  # the sample intervals of each interval
+    if np.any(counts > _MAX_SUBSTEPS * spans):
+        worst = np.argmax(counts / spans)
+        raise RuntimeError(
+            f"an interval of {spans[worst]} samples needs {counts[worst]:.3g} substeps"
+            f" to reach tol {tol:.1e}"
+        )
+    counts = split * counts.astype(int)
     interval = np.repeat(np.arange(len(h)), counts)
     index = np.arange(len(interval)) - np.repeat(np.cumsum(counts) - counts, counts)
     eye = np.eye(model.dim, dtype=complex)
@@ -569,8 +629,11 @@ def _propagate(model, collapse: CollapseSet, y0: np.ndarray, tol: float) -> np.n
     otherwise; y0 and the result then hold one input per model on a leading
     axis.
 
-    tol bounds the remainder estimate of every sample interval (see
-    _substep_counts).  Without collapse operators each model's piece
+    tol bounds the remainder estimate of every interval (see
+    _substep_counts): a sample interval, or a whole decoupled run of them
+    along which the controls are linear, such as a transfer's detuning
+    ramps, whose diagonal generator makes one interval exact (see
+    _interval_ends).  Without collapse operators each model's piece
     propagators are multiplied into one, pairwise within each batch, which
     is then applied once.  With them, the B matrices of each of the S
     schedules are held for the whole propagation in one array

@@ -90,6 +90,20 @@ class TestSpamApply:
             out = spam_apply(np.array(probs), spam.confusion(("q",)), RngHandle(seed=8), 200000)
             assert out[0] == pytest.approx(0.5, abs=0.01)
 
+    @pytest.mark.parametrize("outcomes", [2, 4])
+    def test_counts_ignore_one_ulp_about_one_half(self, outcomes):
+        # NumPy's binomial draws on min(p, 1 - p): without the 1e-12 grid the
+        # two sides of 0.5 draw mirrored counts from one seed
+        names = ("a", "b")[: outcomes // 2]
+        confusion = SpamModel.ideal(names).confusion(names)
+        above, below = np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)
+        counts = []
+        for p in (above, below):
+            dist = np.zeros(outcomes)
+            dist[0], dist[-1] = p, 1.0 - p
+            counts.append(spam_apply(dist, confusion, RngHandle(seed=5), 1001))
+        assert np.array_equal(*counts)
+
     def test_rejects_bad_inputs(self):
         confusion = SpamModel.ideal(("q",)).confusion(("q",))
         with pytest.raises(ValueError):

@@ -351,3 +351,117 @@ def test_schedules_propagated_together_match_each_alone(first, second):
     together = _propagate(models, collapse, [basis, basis], 1e-9)
     for model, result in zip(models, together):
         assert result.tobytes() == _propagate(model, collapse, basis, 1e-9).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# decoupled runs: one interval each, against closed forms
+
+
+def _decoupled_schedule(cfg):
+    """Couplings off throughout: the default detuning ramp from each
+    qubit's idle offset, a 135 ns idle at constant detuning, and the ramp
+    back, each column shifted by a constant so that the idle is off
+    resonance."""
+    sched = build_transfer_schedule(cfg)
+    zero = np.zeros_like(sched.times_s)
+    return dataclasses.replace(
+        sched,
+        g_e_hz=zero,
+        g_r_hz=zero.copy(),
+        det_e_hz=sched.det_e_hz + 3e6,
+        det_r_hz=sched.det_r_hz - 2e6,
+    )
+
+
+def _qubit_superop(qubit, duration_s, detuning_hz, times_s):
+    """Closed-form channel of one decoupled qubit, shape (out, out, in, in):
+    damping 1 - exp(-t/T1), coherence exp(-t/T2) turned by 2 pi int det dt
+    (the integral of the linear interpolation the propagator follows)."""
+    damped = 1.0 - math.exp(-duration_s / qubit.t1_s)
+    phase = 2.0 * math.pi * np.trapezoid(detuning_hz, times_s)
+    coherence = math.exp(-duration_s / qubit.t2_s) * np.exp(1j * phase)
+    s = np.zeros((2, 2, 2, 2), dtype=complex)
+    s[0, 0, 0, 0] = 1.0
+    s[0, 0, 1, 1] = damped
+    s[1, 1, 1, 1] = 1.0 - damped
+    s[0, 1, 0, 1] = coherence
+    s[1, 0, 1, 0] = np.conj(coherence)
+    return s
+
+
+@pytest.mark.parametrize("modes", [1, 5])
+def test_decoupled_schedule_matches_closed_form_channel(modes):
+    cfg = load_config({"cpw": {"modes_retained": modes}})
+    sched = _decoupled_schedule(cfg)
+    model = build_hamiltonian(cfg, sched, 2)
+    decay, _ = CollapseSet.from_config(cfg, model.basis).split(model.dim)
+    a0 = -2j * math.pi * model.static_hz - 0.5 * decay
+    ends = dynamics._interval_ends(
+        sched.times_s, model.control_samples(), a0, -2j * math.pi * model.parts
+    )
+    # the ramp, the idle and the ramp back, each one interval
+    assert ends.tolist() == [0, 355, 1705, 2060]
+    channel = extract_channel(cfg, sched, lossy=True, frame_correct=False)
+    assert np.max(np.abs(channel.superoperator - _closed_form_pair(cfg, sched))) < 1e-12
+    assert not channel.leakage_in.any()
+
+
+def test_long_decoupled_idle_takes_substeps_past_the_per_interval_cap(monkeypatch):
+    # 100 us at constant detuning is one interval of 10,000 samples; its jump
+    # term asks for more than _MAX_SUBSTEPS substeps, which the cap allows
+    # per sample interval spanned
+    cfg = load_config(SINGLE_MODE)
+    n = 10_001
+    times = np.arange(n) * 10e-9
+    zero = np.zeros(n)
+    sched = PulseSchedule(
+        times_s=times,
+        g_e_hz=zero,
+        g_r_hz=zero,
+        det_e_hz=np.full(n, 3e6),
+        det_r_hz=np.full(n, -2e6),
+        method="idle",
+        dt_s=10e-9,
+        sweep_start_s=0.0,
+        sweep_duration_s=float(times[-1]),
+        g_hz=0.0,
+        theta_max=0.0,
+    )
+    steps = _counted_lawson_steps(monkeypatch)
+    channel = extract_channel(cfg, sched, lossy=True, frame_correct=False)
+    assert dynamics._MAX_SUBSTEPS < len(steps) < n
+    assert np.max(np.abs(channel.superoperator - _closed_form_pair(cfg, sched))) < 1e-12
+
+
+def _closed_form_pair(cfg, sched):
+    """The pair's closed-form channel: L1's and L2's, L1 the more
+    significant bit of the row-major vec."""
+    l1, l2 = (
+        _qubit_superop(q, sched.duration_s, det, sched.times_s)
+        for q, det in zip(cfg.l_qubits, (sched.det_e_hz, sched.det_r_hz))
+    )
+    return np.einsum("ijkl,mnop->imjnkolp", l1, l2).reshape(16, 16)
+
+
+@pytest.mark.parametrize("modes, steps", [(1, 1354), (5, 1360)])
+def test_default_transfer_takes_its_lawson_steps(modes, steps, monkeypatch):
+    # 2,060 sample intervals, of which the 706 inside the two zero-coupling
+    # ramps are two intervals; at 5 modes the jump term of the estimate gives
+    # each ramp two substeps
+    cfg = load_config({"cpw": {"modes_retained": modes}})
+    taken = _counted_lawson_steps(monkeypatch)
+    extract_channel(cfg, build_transfer_schedule(cfg), lossy=True)
+    assert len(taken) == steps
+
+
+def _counted_lawson_steps(monkeypatch):
+    """A list that gains an entry at every Lawson step from now on."""
+    taken = []
+    step = dynamics._lawson_step
+
+    def counted(*args):
+        taken.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(dynamics, "_lawson_step", counted)
+    return taken

@@ -7,14 +7,20 @@ exponentiated whole (no excitation-sector split), its Magnus commutator
 and every substep estimate taken by plain matrix products with no screen,
 the lossless pieces multiplied into the total one product at a time, and
 every Lawson step conjugating its four matrices separately, with channel
-extraction propagating all 16 pair inputs.  It shares the step grid, the
-series degree, the scaling rule and the tolerance with the propagator, so
-the two agree to rounding: within 1e-12 here, and the substep counts are
-equal.  ``_expm`` is also checked against ``scipy.linalg.expm`` over the
-sizes, batches and norms the propagator meets, the bracket table against
-plain commutators, and the screen against the remainder it bounds.
+extraction propagating all 16 pair inputs.  It steps through every sample
+interval, so it does not share the propagator's grid: the propagator takes
+a decoupled run with linear controls (a transfer's detuning ramps) as one
+interval, and scales each exponent by its own power of 2 where the
+reference scales a batch by its largest norm.  The two share the series
+degree rule, the substep estimate and the tolerance, and agree within
+1e-12 on every schedule here; on the per-sample grid the substep counts
+are equal.  ``_expm`` is also checked against ``scipy.linalg.expm`` over
+the sizes, batches and norms the propagator meets, the bracket table
+against plain commutators, and the screen against the remainder it
+bounds.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +40,7 @@ from lcoupler.dynamics import (
     _SERIES_RADIUS,
     CollapseSet,
     _bracket,
+    _interval_ends,
     _propagate,
     _screen_bound,
     _sector_blocks,
@@ -191,21 +198,36 @@ def test_sweep_cells_match_reference(method, g_hz):
 
 
 @pytest.mark.parametrize(
-    "overrides, lossy, reverse",
+    "overrides, method, lossy, reverse",
     [
         *(
-            pytest.param(ONE_MODE, lossy, reverse, id=f"{reverse}-{lossy}")
+            pytest.param(ONE_MODE, "satd", lossy, reverse, id=f"{reverse}-{lossy}")
             for lossy in (False, True)
             for reverse in (False, True)
         ),
-        # the default 5-mode device (d = 34) that every CLI run extracts
-        pytest.param({}, True, False, id="5modes-lossy-forward"),
+        *(
+            pytest.param(ONE_MODE, method, lossy, reverse, id=f"{method}-{reverse}-{lossy}")
+            for method in ("stirap", "sqrt_satd")
+            for lossy in (False, True)
+            for reverse in (False, True)
+        ),
+        # the default 5-mode device (d = 34) that every CLI run extracts; the
+        # lossy reference takes about 8 s a schedule, so three of the six
+        pytest.param({}, "satd", True, False, id="5modes-lossy-forward"),
+        pytest.param({}, "stirap", True, True, id="5modes-stirap-lossy-reverse"),
+        pytest.param({}, "sqrt_satd", True, False, id="5modes-sqrt_satd-lossy-forward"),
+        *(
+            pytest.param({}, method, False, reverse, id=f"5modes-{method}-{reverse}-False")
+            for method in ("satd", "stirap", "sqrt_satd")
+            for reverse in (False, True)
+        ),
     ],
 )
-def test_pair_extraction_matches_reference(overrides, lossy, reverse):
-    # 10 propagated inputs and 6 adjoints against 16 propagated inputs
+def test_pair_extraction_matches_reference(overrides, method, lossy, reverse):
+    # 10 propagated inputs and 6 adjoints against 16 propagated inputs, the
+    # detuning ramps one interval each against every sample interval
     cfg = load_config(overrides)
-    sched = build_transfer_schedule(cfg)
+    sched = build_transfer_schedule(cfg, method)
     if reverse:
         sched = reverse_schedule(sched)
     channel = extract_channel(cfg, sched, lossy=lossy)
@@ -259,6 +281,91 @@ def test_operator_basis_matches_reference(sched, lossy):
     finals = _propagate(model, collapse, basis, 1e-9)
     reference = reference_propagate(model, collapse, basis, 1e-9)
     assert np.max(np.abs(finals - reference)) < AGREEMENT
+
+
+@st.composite
+def decoupled_stretch_schedules(draw):
+    """A random schedule with one to three stretches at random positions
+    where the couplings are zero and both detunings linear in time, and the
+    bounds of the last stretch, which no later one overwrites.  Stretches
+    are at most 22 ns long: under loss the two routes' Runge-Kutta errors
+    over a run grow as its length to the fifth power."""
+    n = draw(st.integers(4, 12))
+    dt = draw(st.floats(0.2e-9, 2e-9))
+    times = np.arange(n) * dt
+
+    def columns(bound, count):
+        floats = st.floats(-bound, bound)
+        return np.array(draw(st.lists(floats, min_size=2 * count, max_size=2 * count)))
+
+    g, det = columns(5e6, n).reshape(2, n), columns(60e6, n).reshape(2, n)
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.integers(0, n - 3))
+        b = draw(st.integers(a + 2, n - 1))
+        start, stop = columns(60e6, 2).reshape(2, 2, 1)
+        g[:, a : b + 1] = 0.0
+        w = (times[a : b + 1] - times[a]) / (times[b] - times[a])
+        det[:, a : b + 1] = start + (stop - start) * w
+    sched = PulseSchedule(
+        times_s=times,
+        g_e_hz=g[0],
+        g_r_hz=g[1],
+        det_e_hz=det[0],
+        det_r_hz=det[1],
+        method="random",
+        dt_s=dt,
+        sweep_start_s=0.0,
+        sweep_duration_s=(n - 1) * dt,
+        g_hz=5e6,
+        theta_max=0.0,
+    )
+    return sched, (a, b)
+
+
+def interval_ends(model, collapse):
+    a0, parts, *_ = estimate_inputs(model, collapse)
+    return _interval_ends(model.schedule.times_s, model.control_samples(), a0, parts)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=decoupled_stretch_schedules(), lossy=st.booleans())
+def test_decoupled_stretches_match_reference(case, lossy):
+    sched, (a, b) = case
+    cfg = load_config(ONE_MODE)
+    model = build_hamiltonian(cfg, sched, truncation=2)
+    collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet()
+    # the last stretch's inner samples bound no interval
+    assert not np.isin(np.arange(a + 1, b), interval_ends(model, collapse)).any()
+    basis = np.eye(model.dim**2, dtype=complex).reshape(-1, model.dim, model.dim)
+    finals = _propagate(model, collapse, basis, 1e-9)
+    reference = reference_propagate(model, collapse, basis, 1e-9)
+    assert np.max(np.abs(finals - reference)) < AGREEMENT
+
+
+@pytest.mark.parametrize("kink", [None, "detuning", "coupling"])
+def test_ramp_is_one_interval_unless_kinked(kink):
+    # the default ramp's first 41 samples, decoupled and linear; a detuning
+    # sample 1 Hz off the line (the bound is 16 eps * 52 MHz, 2e-7 Hz) or a
+    # 1 Hz coupling sample in the middle keeps the intervals beside it
+    cfg = load_config(ONE_MODE)
+    full = build_transfer_schedule(cfg)
+    keep = slice(0, 41)
+    columns = {
+        name: getattr(full, name)[keep].copy()
+        for name in ("times_s", "g_e_hz", "g_r_hz", "det_e_hz", "det_r_hz")
+    }
+    if kink == "detuning":
+        columns["det_e_hz"][20] += 1.0
+    elif kink == "coupling":
+        columns["g_e_hz"][20] = 1.0
+    sched = dataclasses.replace(full, **columns)
+    model = build_hamiltonian(cfg, sched, truncation=2)
+    collapse = CollapseSet.from_config(cfg, model.basis)
+    expected = [0, 40] if kink is None else [0, 19, 20, 21, 40]
+    assert interval_ends(model, collapse).tolist() == expected
+    basis = np.eye(model.dim**2, dtype=complex).reshape(-1, model.dim, model.dim)
+    finals = _propagate(model, collapse, basis, 1e-9)
+    assert np.max(np.abs(finals - reference_propagate(model, collapse, basis, 1e-9))) < AGREEMENT
 
 
 # ---------------------------------------------------------------------------
