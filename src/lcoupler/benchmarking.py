@@ -337,12 +337,31 @@ class NoiseModel:
 # every entry of a CPTP map's Pauli-transfer matrix lies in [-1, 1].
 PAULI_RESIDUE = 8 * np.finfo(float).eps
 
+# Positions per sort in _CircuitRunner.evolve: one sort over a whole TQRB
+# batch (636 positions by 240 circuits) is faster, but its key and index
+# arrays raise the peak memory of a protocol run.
+_EVOLVE_BLOCK = 64
+
 
 def _pauli_transfer(superop: np.ndarray) -> np.ndarray:
     """Real Pauli-transfer matrix of a CPTP superoperator, residue zeroed."""
     r = pauli_transfer_matrix(superop).real
     r[np.abs(r) <= PAULI_RESIDUE] = 0.0
     return r
+
+
+def _code_rows(circuits, segments: int) -> np.ndarray:
+    """The circuits' segment codes as one int32 row each, padded with
+    holes (-1).  Every code must lie in [-1, segments); the range is checked
+    before the cast, which would wrap a wider integer into it."""
+    lengths = np.array([len(c) for c in circuits], dtype=np.intp)
+    rows = np.full((len(circuits), lengths.max(initial=0)), -1, dtype=np.int32)
+    if rows.size:
+        entries = np.concatenate(circuits)
+        if not -1 <= entries.min() <= entries.max() < segments:
+            raise ValueError(f"segment codes must lie in [-1, {segments}), -1 a hole")
+        rows[np.arange(rows.shape[1]) < lengths[:, None]] = entries
+    return rows
 
 
 class _CircuitRunner:
@@ -357,21 +376,23 @@ class _CircuitRunner:
     transfer channel) followed by its depolarizing, tensored with every
     other qubit's idle decoherence for the op's duration, with entries
     within PAULI_RESIDUE of zero dropped, so that Clifford pulses and CZs
-    are signed permutations.  Each distinct segment gets an integer code and
+    are signed permutations.  The tensor product is multiplied out from the
+    blocks' nonzeros in numpy and permuted into register order, one CSR
+    matrix built per op.  Each distinct segment gets an integer code and
     is compiled once into the product of its ops' matrices.  On the default
     device the 48 segments of a TQRB run hold 256-860 nonzeros each (a
     remote CNOT 860), 23,256 in all, where the row-major vec basis needed
     94,935 complex ones (7,222 for a remote CNOT).  evolve runs a batch of
-    circuits in lockstep, one sparse product per distinct segment at each
-    position, and skips the code -1.  The protocols draw their circuits as
-    rows of a slot template (cliffords.SlotTemplate), with -1 for a hole,
-    so every column runs the same slot at the same position: a position
-    holds one code in a fixed slot (a remote CNOT, a cycler, a dressing, a
-    transfer step) and at most 23 in a single-qubit Clifford slot.  A
-    benchmark ``rb`` round (seed 3) makes 7,649 grouped products, where
-    circuits that drifted out of phase at every identity element made
-    20,128.  Both caches live as long as the runner, which is one protocol
-    run or one tomography preparation.
+    circuits in lockstep, one state row per circuit, one sparse product per
+    distinct segment at each position, and skips the code -1.  The
+    protocols draw their circuits as rows of a slot template
+    (cliffords.SlotTemplate), with -1 for a hole, so every circuit runs the
+    same slot at the same position: a position holds one code in a fixed
+    slot (a remote CNOT, a cycler, a dressing, a transfer step) and at most
+    23 in a single-qubit Clifford slot.  A benchmark ``rb`` round (seed 3)
+    makes 7,649 grouped products, where circuits that drifted out of phase
+    at every identity element made 20,128.  Both caches live as long as the
+    runner, which is one protocol run or one tomography preparation.
     """
 
     def __init__(self, noise: NoiseModel, qubit_order: tuple[str, ...]):
@@ -421,23 +442,34 @@ class _CircuitRunner:
         return channel.superoperator
 
     def _compile(self, op: GateOp) -> sparse.csr_matrix:
+        """The op's Pauli-transfer matrix on the whole register.
+
+        The Kronecker product of the blocks (the op on its targets, then each
+        bystander's idle channel) is multiplied out from their nonzeros: each
+        block's row, column and value arrays are combined with the product
+        so far by broadcasting, in block order, so every value is the same
+        left-to-right product (r1 * r2) * r3 ... that the Kronecker product
+        of the sparse blocks forms.
+        """
         blocks = [(self._target_superop(op), op.targets)]
         blocks += [
             (self._idle_superop(q, op.duration_s), (q,))
             for q in self.order
             if q not in op.targets
         ]
+        rows, cols, values = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.ones(1)
+        for superop, _ in blocks:
+            r = _pauli_transfer(superop)
+            r_rows, r_cols = np.nonzero(r)
+            rows = (rows[:, None] * len(r) + r_rows).ravel()
+            cols = (cols[:, None] * len(r) + r_cols).ravel()
+            values = (values[:, None] * r[r_rows, r_cols]).ravel()
         # one Pauli digit per qubit: map the Kronecker product's digits (block
         # order) onto the register's
         axes = [self.order.index(q) for _, qubits in blocks for q in qubits]
         to_register = np.arange(4**self.n).reshape((4,) * self.n).transpose(axes).reshape(-1)
-        product = reduce(
-            lambda a, b: sparse.kron(a, b, format="coo"),
-            (sparse.coo_matrix(_pauli_transfer(superop)) for superop, _ in blocks),
-        )
         return sparse.csr_matrix(
-            (product.data, (to_register[product.row], to_register[product.col])),
-            shape=product.shape,
+            (values, (to_register[rows], to_register[cols])), shape=(4**self.n, 4**self.n)
         )
 
     def _compiled_op(self, op: GateOp) -> sparse.csr_matrix:
@@ -481,27 +513,36 @@ class _CircuitRunner:
         return np.array(codes, dtype=np.int32)
 
     def evolve(self, rho: np.ndarray, circuits) -> np.ndarray:
-        """Pauli vectors, one column per circuit (its segment codes), each
-        circuit run from the density matrix rho.
+        """Pauli vectors, one column per circuit (its segment codes, -1 for
+        a hole), each circuit run from the density matrix rho.
 
-        The circuits advance in lockstep: at each position, the columns that
-        run the same segment share one sparse product.
+        The circuits advance in lockstep: at each position, the circuits
+        that run the same segment share one sparse product.  The batch is
+        held as one state row per circuit, so a group gathers whole rows.
+        The groups come from one stable sort per block of at most
+        _EVOLVE_BLOCK positions, on the key position * (segments + 1) + code
+        with the holes dropped; the sort keeps positions in order and, within
+        a group, the circuits in batch order.  The result is the transpose
+        of the rows, shape (4^n, circuits).  A code outside [-1, segments)
+        raises ValueError: in the key it would join another position's group.
         """
-        depth = max((len(c) for c in circuits), default=0)
-        codes = np.full((depth, len(circuits)), -1, dtype=np.int32)
-        for column, circuit in enumerate(circuits):
-            codes[: len(circuit), column] = circuit
-        states = np.repeat(to_pauli(rho)[:, None], len(circuits), axis=1)
-        for row in codes:
-            columns = np.argsort(row, kind="stable")
-            ordered = row[columns]
-            starts = np.flatnonzero(np.diff(ordered, prepend=-2)).tolist()
-            for begin, end in zip(starts, starts[1:] + [len(row)]):
-                code = ordered[begin]
-                if code >= 0:  # -1 pads a finished circuit
-                    group = columns[begin:end]
-                    states[:, group] = self._segments[code] @ states[:, group]
-        return states
+        stride = len(self._segments) + 1
+        codes = _code_rows(circuits, len(self._segments))
+        states = np.repeat(to_pauli(rho)[None, :], len(circuits), axis=0)
+        for begin in range(0, codes.shape[1], _EVOLVE_BLOCK):
+            block = codes[:, begin : begin + _EVOLVE_BLOCK].T  # (positions, circuits)
+            runs = block >= 0
+            position = np.arange(len(block), dtype=np.int32)[:, None]
+            keys = (position * stride + block)[runs]
+            order = np.argsort(keys, kind="stable")
+            keys, rows = keys[order], np.nonzero(runs)[1][order]
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            for start, end, code in zip(
+                starts.tolist(), [*starts[1:].tolist(), len(keys)], (keys[starts] % stride).tolist()
+            ):
+                group = rows[start:end]
+                states[group] = (self._segments[code] @ states[group].T).T
+        return states.T
 
     def run(self, rho: np.ndarray, segments) -> np.ndarray:
         """Density matrix after one circuit: a batch of one."""
@@ -567,13 +608,18 @@ class RbDataset:
 # protocols
 
 
-def _ground(measured: np.ndarray, order: tuple[str, ...], qubits) -> float:
+def _ground(measured: np.ndarray, order: tuple[str, ...], qubits):
     """Probability that every qubit in ``qubits`` reads 0, from an outcome
     distribution over the register ``order`` (first qubit the most
-    significant bit)."""
+    significant bit).  A stack of distributions, shape (..., 2^n), gives
+    one probability per distribution."""
     n = len(order)
     mask = sum(1 << (n - 1 - order.index(q)) for q in qubits)
-    return measured[(np.arange(measured.size) & mask) == 0].sum()
+    # a boolean selection on the last axis lays that axis out outermost, and
+    # a sum over it adds in another order than for one distribution alone;
+    # contiguous rows are summed row by row, each as it would be alone
+    kept = np.ascontiguousarray(measured[..., (np.arange(measured.shape[-1]) & mask) == 0])
+    return kept.sum(axis=-1)
 
 
 def _run_sequences(
@@ -619,14 +665,21 @@ def _run_sequences(
     codes[used] = runner.encode([segment(int(i)) for i in used])
     states = runner.evolve(runner.initial_state(spam), [codes[ids] for ids in sequences])
     confusion = spam.confusion(order)
-    records = []
-    for (n, seed, gen, survivors), populations in zip(
-        drawn, pauli_populations(states).T
-    ):
-        measured = spam_apply(populations, confusion, gen, shots)
-        ground = [_ground(measured, order, q) for q in (survivors, ("L1",), ("L2",))]
-        records.append(RbRecord(n, seed, shots, *ground))
-    return records
+    measured = np.array(
+        [
+            spam_apply(populations, confusion, gen, shots)
+            for (_, _, gen, _), populations in zip(drawn, pauli_populations(states).T)
+        ]
+    )
+    survival = np.empty(len(drawn))
+    for qubits in {survivors for *_, survivors in drawn}:
+        rows = [i for i, (*_, survivors) in enumerate(drawn) if survivors == qubits]
+        survival[rows] = _ground(measured[rows], order, qubits)
+    spectators = [_ground(measured, order, (q,)) for q in ("L1", "L2")]
+    return [
+        RbRecord(n, seed, shots, *ground)
+        for (n, seed, _, _), ground in zip(drawn, zip(survival, *spectators))
+    ]
 
 
 def _nb_template(cfg: DeviceConfig) -> SlotTemplate:

@@ -10,14 +10,19 @@
 - The circuit executor's compiled segment superoperators against an op by op
   reference: the embedded unitary, then ``apply_to_qubits`` for the op's
   depolarizing or transfer channel, then each bystander's idle channel.
+- Each compiled op against P (R_1 (x) ... (x) R_k) P^T: its blocks'
+  Pauli-transfer matrices by np.kron, P an explicit permutation matrix.
 - Batches of circuits run in lockstep against each circuit run alone and
-  against the op by op reference, and a protocol's records against the same
-  records drawn in a different batch.
+  against the op by op reference, batches with holes, ragged and empty
+  circuits and more positions than one sort block against each circuit's
+  segment products taken one at a time, and a protocol's records against
+  the same records drawn in a different batch.
 - The Pauli basis: the round trip of a density matrix, the Pauli-transfer
   matrix of a random channel against Tr(P Lambda(Q)) / d, populations against
   diag(rho), and Clifford pulses and CZs as signed permutations.
 - The protocols' readout ``_ground`` against a marginal taken by reshaping
-  the outcome distribution to one axis per qubit and summing the rest.
+  the outcome distribution to one axis per qubit and summing the rest, and
+  on a stack of distributions against each distribution read alone.
 - Tomography: a prepared pair's state against the partial trace of the
   register's density matrix, for every ordered pair, and the exact-limit
   reconstruction against settings measured by rotating each axis onto Z.
@@ -28,14 +33,18 @@ import math
 from functools import reduce
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lcoupler.benchmarking import (
+    _EVOLVE_BLOCK,
+    PAULI_RESIDUE,
     NoiseModel,
     SpamModel,
     _CircuitRunner,
     _ground,
+    _pauli_transfer,
     run_two_qubit_rb,
 )
 from lcoupler.channels import (
@@ -305,6 +314,134 @@ def test_batch_runs_each_circuit_as_alone(circuits, idle, seed):
         assert np.max(np.abs(from_pauli(column) - expected)) < 1e-12
 
 
+@st.composite
+def holed_batches(draw):
+    """Distinct segments and a batch of code arrays over them that holds
+    interior holes (-1), ragged and zero-length circuits, a circuit longer
+    than one sort block, and one position where every circuit that reaches
+    it runs the same code."""
+    segments = draw(st.lists(_SEGMENTS, min_size=1, max_size=4, unique_by=lambda s: s.key))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    longest = draw(st.integers(_EVOLVE_BLOCK + 1, 2 * _EVOLVE_BLOCK + 8))
+    lengths = [0, longest, *draw(st.lists(st.integers(0, longest), min_size=1, max_size=8))]
+    holes = draw(st.floats(0.05, 0.5))
+    circuits = [
+        np.where(gen.random(n) < holes, -1, gen.integers(len(segments), size=n)).astype(np.int32)
+        for n in lengths
+    ]
+    crowded, code = draw(st.integers(0, longest - 1)), draw(st.integers(0, len(segments) - 1))
+    for circuit in circuits:
+        circuit[crowded : crowded + 1] = code
+    hole = draw(st.integers(0, longest - 2).filter(lambda h: h != crowded))
+    circuits[1][hole], circuits[1][-1] = -1, code  # an interior hole
+    return segments, [circuits[i] for i in gen.permutation(len(circuits))]
+
+
+@PROPERTY_SETTINGS
+@given(batch=holed_batches(), idle=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_batch_with_holes_runs_each_circuit_segment_by_segment(batch, idle, seed):
+    segments, circuits = batch
+    rho = _random_state(np.random.default_rng(seed), len(QUBIT_ORDER))
+    runner = _CircuitRunner(_device_noise(seed, idle), QUBIT_ORDER)
+    assert runner.encode(segments).tolist() == list(range(len(segments)))
+    states = runner.evolve(rho, circuits)
+    assert states.shape == (4 ** len(QUBIT_ORDER), len(circuits))
+    for column, circuit in zip(states.T, circuits):
+        alone = to_pauli(rho)
+        for code in circuit[circuit >= 0]:
+            alone = runner._segments[code] @ alone
+        assert np.array_equal(column, alone)
+    assert runner.evolve(rho, []).shape == (4 ** len(QUBIT_ORDER), 0)
+
+
+def test_evolve_rejects_codes_outside_the_compiled_segments():
+    runner = _CircuitRunner(NoiseModel.ideal(), L_QUBIT_PAIR)
+    runner.encode([Segment((virtual_z(q, 0.5),)) for q in L_QUBIT_PAIR])
+    rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    assert runner.evolve(rho, [[-1, 0, 1], []]).shape == (16, 2)
+    for code in (-2, 2, 2**32):  # 2**32 would wrap to 0 as an int32
+        with pytest.raises(ValueError, match="segment codes"):
+            runner.evolve(rho, [np.array([0, 1]), np.array([1, code, 0], dtype=np.int64)])
+
+
+def _analytic_transfer(gen, direction, half):
+    """The ideal (half) transfer of ``direction``, then amplitude damping of
+    random strength on the receiver."""
+    damping, ident = amplitude_damping_channel(gen.uniform(0.0, 0.1)), QuantumChannel.identity(2)
+    receiver = direction.split("->")[1]
+    on_receiver = damping.tensor(ident) if receiver == "L1" else ident.tensor(damping)
+    op = (half_transfer_op if half else transfer_op)(direction, 0.0)
+    return on_receiver.compose(QuantumChannel.from_unitary(op_matrix(op)))
+
+
+def _random_device_noise(gen, idle):
+    """Random pulse and CZ depolarizing, T1 and T_phi on every qubit, and
+    analytic transfer channels."""
+    directions = ("L1->L2", "L2->L1")
+    return NoiseModel(
+        transfer_channels={d: _analytic_transfer(gen, d, False) for d in directions},
+        half_transfer_channels={d: _analytic_transfer(gen, d, True) for d in directions},
+        sq_depolarizing={q: gen.uniform(0.0, 0.02) for q in QUBIT_ORDER},
+        cz_depolarizing={pair: gen.uniform(0.0, 0.05) for pair in CZ_PAIRS},
+        idle_decoherence=idle,
+        qubit_t1_s={q: gen.uniform(5e-6, 200e-6) for q in QUBIT_ORDER},
+        qubit_tphi_s={
+            q: math.inf if gen.random() < 0.25 else gen.uniform(5e-6, 400e-6) for q in QUBIT_ORDER
+        },
+    )
+
+
+def _ops_of_every_kind(order, gen):
+    """Pulses (one a Clifford), a virtual Z, every CZ on the register in
+    both target orders, and full and half transfers both ways."""
+    a, b, c = (str(q) for q in gen.choice(order, size=3))
+    ops = [
+        sq_rot(a, str(gen.choice(list("xyz"))), gen.uniform(-4.0, 4.0), 35e-9),
+        sq_rot(b, str(gen.choice(list("xy"))), np.pi / 2, 35e-9),
+        virtual_z(c, gen.uniform(-4.0, 4.0)),
+    ]
+    for pair in map(sorted, CZ_PAIRS):
+        if set(pair) <= set(order):
+            ops += [cz_op(*pair, 135e-9), cz_op(*pair[::-1], 135e-9)]
+    for direction in ("L1->L2", "L2->L1"):
+        ops += [transfer_op(direction, 206e-9), half_transfer_op(direction, 206e-9)]
+    return ops
+
+
+def _kronecker_oracle(runner, op):
+    """P (R_1 (x) ... (x) R_k) P^T: the op's Pauli-transfer matrix on its
+    targets, then each bystander's idle one in register order, by np.kron;
+    P takes the Kronecker product's index (one base-4 digit per block qubit)
+    to the register's."""
+    bystanders = [q for q in runner.order if q not in op.targets]
+    factors = [_pauli_transfer(runner._target_superop(op))]
+    factors += [_pauli_transfer(runner._idle_superop(q, op.duration_s)) for q in bystanders]
+    qubits, n = [*op.targets, *bystanders], len(runner.order)
+    perm = np.zeros((4**n, 4**n))
+    for index in range(4**n):
+        digits = [(index >> 2 * (n - 1 - k)) & 3 for k in range(n)]
+        register = sum(d << 2 * (n - 1 - runner.order.index(q)) for d, q in zip(digits, qubits))
+        perm[register, index] = 1.0
+    return perm @ reduce(np.kron, factors) @ perm.T
+
+
+@PROPERTY_SETTINGS
+@given(
+    order=st.sampled_from([QUBIT_ORDER, L_QUBIT_PAIR]),
+    idle=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compiled_op_is_the_permuted_kronecker_product(order, idle, seed):
+    gen = np.random.default_rng(seed)
+    runner = _CircuitRunner(_random_device_noise(gen, idle), order)
+    ops = _ops_of_every_kind(order, gen)
+    assert {op.kind for op in ops} >= set(GateKind) - ({GateKind.CZ} if len(order) == 2 else set())
+    for op in ops:
+        matrix = runner._compiled_op(op)
+        assert np.array_equal(matrix.toarray(), _kronecker_oracle(runner, op)), op
+        assert np.all(np.abs(matrix.data) > PAULI_RESIDUE), op
+
+
 def test_rb_records_do_not_depend_on_the_batch():
     noise, spam = _device_noise(3, idle=True), SpamModel.from_config(load_config())
     common = dict(noise=noise, spam=spam, shots=200, rng=RngHandle(seed=4))
@@ -378,6 +515,17 @@ def test_ground_matches_reshaped_marginal(register, seed):
     kept = [order.index(q) for q in qubits]
     marginal = measured.reshape((2,) * n).sum(axis=tuple(k for k in range(n) if k not in kept))
     assert abs(_ground(measured, order, qubits) - marginal.flat[0]) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(register=registers_and_subsets(), seed=st.integers(0, 2**32 - 1))
+def test_ground_of_a_stack_reads_each_distribution_alone(register, seed):
+    order, qubits = register
+    stack = np.random.default_rng(seed).dirichlet(np.ones(2 ** len(order)), size=(3, 5))
+    got = _ground(stack, order, qubits)
+    assert got.shape == (3, 5)
+    for index in np.ndindex(got.shape):
+        assert got[index] == _ground(stack[index], order, qubits)
 
 
 # -- tomography --------------------------------------------------------------
