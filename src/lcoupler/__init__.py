@@ -28,7 +28,7 @@ from lcoupler.dynamics import (
     sweep_transfer,
 )
 from lcoupler.channels import QuantumChannel, ideal_transfer_unitary
-from lcoupler.frames import Frame, ramsey_round_trip, transfer_frame
+from lcoupler.frames import ramsey_round_trip, transfer_frame
 from lcoupler.cliffords import (
     CliffordElement,
     GateKind,
@@ -87,7 +87,6 @@ __all__ = [
     "sweep_transfer",
     "QuantumChannel",
     "ideal_transfer_unitary",
-    "Frame",
     "ramsey_round_trip",
     "transfer_frame",
     "CliffordElement",

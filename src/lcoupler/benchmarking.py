@@ -44,7 +44,6 @@ from .channels import (
     depolarizing_channel,
     excitation_pump_channel,
     from_pauli,
-    ideal_transfer_channel,
     pauli_populations,
     pauli_transfer_matrix,
     to_pauli,
@@ -66,6 +65,7 @@ from .cliffords import (
     invert_sequence,
     op_matrix,
     single_qubit_cliffords,
+    transfer_op,
     transfer_step,
     two_qubit_template,
 )
@@ -173,21 +173,28 @@ def spam_apply(
 
 
 class _ExtractedChannels(dict):
-    """A device's transfer channels by direction, each extracted from the
-    lossy ``method`` schedule (reversed for L2->L1) the first time it is
-    asked for and kept from then on.
+    """A device's transfer channels by direction, from the lossy ``method``
+    schedule of ``cfg`` (reversed for L2->L1).
 
-    extract takes every direction a run is about to need, and extracts
-    those the table lacks in one dynamics.extract_channels call, so that
-    both directions share one propagation; a lookup of a missing direction
-    is that call for the one direction.
+    Only extract fills the table, which _CircuitRunner.encode calls with the
+    transfer ops of the segments it is about to compile: the directions the
+    table lacks are extracted in one dynamics.extract_channels call, and an
+    op not timed as the schedule is a ValueError.  A lookup extracts nothing.
     """
 
     def __init__(self, cfg: DeviceConfig, method: str):
         super().__init__()
         self.cfg, self.method = cfg, method
 
-    def extract(self, directions) -> None:
+    def extract(self, ops) -> None:
+        schedule_s = self.cfg.transfer.total_duration_s
+        for op in ops:
+            if op.duration_s != schedule_s:
+                raise ValueError(
+                    f"transfer {op.params['direction']} lasts {op.duration_s:.6g} s, but its "
+                    f"channel is extracted from a {schedule_s:.6g} s schedule"
+                )
+        directions = {op.params["direction"] for op in ops}
         missing = [d for d in TRANSFER_DIRECTIONS if d in directions and d not in self]
         if not missing:
             return
@@ -195,12 +202,6 @@ class _ExtractedChannels(dict):
         backward = pulses.reverse_schedule(forward)
         schedules = [forward if d == "L1->L2" else backward for d in missing]
         self.update(zip(missing, dynamics.extract_channels(self.cfg, schedules, lossy=True)))
-
-    def __missing__(self, direction: str) -> QuantumChannel:
-        if direction not in TRANSFER_DIRECTIONS:
-            raise KeyError(direction)
-        self.extract([direction])
-        return self[direction]
 
 
 @dataclass
@@ -210,19 +211,24 @@ class NoiseModel:
     transfer_channels maps a direction string to the CPTP map applied to the
     (L1, L2) pair in place of the ideal transfer unitary.  sq_depolarizing
     and cz_depolarizing are depolarizing probabilities added after each
-    physical pulse / CZ.  With idle_decoherence set, qubits not addressed by
-    an op relax and dephase for its duration.  The model holds noise only:
-    the circuits it runs, and so every op's duration, come from the
-    DeviceConfig the protocol is given.
+    physical pulse / CZ.  Qubits listed in qubit_t1_s relax and dephase for
+    the duration of each op that does not address them (idle_decoherence);
+    with it empty, nothing idles.  The model holds noise only: the circuits
+    it runs, and so every op's duration, come from the DeviceConfig the
+    protocol is given.
     """
 
     transfer_channels: dict[str, QuantumChannel]
     half_transfer_channels: dict[str, QuantumChannel] = field(default_factory=dict)
     sq_depolarizing: dict[str, float] = field(default_factory=dict)
     cz_depolarizing: dict[frozenset, float] = field(default_factory=dict)
-    idle_decoherence: bool = False
     qubit_t1_s: dict[str, float] = field(default_factory=dict)
     qubit_tphi_s: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def idle_decoherence(self) -> bool:
+        """Whether bystanders decohere: exactly when some qubit has a T1."""
+        return bool(self.qubit_t1_s)
 
     def validate(self) -> "NoiseModel":
         for table in (self.transfer_channels, self.half_transfer_channels):
@@ -243,15 +249,13 @@ class NoiseModel:
 
     @classmethod
     def ideal(cls) -> "NoiseModel":
-        """Lossless swaps, no gate noise, no decoherence."""
-        swap = ideal_transfer_channel()
-        return cls(
-            transfer_channels={d: swap for d in TRANSFER_DIRECTIONS},
-            half_transfer_channels={
-                d: QuantumChannel.from_unitary(op_matrix(half_transfer_op(d, 0.0)))
-                for d in TRANSFER_DIRECTIONS
-            },
+        """Lossless transfers (op_matrix of each transfer op), no gate noise,
+        no decoherence."""
+        full, half = (
+            {d: QuantumChannel.from_unitary(op_matrix(op(d, 0.0))) for d in TRANSFER_DIRECTIONS}
+            for op in (transfer_op, half_transfer_op)
         )
+        return cls(transfer_channels=full, half_transfer_channels=half)
 
     @classmethod
     def with_transfer_depolarizing(cls, infidelity: float) -> "NoiseModel":
@@ -282,14 +286,13 @@ class NoiseModel:
     def _after_swap(cls, one: QuantumChannel, on_receiver: bool) -> "NoiseModel":
         """Ideal swap in each direction, then the one-qubit channel ``one``
         on the receiver or on the emitter slot."""
-        swap = ideal_transfer_channel()
-        ident = QuantumChannel.identity(2)
+        swap, ident = cls.ideal().transfer_channels, QuantumChannel.identity(2)
         channels = {}
         for direction in TRANSFER_DIRECTIONS:
             emitter, receiver = direction.split("->")
             slot = receiver if on_receiver else emitter
             pair = one.tensor(ident) if slot == "L1" else ident.tensor(one)
-            channels[direction] = pair.compose(swap)
+            channels[direction] = pair.compose(swap[direction])
         return cls(transfer_channels=channels)
 
     @classmethod
@@ -304,7 +307,9 @@ class NoiseModel:
 
         A transfer table not passed in is extracted from the lossy SATD
         schedule, and the half-transfer table always is from its square-root
-        variant, each direction the first time a circuit runs it.  Calibrated
+        variant (_ExtractedChannels), each direction when
+        _CircuitRunner.encode compiles a segment that runs it; a lookup
+        before then is a KeyError and extracts nothing.  Calibrated
         single-qubit Clifford errors count one physical pulse per Clifford
         on average, so the per-pulse depolarizing probability is 2 * error
         (average infidelity of depolarizing is lam / 2).
@@ -322,7 +327,6 @@ class NoiseModel:
             cz_depolarizing={
                 frozenset(g.pair): g.error_per_gate * 4.0 / 3.0 for g in cfg.cz_gates
             },
-            idle_decoherence=True,
             qubit_t1_s={q.name: q.t1_s for q in qubits},
             qubit_tphi_s=tphi,
         )
@@ -431,7 +435,7 @@ class _CircuitRunner:
     def _idle_superop(self, qubit: str, duration_s: float) -> np.ndarray:
         """Relaxation and pure dephasing of a bystander for the op's duration."""
         t1 = self.noise.qubit_t1_s.get(qubit)
-        if not self.noise.idle_decoherence or duration_s <= 0 or t1 is None:
+        if duration_s <= 0 or t1 is None:
             return np.eye(4)
         channel = amplitude_damping_channel(1.0 - math.exp(-duration_s / t1))
         tphi = self.noise.qubit_tphi_s.get(qubit, math.inf)
@@ -479,19 +483,18 @@ class _CircuitRunner:
         return matrix
 
     def _extract_transfers(self, segments) -> None:
-        """Have each extracting transfer table (_ExtractedChannels) extract,
-        in one call, every direction that the segments not yet compiled
-        run; a plain table is left to its lookups."""
-        wanted: dict[bool, set[str]] = {False: set(), True: set()}
+        """Hand each extracting transfer table (_ExtractedChannels) the
+        transfer ops of the segments not yet compiled, in one call."""
+        tables = (self.noise.transfer_channels, self.noise.half_transfer_channels)
+        wanted: tuple[list[GateOp], list[GateOp]] = ([], [])
         for segment in segments:
             if segment.key not in self._codes:
                 for op in segment:
                     if op.kind is GateKind.TRANSFER:
-                        wanted[bool(op.params.get("half"))].add(op.params["direction"])
-        for half, directions in wanted.items():
-            table = self.noise.half_transfer_channels if half else self.noise.transfer_channels
-            if directions and isinstance(table, _ExtractedChannels):
-                table.extract(directions)
+                        wanted[bool(op.params.get("half"))].append(op)
+        for table, ops in zip(tables, wanted):
+            if ops and isinstance(table, _ExtractedChannels):
+                table.extract(ops)
 
     def encode(self, segments) -> np.ndarray:
         """A circuit's segment codes, compiling each segment the first time;

@@ -151,11 +151,23 @@ def _benchmark_models(cfg, noiseless: bool):
 
 
 _SPECTATORS = ("spectator_l1", "spectator_l2")
+# every NB sequence ends with the carrier on L1, whose column is the survival
+_NB_SPECTATORS = ("spectator_l2",)
 
 
-def _fits(dataset) -> dict:
-    """The survival fit and the two spectator fits of one dataset."""
-    return {ch: fit_exponential(dataset, ch) for ch in ("survival", *_SPECTATORS)}
+def _fits(dataset, spectators) -> dict:
+    """The survival fit and the spectator fits of one dataset."""
+    return {ch: fit_exponential(dataset, ch) for ch in ("survival", *spectators)}
+
+
+def _leakage(fits, spectators) -> dict:
+    """The spectator fits as leakage entries; a fit with a parameter on its
+    bound resolves no decay, so its rate is null."""
+    entries = {ch: _fit_payload(fits[ch]) for ch in spectators}
+    for entry in entries.values():
+        if entry["at_bound"]:
+            entry["rate"] = None
+    return entries
 
 
 def cmd_nb(args, cfg, out_dir: Path):
@@ -169,7 +181,7 @@ def cmd_nb(args, cfg, out_dir: Path):
         rng=RngHandle(seed=args.seed),
         cfg=cfg,
     )
-    fits = _fits(dataset)
+    fits = _fits(dataset, _NB_SPECTATORS)
     csv_path = out_dir / "nb_dataset.csv"
     svg_path = out_dir / "nb_decay.svg"
     _decay_artifacts(dataset, fits, "network benchmarking", csv_path, svg_path)
@@ -179,7 +191,7 @@ def cmd_nb(args, cfg, out_dir: Path):
             "protocol": dataset.protocol,
             "survival": _fit_payload(fits["survival"]),
             "eps": eps_from_decay(fits["survival"]),
-            "leakage": {ch: _fit_payload(fits[ch]) for ch in _SPECTATORS},
+            "leakage": _leakage(fits, _NB_SPECTATORS),
         },
     )
     return [csv_path, fit_path, svg_path], {}
@@ -195,7 +207,7 @@ def cmd_rb(args, cfg, out_dir: Path):
         cfg=cfg,
     )
     reference = run_two_qubit_rb(noise, spam, **kwargs)
-    fits = _fits(reference)
+    fits = _fits(reference, _SPECTATORS)
     csv_path = out_dir / "rb_dataset.csv"
     svg_path = out_dir / "rb_decay.svg"
     _decay_artifacts(reference, fits, "two-qubit RB", csv_path, svg_path)
@@ -204,7 +216,7 @@ def cmd_rb(args, cfg, out_dir: Path):
         "protocol": reference.protocol,
         "reference": _fit_payload(fits["survival"]),
         "epg": eps_from_decay(fits["survival"]),
-        "leakage": {ch: _fit_payload(fits[ch]) for ch in _SPECTATORS},
+        "leakage": _leakage(fits, _SPECTATORS),
         "interleaved": None,
         "interleaved_epg": None,
     }

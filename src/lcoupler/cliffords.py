@@ -33,10 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import _PAULIS, ideal_transfer_unitary, time_ordered_product
-from .config import DeviceConfig, load_config
+from .config import DATA_QUBITS, L_QUBIT_PAIR, DeviceConfig, load_config
 
-DATA_QUBITS = ("D1", "D2")
-L_QUBIT_PAIR = ("L1", "L2")
 TRANSFER_DIRECTIONS = ("L1->L2", "L2->L1")
 QUBIT_ORDER = ("D1", "L1", "L2", "D2")
 CZ_PAIRS = (frozenset({"D1", "L1"}), frozenset({"L2", "D2"}))

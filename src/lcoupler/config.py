@@ -18,6 +18,11 @@ from pathlib import Path
 from typing import Any, Mapping
 
 
+# the names every circuit, noise table and readout addresses the qubits by
+L_QUBIT_PAIR = ("L1", "L2")
+DATA_QUBITS = ("D1", "D2")
+
+
 class ConfigError(ValueError):
     """Raised when a device description fails validation."""
 
@@ -162,6 +167,12 @@ class DeviceConfig:
 
         if len(self.l_qubits) != 2 or len(self.data_qubits) != 2:
             raise ConfigError("expected exactly two coupler qubits and two data qubits")
+        named = (tuple(q.name for q in self.l_qubits), tuple(q.name for q in self.data_qubits))
+        if named != (L_QUBIT_PAIR, DATA_QUBITS):
+            raise ConfigError(
+                f"qubits must be named {L_QUBIT_PAIR} (l-qubits) and {DATA_QUBITS} (data), "
+                f"in that order; got {named[0]} and {named[1]}"
+            )
         for q in [*self.l_qubits, *self.data_qubits]:
             if q.t1_s <= 0 or q.t2_s <= 0:
                 raise ConfigError(f"{q.name}: T1/T2 must be positive")

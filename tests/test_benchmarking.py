@@ -5,6 +5,7 @@ import pytest
 
 from lcoupler.benchmarking import (
     CSV_HEADER,
+    _CircuitRunner,
     DecayFitResult,
     NoiseModel,
     RbDataset,
@@ -20,7 +21,11 @@ from lcoupler.channels import QuantumChannel, ideal_transfer_channel
 from lcoupler.cliffords import (
     L_QUBIT_PAIR,
     QUBIT_ORDER,
+    TRANSFER_DIRECTIONS,
+    Segment,
     compile_remote_cnot,
+    half_transfer_op,
+    transfer_op,
     virtual_z,
 )
 from lcoupler.config import load_config
@@ -213,19 +218,48 @@ class TestExtractionOnFirstUse:
         cfg = load_config(ONE_MODE)
         noise = NoiseModel.from_config(cfg)
         tables = {"satd": noise.transfer_channels, "sqrt_satd": noise.half_transfer_channels}
+        # a lookup before any circuit runs the transfer extracts nothing
+        for table in tables.values():
+            with pytest.raises(KeyError):
+                table["L1->L2"]
+        assert extractions == []
         expected = {}
         for method in tables:
             forward = build_transfer_schedule(cfg, method=method)
             expected[method, "L1->L2"] = extract_channel(cfg, forward, lossy=True)
             expected[method, "L2->L1"] = extract_channel(cfg, reverse_schedule(forward), lossy=True)
         extractions.clear()
+        duration = cfg.transfer.total_duration_s
+        runner = _CircuitRunner(noise, L_QUBIT_PAIR)
+        runner.encode(
+            [
+                Segment((build(d, duration),))
+                for build in (transfer_op, half_transfer_op)
+                for d in TRANSFER_DIRECTIONS
+            ]
+        )
+        # one extraction per table, both directions in it
+        assert extractions == [
+            [("satd", "L1->L2"), ("satd", "L2->L1")],
+            [("sqrt_satd", "L1->L2"), ("sqrt_satd", "L2->L1")],
+        ]
         for (method, direction), channel in expected.items():
             got = tables[method][direction]
             assert got.superoperator.tobytes() == channel.superoperator.tobytes()
             assert got.leakage_in.tobytes() == channel.leakage_in.tobytes()
-            assert tables[method][direction] is got
-        # each lookup of a missing direction is one extraction of that direction
-        assert extractions == [[key] for key in expected]
+
+    def test_transfer_timed_apart_from_its_schedule_is_refused(self, extractions):
+        """Channels of a 306 ns schedule with circuits timed at the built-in
+        206 ns: refused before anything is extracted."""
+        cfg = load_config({**ONE_MODE, "transfer": {"total_duration_s": 306e-9}})
+        noise = NoiseModel.from_config(cfg)
+        kw = dict(lengths=(2,), seeds_per_length=1, shots=100)
+        with pytest.raises(ValueError, match="from a 3.06e-07 s schedule"):
+            run_network_benchmarking(noise, **kw)
+        assert extractions == []
+        # the same noise with circuits timed from its own config runs
+        run_network_benchmarking(noise, cfg=cfg, **kw)
+        assert extractions == [[("satd", "L1->L2"), ("satd", "L2->L1")]]
 
 
 class TestNetworkBenchmarking:

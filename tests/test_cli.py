@@ -110,7 +110,9 @@ class TestNbCommand:
         assert fit["protocol"] == "NB"
         assert fit["eps"] < 1e-4
         assert fit["survival"]["rate_convention"] == "EPS = (1 - p) / 2"
-        assert set(fit["leakage"]) == {"spectator_l1", "spectator_l2"}
+        # NB ends every sequence with the carrier on L1, so L1's spectator
+        # column is the survival column: only L2's fit is a leakage estimate
+        assert set(fit["leakage"]) == {"spectator_l2"}
         # constant data short-circuits the fit, so nothing sits on a bound
         assert fit["survival"]["at_bound"] == []
 
@@ -272,12 +274,11 @@ class TestConfigHandling:
         assert len(err.strip().splitlines()) == 1
 
     def test_lookup_failure_is_exit_2_without_traceback(self, tmp_path, capsys):
-        # renaming D1 passes validation but leaves no CZ for the (D1, L1) pair
-        # that the compiled circuits address
+        # a config without the (L2, D2) CZ loads, but the compiled circuits
+        # address that pair
         cfg = default_config().to_dict()
-        cfg["data_qubits"][0]["name"] = "Q1"
-        cfg["cz_gates"][0]["pair"] = ["Q1", "L1"]
-        cfg_path = tmp_path / "renamed.json"
+        cfg["cz_gates"] = [g for g in cfg["cz_gates"] if set(g["pair"]) != {"L2", "D2"}]
+        cfg_path = tmp_path / "no_far_cz.json"
         cfg_path.write_text(json.dumps(cfg))
         code = run(
             tmp_path / "out", "rb", "--noiseless", "--config", str(cfg_path),
@@ -285,7 +286,7 @@ class TestConfigHandling:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "no CZ configured for pair (D1, L1)" in err
+        assert "no CZ configured for pair (L2, D2)" in err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 

@@ -57,6 +57,14 @@ def test_mode_spacing_must_match_fsr():
         ({"transfr": {"g_max_hz": 2e6}}, "unknown config keys: transfr"),
         # SpamModel refuses a thermal population above 0.5, so the config does
         ({"l_qubits": [{"thermal_population": 0.6}]}, "thermal population"),
+        # circuits, noise tables and readout address the qubits by name, so a
+        # renamed L1 (its CZ pair renamed to match) would silently lose its
+        # gate, idle and readout noise
+        (
+            {"l_qubits": [{"name": "A"}], "cz_gates": [{"pair": ["D1", "A"]}]},
+            r"qubits must be named \('L1', 'L2'\)",
+        ),
+        ({"data_qubits": [{"name": "D2"}, {"name": "D1"}]}, r"got \('L1', 'L2'\) and \('D2', 'D1'\)"),
     ],
 )
 def test_validation_rejects_bad_fields(patch, match):
@@ -126,3 +134,4 @@ def test_unknown_list_entry_key_is_named(key):
     with pytest.raises(ConfigError) as err:
         load_config({"l_qubits": qubits})
     assert str(err.value) == f"l_qubits[0]: unknown key {key}"
+

@@ -222,7 +222,8 @@ def _device_noise(seed, idle):
         transfer_channels={d: _random_channel(gen, 4) for d in directions},
     )
     noise.half_transfer_channels = {d: _random_channel(gen, 4) for d in directions}
-    noise.idle_decoherence = idle
+    if not idle:
+        noise.qubit_t1_s = {}
     return noise
 
 
@@ -375,20 +376,22 @@ def _analytic_transfer(gen, direction, half):
 
 
 def _random_device_noise(gen, idle):
-    """Random pulse and CZ depolarizing, T1 and T_phi on every qubit, and
-    analytic transfer channels."""
+    """Random pulse and CZ depolarizing, T1 (with idle) and T_phi on every
+    qubit, and analytic transfer channels."""
     directions = ("L1->L2", "L2->L1")
-    return NoiseModel(
+    noise = NoiseModel(
         transfer_channels={d: _analytic_transfer(gen, d, False) for d in directions},
         half_transfer_channels={d: _analytic_transfer(gen, d, True) for d in directions},
         sq_depolarizing={q: gen.uniform(0.0, 0.02) for q in QUBIT_ORDER},
         cz_depolarizing={pair: gen.uniform(0.0, 0.05) for pair in CZ_PAIRS},
-        idle_decoherence=idle,
         qubit_t1_s={q: gen.uniform(5e-6, 200e-6) for q in QUBIT_ORDER},
         qubit_tphi_s={
             q: math.inf if gen.random() < 0.25 else gen.uniform(5e-6, 400e-6) for q in QUBIT_ORDER
         },
     )
+    if not idle:  # an empty T1 table turns idle noise off
+        noise.qubit_t1_s = {}
+    return noise
 
 
 def _ops_of_every_kind(order, gen):
