@@ -34,7 +34,6 @@ from functools import reduce
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import curve_fit
 
 from . import dynamics, pulses
 from .channels import (
@@ -395,8 +394,9 @@ class _CircuitRunner:
     slot (a remote CNOT, a cycler, a dressing, a transfer step) and at most
     23 in a single-qubit Clifford slot.  A benchmark ``rb`` round (seed 3)
     makes 7,649 grouped products, where circuits that drifted out of phase
-    at every identity element made 20,128.  Both caches live as long as the
-    runner, which is one protocol run or one tomography preparation.
+    at every identity element made 20,128.  The caches of ops, segments and
+    bystander idle channels (one per qubit and duration) live as long as
+    the runner, which is one protocol run or one tomography preparation.
     """
 
     def __init__(self, noise: NoiseModel, qubit_order: tuple[str, ...]):
@@ -404,6 +404,7 @@ class _CircuitRunner:
         self.order = tuple(qubit_order)
         self.n = len(self.order)
         self._ops: dict[tuple, sparse.csr_matrix] = {}
+        self._idle: dict[tuple[str, float], np.ndarray] = {}
         self._codes: dict[tuple, int] = {}
         self._segments: list[sparse.csr_matrix] = []
 
@@ -433,17 +434,23 @@ class _CircuitRunner:
         return superop
 
     def _idle_superop(self, qubit: str, duration_s: float) -> np.ndarray:
-        """Relaxation and pure dephasing of a bystander for the op's duration."""
+        """Relaxation and pure dephasing of a bystander for the op's
+        duration, built on the first call for each (qubit, duration)."""
+        key = (qubit, duration_s)
+        if key in self._idle:
+            return self._idle[key]
+        superop = np.eye(4)
         t1 = self.noise.qubit_t1_s.get(qubit)
-        if duration_s <= 0 or t1 is None:
-            return np.eye(4)
-        channel = amplitude_damping_channel(1.0 - math.exp(-duration_s / t1))
-        tphi = self.noise.qubit_tphi_s.get(qubit, math.inf)
-        if math.isfinite(tphi):
-            # coherences shrink by (1 - 2p) = exp(-duration / Tphi)
-            p = 0.5 * (1.0 - math.exp(-duration_s / tphi))
-            channel = dephasing_channel(p).compose(channel)
-        return channel.superoperator
+        if duration_s > 0 and t1 is not None:
+            channel = amplitude_damping_channel(1.0 - math.exp(-duration_s / t1))
+            tphi = self.noise.qubit_tphi_s.get(qubit, math.inf)
+            if math.isfinite(tphi):
+                # coherences shrink by (1 - 2p) = exp(-duration / Tphi)
+                p = 0.5 * (1.0 - math.exp(-duration_s / tphi))
+                channel = dephasing_channel(p).compose(channel)
+            superop = channel.superoperator
+        self._idle[key] = superop
+        return superop
 
     def _compile(self, op: GateOp) -> sparse.csr_matrix:
         """The op's Pauli-transfer matrix on the whole register.
@@ -905,6 +912,10 @@ def fit_exponential(data: RbDataset, channel: str = "survival") -> DecayFitResul
     mid = len(lengths) // 2
     frac = np.clip((means[mid] - offset0) / amp0, 1e-3, 0.999)
     p0 = float(np.clip(frac ** (1.0 / lengths[mid]), 0.2, 0.9999))
+    # imported on the first fit: scipy.optimize is the slowest import of the
+    # package, and the commands that never fit (sweep, bell) skip it
+    from scipy.optimize import curve_fit
+
     try:
         params, cov = curve_fit(
             _decay_model,

@@ -15,6 +15,8 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -26,10 +28,13 @@ from .pulses import PulseSchedule, build_transfer_schedule
 
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _CHUNK = 64  # intervals, and then pieces, per batch; even, bounds memory
+_SCREEN_CHUNK = 1024  # intervals per batch of the substep screen, which forms no matrix
 _MAX_SUBSTEPS = 4096  # per sample interval spanned, before the propagator gives up
 _SERIES_RADIUS = 0.5  # exponents are scaled to this 1-norm before summing
-_PAIRS = np.triu_indices(4, 1)  # the pairs i < j of the four controls' brackets
+_CONTROLS = 4  # g_e, g_r, det_e, det_r: the parts they multiply lead each table
+_PAIRS = np.triu_indices(_CONTROLS, 1)  # the pairs i < j of the controls' brackets
 _LINEAR_ULPS = 16  # a sample this many eps * max|c| off its chord still counts as linear
+_EPS = np.finfo(float).eps
 
 
 def mode_sign(mode_index: int, target_mode_index: int, end: str) -> float:
@@ -247,62 +252,94 @@ def _expm(omega: np.ndarray) -> np.ndarray:
     small, so the series is short.  Each matrix is scaled by its own power
     of 2, to a 1-norm of at most _SERIES_RADIUS, and squared back as often:
     a whole decoupled run (1-norm up to about 90 at 5 modes) then adds no
-    squarings, nor their rounding, to the short pieces of its batch.  The
+    squarings, nor their rounding, to the short pieces of its batch.  A
+    batch with no 1-norm above _SERIES_RADIUS is summed as it is.  The
     degree is the least whose first omitted term is below 1e-17 at the
-    largest scaled norm of the batch.  The series is summed
-    by Paterson and Stockmeyer (SIAM J. Comput. 2, 60 (1973)): the powers
-    x^2 .. x^q with q = isqrt(degree), then Horner's rule in x^q over
-    polynomials of degree below q, each one product of a coefficient row
-    with the powers, so degree 10 takes 5 matrix products, not 9.
+    largest scaled norm of the batch, and the series is summed as
+    _series_table lays it out.
     """
     norms = np.abs(omega).sum(axis=-2).max(axis=-1)
-    with np.errstate(divide="ignore"):
-        squarings = np.maximum(0, np.ceil(np.log2(norms / _SERIES_RADIUS))).astype(int)
-    x = omega / np.exp2(squarings)[..., None, None]
-    theta, degree = float((norms / np.exp2(squarings)).max()), 1
+    theta, squarings = float(norms.max()), None
+    if theta > _SERIES_RADIUS:
+        with np.errstate(divide="ignore"):
+            squarings = np.maximum(0, np.ceil(np.log2(norms / _SERIES_RADIUS))).astype(int)
+        scale = np.exp2(squarings)
+        omega, theta = omega / scale[..., None, None], float((norms / scale).max())
+    degree = 1
     while theta ** (degree + 1) / math.factorial(degree + 1) > 1e-17:
         degree += 1
-    q = math.isqrt(degree)
-    powers = np.empty((q + 1, *x.shape), dtype=complex)
-    powers[0] = np.eye(x.shape[-1])
-    powers[1] = x
+    coef = _series_table(degree)
+    q = coef.shape[1] - 1
+    powers = np.empty((q + 1, *omega.shape), dtype=complex)
+    powers[0] = np.eye(omega.shape[-1])
+    powers[1] = omega
     for i in range(2, q + 1):
-        np.matmul(x, powers[i - 1], out=powers[i])
-    # p(x) - 1 = sum_j B_j (x^q)^j: B_j holds the terms x^n / n! with n from
-    # j q to j q + q - 1, the last one (j = top) the rest, up to x^q; the
-    # identity is added last, in one rounding, as in Horner's rule
+        np.matmul(omega, powers[i - 1], out=powers[i])
+    flat = powers.reshape(q + 1, -1).view(float)
+
+    def block(j: int) -> np.ndarray:
+        # the coefficients are real: one real product over the interleaved parts
+        return (coef[j] @ flat).view(complex).reshape(omega.shape)
+
+    out = block(len(coef) - 1)
+    for j in range(len(coef) - 2, -1, -1):
+        out = out @ powers[q] + block(j)
+    out += powers[0]
+    if squarings is not None:
+        for k in range(squarings.max()):
+            more = squarings > k
+            out[more] = out[more] @ out[more]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _series_table(degree: int) -> np.ndarray:
+    """The Taylor polynomial of exp to the given degree, laid out for
+    Paterson and Stockmeyer (SIAM J. Comput. 2, 60 (1973)): with q =
+    isqrt(degree), p(x) - 1 = sum_j B_j (x^q)^j, and row j holds the
+    coefficients of B_j on the powers x^0 .. x^q, the terms x^n / n! with n
+    from j q to j q + q - 1, the last row the rest, up to x^q.  _expm forms
+    the powers, then Horner's rule in x^q over the rows, each one product
+    of a row with the powers, so degree 10 takes 5 matrix products, not 9;
+    the identity is added last, in one rounding, as in Horner's rule.
+    Read-only, since every call of a degree shares it.
+    """
+    q = math.isqrt(degree)
     top = (degree - 1) // q
     coef = np.zeros((top + 1, q + 1))
     for n in range(1, degree + 1):
         j = min(n // q, top)
         coef[j, n - j * q] = 1.0 / math.factorial(n)
-    flat = powers.reshape(q + 1, -1).view(float)
-
-    def block(j: int) -> np.ndarray:
-        # the coefficients are real: one real product over the interleaved parts
-        return (coef[j] @ flat).view(complex).reshape(x.shape)
-
-    out = block(top)
-    for j in range(top - 1, -1, -1):
-        out = out @ powers[q] + block(j)
-    out += powers[0]
-    for k in range(squarings.max(initial=0)):
-        more = squarings > k
-        out[more] = out[more] @ out[more]
-    return out
+    coef.flags.writeable = False
+    return coef
 
 
-def _sector_blocks(a0, parts) -> list[tuple]:
-    """The generator's diagonal blocks: (slice of the basis, block of a0,
-    block of each part flattened to one row, bracket table).
+class _Block(NamedTuple):
+    """One diagonal block of the generator and the fixed tables the
+    propagator reads from it (see _sector_blocks); k is its size."""
+
+    span: slice  # its states in the basis
+    a0: np.ndarray  # a0's k x k block
+    table: np.ndarray  # (14, 2 k^2): the four parts, then the ten brackets
+    shifted_gram: np.ndarray  # (5, 5): of a0 and the parts less their traces
+    parts_gram: np.ndarray  # (4, 4): of the parts
+    bracket_gram: np.ndarray  # (10, 10): of the brackets
+    turn_rows: np.ndarray  # (5, k): off-diagonal absolute row sums of a0 and the parts
+
+
+def _sector_blocks(a0, parts) -> list[_Block]:
+    """The generator's diagonal blocks, each a _Block.
 
     The finest split of the basis into consecutive blocks that a0 and every
     part leave closed, without the blocks on which all of them vanish (their
     propagator is the identity).  build_basis orders states by total
     excitation, which H and the decay conserve, so these are the excitation
     sectors less the ground state: 7 + 26 states for a pair on 5 modes.  The
-    table holds the fixed brackets [a0, P_i] and then [P_i, P_j], i < j,
-    flattened to rows of interleaved real and imaginary parts for _bracket.
+    table holds each part, then the fixed brackets [a0, P_i] and
+    [P_i, P_j], i < j, flattened to rows of interleaved real and imaginary
+    parts for _combination.  The Gram matrices G_ij = Re tr(X_i^dag X_j) of
+    three sets of them give the squared norms of the substep screen as
+    quadratic forms (_gram_form).
     """
     pattern = (a0 != 0) | np.any(parts != 0, axis=0)
     pattern |= pattern.T
@@ -316,26 +353,50 @@ def _sector_blocks(a0, parts) -> list[tuple]:
         if not pattern[s, s].any():
             continue
         a0_block, p = a0[s, s], parts[:, s, s]
-        table = np.concatenate(
-            [a0_block @ p - p @ a0_block, p[first] @ p[second] - p[second] @ p[first]]
+        k = len(a0_block)
+        brackets = [a0_block @ p - p @ a0_block, p[first] @ p[second] - p[second] @ p[first]]
+        table = np.concatenate([p, *brackets]).reshape(-1, k * k).view(float)
+        generators = np.concatenate([a0_block[None], p])
+        traces = np.trace(generators, axis1=1, axis2=2)
+        shifted = (generators - traces[:, None, None] / k * np.eye(k)).reshape(-1, k * k)
+        shifted = shifted.view(float)
+        parts_rows, bracket_rows = table[:_CONTROLS], table[_CONTROLS:]
+        off_diagonal = np.abs(generators - generators * np.eye(k)).sum(axis=2)
+        blocks.append(
+            _Block(
+                span=s,
+                a0=a0_block,
+                table=table,
+                shifted_gram=shifted @ shifted.T,
+                parts_gram=parts_rows @ parts_rows.T,
+                bracket_gram=bracket_rows @ bracket_rows.T,
+                turn_rows=off_diagonal,
+            )
         )
-        rows = table.reshape(len(table), -1).view(float)
-        blocks.append((s, a0_block, p.reshape(len(p), -1), rows))
     return blocks
 
 
-def _bracket(table, c, s) -> np.ndarray:
-    """[A(c), s . P] for rows of controls c and s, a stack of k x k blocks.
+def _combination(coef, rows) -> np.ndarray:
+    """sum_i coef[:, i] X_i over the k x k matrices X_i flattened to rows
+    of a table of _sector_blocks, for each row of real coefficients: one
+    real product, as in _expm's block."""
+    k = math.isqrt(rows.shape[1] // 2)
+    return (coef @ rows).view(complex).reshape(-1, k, k)
+
+
+def _bracket_coefficients(c, s) -> np.ndarray:
+    """The ten coefficients of [A(c), s . P] over the brackets of
+    _sector_blocks, one row per row of controls c and s.
 
     A(c) = a0 + sum_i c_i P_i is linear in the controls, so the bracket is
-    sum_i s_i [a0, P_i] + sum_{i<j} (c_i s_j - c_j s_i) [P_i, P_j]: one real
-    product of a coefficient row with the table of _sector_blocks, as in
-    _expm's block.
+    sum_i s_i [a0, P_i] + sum_{i<j} (c_i s_j - c_j s_i) [P_i, P_j].
     """
     first, second = _PAIRS
-    coef = np.concatenate([s, c[:, first] * s[:, second] - c[:, second] * s[:, first]], axis=1)
-    k = math.isqrt(table.shape[1] // 2)
-    return (coef @ table).view(complex).reshape(-1, k, k)
+    return np.concatenate([s, c[:, first] * s[:, second] - c[:, second] * s[:, first]], axis=1)
+
+
+def _comm(x, y) -> np.ndarray:
+    return x @ y - y @ x
 
 
 def _square_norm(m: np.ndarray) -> np.ndarray:
@@ -343,21 +404,31 @@ def _square_norm(m: np.ndarray) -> np.ndarray:
     return np.square(m.reshape(len(m), -1).view(float)).sum(axis=1)
 
 
-def _screen_bound(alpha1, alpha2, c12) -> np.ndarray:
+def _gram_form(gram, v, k: int) -> np.ndarray:
+    """|sum_i v_i X_i|_F^2 for each real row v, as the quadratic form
+    v^T gram v of the Gram matrix of the k x k matrices X_i, raised by
+    (2 k^2 + 16) eps (sum_i |v_i| |X_i|_F)^2.
+
+    That allowance exceeds the rounding of the Gram entries, dot products
+    of length 2 k^2 (each off by at most k^2 eps |X_i|_F |X_j|_F), and of
+    the form's own sums of at most 10 terms, so the result is never below
+    the exact squared norm of the matrices the rows stand for.
+    """
+    reach = np.abs(v) @ np.sqrt(np.diagonal(gram))
+    return ((v @ gram) * v).sum(axis=1) + (2 * k * k + 16) * _EPS * reach**2
+
+
+def _screen_bound(shifted, alpha2, c12) -> np.ndarray:
     """An upper bound on the Frobenius norm of the Magnus remainder R (see
-    _substep_counts) of each interval, from c12 = [alpha1, alpha2].
+    _substep_counts) of each interval, from the squared Frobenius norms of
+    alpha1' = alpha1 - (tr alpha1 / k) I, alpha2 and c12 = [alpha1, alpha2].
 
     |XY - YX|_F <= sqrt(2) |X|_F |Y|_F (Boettcher & Wenzel, Linear Algebra
     Appl. 429, 1864 (2008)) bounds |[alpha2, c12]| by sqrt(2) |alpha2| |c12|
-    and |[alpha1, [alpha1, c12]]| by 2 |alpha1'|^2 |c12|, where alpha1' =
-    alpha1 - (tr alpha1 / k) I has the same commutators and a smaller norm.
+    and |[alpha1, [alpha1, c12]]| by 2 |alpha1'|^2 |c12|, since alpha1' has
+    the same commutators as alpha1 and a smaller norm.
     """
-    k = alpha1.shape[-1]
-    shifted = alpha1 - np.trace(alpha1, axis1=1, axis2=2)[:, None, None] / k * np.eye(k)
-    return np.sqrt(_square_norm(c12)) * (
-        math.sqrt(2.0) * np.sqrt(_square_norm(alpha2)) / 240.0
-        + 2.0 * _square_norm(shifted) / 720.0
-    )
+    return np.sqrt(c12) * (math.sqrt(2.0) * np.sqrt(alpha2) / 240.0 + 2.0 * shifted / 720.0)
 
 
 def _substep_counts(
@@ -379,48 +450,78 @@ def _substep_counts(
     and a tighter tol never gives fewer substeps.
 
     R and alpha1 are block diagonal like A, so both norms are gathered over
-    the blocks of _sector_blocks (found here unless given), _CHUNK intervals
-    at a time.  c12 = [alpha1, alpha2] = h^2 [A(t_mid), slope . P] is one
-    _bracket product.  Most intervals are screened: where _screen_bound
-    plus the jump term is at or below tol, the estimate is too, and the
-    interval gets one substep without its nested commutators.  The others
-    take the estimate itself, so the counts are those of the estimate.
+    the blocks of _sector_blocks (found here unless given).  Most intervals
+    are cleared by _screen, _SCREEN_CHUNK at a time: where its bound is at
+    or below tol, the estimate is too, and the interval gets one substep.
+    The others take _estimate itself, _CHUNK at a time, so the counts are
+    those of the estimate.
     """
     if blocks is None:
         blocks = _sector_blocks(a0, parts)
-    rate = h * jump_rate
     counts = np.ones(len(h))
-
-    def comm(x, y):
-        return x @ y - y @ x
-
-    for start in range(0, len(h), _CHUNK):
-        batch = slice(start, start + _CHUNK)
-        scale = h[batch, None, None]
-        mid = lo[batch] + 0.5 * slope[batch]
-        terms, bound, turn = [], 0.0, 0.0
-        for _, a0_block, flat, table in blocks:
-            k = len(a0_block)
-            alpha1 = scale * (a0_block + (mid @ flat).reshape(-1, k, k))
-            alpha2 = scale * (slope[batch] @ flat).reshape(-1, k, k)
-            c12 = scale**2 * _bracket(table, mid, slope[batch])
-            terms.append((alpha1, alpha2, c12))
-            bound = bound + _screen_bound(alpha1, alpha2, c12) ** 2
-            if jump_rate:  # without loss the jump term is 0 whatever c is
-                off_diagonal = np.abs(alpha1 - alpha1 * np.eye(k)).sum(axis=2).max(axis=1)
-                turn = np.maximum(turn, off_diagonal)
-        jump = rate[batch] * (turn + rate[batch]) ** 4 / 120.0
-        rest = np.flatnonzero(np.sqrt(bound) + jump > tol)
-        if not rest.size:
-            continue
-        square = 0.0
-        for alpha1, alpha2, c12 in terms:
-            alpha1, alpha2, c12 = alpha1[rest], alpha2[rest], c12[rest]
-            remainder = comm(alpha1, comm(alpha1, c12)) / 720.0 - comm(alpha2, c12) / 240.0
-            square = square + _square_norm(remainder)
-        estimate = np.sqrt(square) + jump[rest]
-        counts[start + rest] = np.maximum(1.0, np.ceil((estimate / tol) ** 0.25))
+    for start in range(0, len(h), _SCREEN_CHUNK):
+        span = slice(start, start + _SCREEN_CHUNK)
+        bound = _screen(blocks, h[span], lo[span], slope[span], jump_rate)
+        rest = start + np.flatnonzero(bound > tol)
+        for batch in (rest[i : i + _CHUNK] for i in range(0, len(rest), _CHUNK)):
+            estimate = _estimate(blocks, h[batch], lo[batch], slope[batch], jump_rate)
+            counts[batch] = np.maximum(1.0, np.ceil((estimate / tol) ** 0.25))
     return counts
+
+
+def _screen(blocks, h, lo, slope, jump_rate: float) -> np.ndarray:
+    """An upper bound on the remainder estimate of each interval (see
+    _substep_counts), forming no matrix.
+
+    alpha1' = alpha1 - (tr alpha1 / k) I = h (a0' + mid . P'), the primes
+    marking matrices less their traces, alpha2 = h slope . P and c12 =
+    [alpha1, alpha2] = h^2 [A(mid), slope . P] are fixed combinations of
+    each block's matrices with real coefficients, so their squared norms
+    are quadratic forms in the interval's controls and bracket coefficients
+    (_gram_form), which bound |R|_F by _screen_bound.  c is at most h times
+    the off-diagonal row sums of a0 and the parts, weighted by 1 and |mid|,
+    raised by (k + 8) eps for the rounding of these sums and of those
+    _estimate takes.  Both allowances only raise the bound, so rounding can
+    only send an interval on to the estimate itself, never clear one.
+    """
+    mid = lo + 0.5 * slope
+    brackets = _bracket_coefficients(mid, slope)
+    rate = h * jump_rate
+    unit_mid = np.column_stack([np.ones(len(h)), mid])  # a0's weight, then the controls'
+    bound, turn = 0.0, 0.0
+    for block in blocks:
+        k = len(block.a0)
+        shifted = h**2 * _gram_form(block.shifted_gram, unit_mid, k)
+        alpha2 = h**2 * _gram_form(block.parts_gram, slope, k)
+        c12 = h**4 * _gram_form(block.bracket_gram, brackets, k)
+        bound = bound + _screen_bound(shifted, alpha2, c12) ** 2
+        if jump_rate:  # without loss the jump term is 0 whatever c is
+            rows = (np.abs(unit_mid) @ block.turn_rows).max(axis=1)
+            turn = np.maximum(turn, (1.0 + (k + 8) * _EPS) * h * rows)
+    return np.sqrt(bound) + rate * (turn + rate) ** 4 / 120.0
+
+
+def _estimate(blocks, h, lo, slope, jump_rate: float) -> np.ndarray:
+    """The remainder estimate of each interval (see _substep_counts):
+    alpha1, alpha2 and c12 are each one product with the block's table,
+    then the nested commutators."""
+    mid = lo + 0.5 * slope
+    brackets = _bracket_coefficients(mid, slope)
+    scale = h[:, None, None]
+    rate = h * jump_rate
+    square, turn = 0.0, 0.0
+    for block in blocks:
+        parts_rows = block.table[:_CONTROLS]
+        alpha1 = scale * (block.a0 + _combination(mid, parts_rows))
+        alpha2 = scale * _combination(slope, parts_rows)
+        c12 = scale**2 * _combination(brackets, block.table[_CONTROLS:])
+        remainder = _comm(alpha1, _comm(alpha1, c12)) / 720.0 - _comm(alpha2, c12) / 240.0
+        square = square + _square_norm(remainder)
+        if jump_rate:
+            k = len(block.a0)
+            off_diagonal = np.abs(alpha1 - alpha1 * np.eye(k)).sum(axis=2).max(axis=1)
+            turn = np.maximum(turn, off_diagonal)
+    return np.sqrt(square) + rate * (turn + rate) ** 4 / 120.0
 
 
 def _interval_ends(times, ctrl, a0, parts) -> np.ndarray:
@@ -450,7 +551,7 @@ def _interval_ends(times, ctrl, a0, parts) -> np.ndarray:
         return np.arange(n)
     coupled = parts[:, off].any(axis=1)
     decoupled = ~ctrl[:, coupled].any(axis=1)  # per sample
-    bound = _LINEAR_ULPS * np.finfo(float).eps * np.abs(ctrl).max(axis=0)
+    bound = _LINEAR_ULPS * _EPS * np.abs(ctrl).max(axis=0)
 
     def near_chord(a, b, k):
         """Samples k within bound of the chords from samples a to b."""
@@ -479,9 +580,12 @@ def _piece_propagators(model: HamiltonianModel, a0, tol: float, jump_rate: float
     gives a multiple of split, so split-sized groups never straddle batches.
     The Magnus exponents and their exponentials are taken per block of
     _sector_blocks; the propagators are block diagonal, the identity off
-    the blocks.  A1 = A2 - gap slope . P, gap the Gauss points' distance as
-    a fraction of the interval, so [A2, A1] = -gap [A2, slope . P], one
-    _bracket product.
+    the blocks.  h/2 (A1 + A2) = h A(centre), and A1 = A2 - gap slope . P,
+    gap the Gauss points' distance as a fraction of the interval, so
+    (sqrt(3) / 12) h^2 [A2, A1] = -twist [A2, slope . P].  Both are linear
+    in the parts and the brackets, so a piece's exponent is h a0 plus one
+    real product of the row [h centre, -twist (bracket coefficients)] with
+    the block's table.
     """
     parts = -2j * math.pi * model.parts
     times, ctrl = model.schedule.times_s, model.control_samples()
@@ -505,19 +609,20 @@ def _piece_propagators(model: HamiltonianModel, a0, tol: float, jump_rate: float
         iv = interval[first : first + _CHUNK]
         width = 1.0 / counts[iv]
         begin = index[first : first + _CHUNK] * width
-        lengths = (h[iv] * width)[:, None, None]
-        gap = (_GAUSS_NODES[1] - _GAUSS_NODES[0]) * width[:, None, None]
+        lengths = h[iv] * width
+        gap = (_GAUSS_NODES[1] - _GAUSS_NODES[0]) * width
         twist = (math.sqrt(3.0) / 12.0) * lengths**2 * gap
         centre = lo[iv] + (begin + 0.5 * width)[:, None] * slope[iv]
         late = lo[iv] + (begin + _GAUSS_NODES[1] * width)[:, None] * slope[iv]
+        coef = np.concatenate(
+            [lengths[:, None] * centre, -twist[:, None] * _bracket_coefficients(late, slope[iv])],
+            axis=1,
+        )
         props = np.repeat(eye[None], len(iv), axis=0)
-        for s, a0_block, flat, table in blocks:
-            k = len(a0_block)
-            # h/2 (A1 + A2) = h A(centre), (sqrt(3) / 12) h^2 [A2, A1] = -twist [A2, slope . P]
-            omega = lengths * (a0_block + (centre @ flat).reshape(-1, k, k))
-            omega -= twist * _bracket(table, late, slope[iv])
-            props[:, s, s] = _expm(omega)
-        yield lengths[:, 0, 0], props
+        for block in blocks:
+            omega = _combination(coef, block.table) + lengths[:, None, None] * block.a0
+            props[:, block.span, block.span] = _expm(omega)
+        yield lengths, props
 
 
 def _stacked_jump(

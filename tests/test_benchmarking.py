@@ -1,8 +1,14 @@
 """Tests for the randomized-benchmarking protocols and decay fits."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lcoupler
 from lcoupler.benchmarking import (
     CSV_HEADER,
     _CircuitRunner,
@@ -553,3 +559,18 @@ class TestFits:
         )
         with pytest.raises(ValueError):
             fit_exponential(ds)
+
+    def test_importing_the_cli_leaves_scipy_optimize_unloaded(self):
+        """fit_exponential imports curve_fit on its first call, so the
+        commands that never fit do not import scipy.optimize."""
+        src = str(Path(lcoupler.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, lcoupler.cli; sys.exit('scipy.optimize' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr

@@ -16,7 +16,8 @@ degree rule, the substep estimate and the tolerance, and agree within
 1e-12 on every schedule here; on the per-sample grid the substep counts
 are equal.  ``_expm`` is also checked against ``scipy.linalg.expm`` over
 the sizes, batches and norms the propagator meets, the bracket table
-against plain commutators, and the screen against the remainder it
+against plain commutators, the screen's Gram forms against the norms of
+the matrices they stand for, and the screen against the remainder it
 bounds.
 """
 
@@ -35,11 +36,14 @@ from lcoupler.channels import QuantumChannel
 from lcoupler.config import default_config, load_config
 from lcoupler.dynamics import (
     _CHUNK,
+    _CONTROLS,
     _GAUSS_NODES,
     _MAX_SUBSTEPS,
     _SERIES_RADIUS,
     CollapseSet,
-    _bracket,
+    _bracket_coefficients,
+    _combination,
+    _gram_form,
     _interval_ends,
     _propagate,
     _screen_bound,
@@ -452,6 +456,41 @@ def _complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    sched=random_schedules(),
+    hold=st.booleans(),
+    log_coupling=st.floats(4.0, 7.0),
+    jump_rate=st.one_of(st.none(), st.floats(1e4, 1e9)),
+    tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screened_counts_match_reference_with_coupled_a0(
+    sched, hold, log_coupling, jump_rate, tol, seed
+):
+    # a dense hermitian static term makes a0 off-diagonal, so its row sums
+    # enter the screen's bound on the jump term's turn rate.  Controls held
+    # at their first samples leave no Magnus remainder, so the jump term
+    # alone decides the counts.  jump_rate None keeps the collapse set's
+    # own rate
+    if hold:
+        columns = {
+            name: np.full_like(getattr(sched, name), getattr(sched, name)[0])
+            for name in ("g_e_hz", "g_r_hz", "det_e_hz", "det_r_hz")
+        }
+        sched = dataclasses.replace(sched, **columns)
+    cfg = load_config(ONE_MODE)
+    model = build_hamiltonian(cfg, sched, truncation=2)
+    coupling = _complex(np.random.default_rng(seed), (model.dim, model.dim))
+    static = model.static_hz + 10.0**log_coupling * (coupling + coupling.conj().T)
+    model = dataclasses.replace(model, static_hz=static)
+    collapse = CollapseSet.from_config(cfg, model.basis)
+    a0, parts, h, lo, slope, own_rate = estimate_inputs(model, collapse)
+    rate = own_rate if jump_rate is None else jump_rate
+    counts = _substep_counts(a0, parts, h, lo, slope, tol, rate)
+    assert np.array_equal(counts, reference_substep_counts(a0, parts, h, lo, slope, tol, rate))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     k=st.integers(1, 9),
@@ -464,12 +503,51 @@ def test_bracket_matches_commutator(k, n, log_scale, seed):
     rng = np.random.default_rng(seed)
     a0, parts = _complex(rng, (k, k)), _complex(rng, (4, k, k))
     c, s = 10.0**log_scale * rng.normal(size=(2, n, 4))
-    ((_, _, _, table),) = _sector_blocks(a0, parts)
+    (block,) = _sector_blocks(a0, parts)
     x = a0 + np.einsum("ni,ijk->njk", c, parts)
     y = np.einsum("ni,ijk->njk", s, parts)
     scale = np.linalg.norm(x, axis=(1, 2)) * np.linalg.norm(y, axis=(1, 2))
-    error = np.linalg.norm(_bracket(table, c, s) - (x @ y - y @ x), axis=(1, 2))
+    bracket = _combination(_bracket_coefficients(c, s), block.table[_CONTROLS:])
+    error = np.linalg.norm(bracket - (x @ y - y @ x), axis=(1, 2))
     assert np.all(error <= 1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 9),
+    n=st.integers(1, 70),
+    log_scale=st.floats(-3.0, 9.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screen_norms_match_formed_matrices(k, n, log_scale, seed):
+    # the squared norms of alpha1 - (tr alpha1 / k) I, alpha2 and c12 (per
+    # unit h) from the block's Gram matrices, against those of the matrices
+    # formed; each Gram form is never below the formed norm, and above it
+    # by at most 1e-12 of (sum_i |v_i| |X_i|_F)^2, the scale on which both
+    # round: a sum of matrices that nearly cancel has a tiny norm, which
+    # neither route gets to a relative precision
+    rng = np.random.default_rng(seed)
+    a0, parts = _complex(rng, (k, k)), _complex(rng, (4, k, k))
+    c, s = 10.0**log_scale * rng.normal(size=(2, n, 4))
+    (block,) = _sector_blocks(a0, parts)
+    x = a0 + np.einsum("ni,ijk->njk", c, parts)
+    y = np.einsum("ni,ijk->njk", s, parts)
+    formed = [
+        x - np.trace(x, axis1=1, axis2=2)[:, None, None] / k * np.eye(k),
+        y,
+        x @ y - y @ x,
+    ]
+    forms = [
+        (block.shifted_gram, np.column_stack([np.ones(n), c])),
+        (block.parts_gram, s),
+        (block.bracket_gram, _bracket_coefficients(c, s)),
+    ]
+    for matrices, (gram, v) in zip(formed, forms):
+        square = np.linalg.norm(matrices, axis=(1, 2)) ** 2
+        scale = (np.abs(v) @ np.sqrt(np.diagonal(gram))) ** 2
+        gram_square = _gram_form(gram, v, k)
+        assert np.all(square <= gram_square)
+        assert np.all(gram_square - square <= 1e-12 * scale)
 
 
 PAULI = {
@@ -507,7 +585,9 @@ def test_screen_bound_holds(k, pair, log_ratio, noise, shift, rotate, seed):
         x, y = q @ x @ q.conj().T, q @ y @ q.conj().T
     alpha1, alpha2 = (x + shift * np.eye(k))[None], y[None]
     exact = np.linalg.norm(reference_remainder(alpha1, alpha2)[0])
-    bound = _screen_bound(alpha1, alpha2, comm(alpha1, alpha2))[0]
+    shifted = alpha1 - np.trace(alpha1[0]) / k * np.eye(k)
+    square = [np.linalg.norm(m[0]) ** 2 for m in (shifted, alpha2, comm(alpha1, alpha2))]
+    bound = _screen_bound(*square)
     assert exact <= bound * (1.0 + 1e-10) + 1e-300
 
 
