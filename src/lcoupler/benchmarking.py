@@ -1,8 +1,8 @@
 """Randomized benchmarking of interconnect circuits at the density-matrix level.
 
 Two protocols share one noisy circuit executor and one sequence loop; each
-supplies only its slot template, how it draws a sequence as template rows,
-and which qubits its survival reads.
+supplies only its slot template, how it draws the sequences of one length
+as template rows, and which qubits its survival reads.
 Circuit timing comes from the DeviceConfig, noise from the NoiseModel.
 
 Network benchmarking bounces a carrier qubit between the two l-qubits: each
@@ -632,6 +632,13 @@ def _ground(measured: np.ndarray, order: tuple[str, ...], qubits):
     return kept.sum(axis=-1)
 
 
+def _check_counts(seeds_per_length: int, shots: int) -> None:
+    if seeds_per_length < 0:
+        raise ValueError(f"seeds_per_length must be >= 0, got {seeds_per_length}")
+    if shots < 1:
+        raise ValueError(f"shots must be positive, got {shots}")
+
+
 def _run_sequences(
     noise: NoiseModel,
     spam: SpamModel | None,
@@ -645,35 +652,39 @@ def _run_sequences(
 ) -> list[RbRecord]:
     """One record per (length, seed) on the register ``order``.
 
-    ``draw(length, gen)`` returns a sequence as an int array of slot entries
-    (segment ids of the protocol's slot template, -1 for a hole) and the
-    qubits whose joint ground population is its survival; ``segment(id)``
-    builds the segment of an id.  Each (length, seed) pair has its own named
-    stream under ``stream``, whose one generator draws the sequence and then
-    the shots, so the dataset is reproducible record by record, whatever
-    else the batch holds.  Every sequence is drawn first.  Only the segment
-    ids the run uses are encoded, once each, so a transfer channel is still
-    extracted only when a drawn circuit runs it; one array lookup then turns
-    every sequence into segment codes, holes staying -1, and the executor
-    runs them all as one batch.
+    ``draw(length, gens)`` draws the sequences of one length, one per
+    generator, and returns them as one (k, L) int array of slot entries
+    (segment ids of the protocol's slot template, -1 for a hole), a row per
+    generator, and the qubits whose joint ground population is their
+    survival; ``segment(id)`` builds the segment of an id.  Each
+    (length, seed) pair has its own named stream under ``stream``, whose one
+    generator draws its sequence's row and then its shots, so the dataset
+    is reproducible record by record, whatever else the batch holds.  Every
+    length is drawn first.  Only the segment ids the run uses are encoded,
+    once each, so a transfer channel is still extracted only when a drawn
+    circuit runs it; one array lookup then turns every sequence into
+    segment codes, holes staying -1, and the executor runs them all as one
+    batch.
     """
     spam = spam if spam is not None else SpamModel.ideal(order)
     runner = _CircuitRunner(noise, order)
-    drawn, sequences = [], []
+    drawn, batches = [], []
     for n in lengths:
-        for seed in range(seeds_per_length):
-            gen = stream.stream(n, seed).generator()
-            ids, survivors = draw(n, gen)
-            sequences.append(ids)
-            drawn.append((n, seed, gen, survivors))
-    if not sequences:
+        gens = [stream.stream(n, seed).generator() for seed in range(seeds_per_length)]
+        if not gens:
+            continue
+        ids, survivors = draw(n, gens)
+        batches.append(ids)
+        drawn += [(n, seed, gen, survivors) for seed, gen in enumerate(gens)]
+    if not batches:
         return []
-    used = np.unique(np.concatenate(sequences))
+    used = np.unique(np.concatenate([ids.ravel() for ids in batches]))
     used = used[used >= 0]
     # the last entry, past every used id, is where a hole (-1) looks up
     codes = np.full(used.max(initial=-1) + 2, -1, dtype=np.int32)
     codes[used] = runner.encode([segment(int(i)) for i in used])
-    states = runner.evolve(runner.initial_state(spam), [codes[ids] for ids in sequences])
+    circuits = [row for ids in batches for row in codes[ids]]
+    states = runner.evolve(runner.initial_state(spam), circuits)
     confusion = spam.confusion(order)
     measured = np.array(
         [
@@ -729,10 +740,13 @@ def run_network_benchmarking(
     train at the configured gate time, then a ``transfer_step`` of the
     configured transfer duration to the other l-qubit.  Sequence lengths
     must be even so the carrier ends where it started and a single local
-    Clifford can invert the composite.  A sequence is drawn as rows of the
-    NB slot template (``_nb_template``): one draw of all its elements, then
-    the inverse from their stacked matrices.
+    Clifford can invert the composite.  The sequences of one length are
+    drawn together as rows of the NB slot template (``_nb_template``): one
+    draw of each sequence's elements, then one ``invert_sequence`` call on
+    their matrices stacked (k, n, 2, 2).  ``shots`` and ``seeds_per_length``
+    are checked before anything is drawn, compiled or extracted.
     """
+    _check_counts(seeds_per_length, shots)
     cfg = cfg if cfg is not None else load_config()
     rng = rng if rng is not None else RngHandle(seed=0)
     for n in lengths:
@@ -741,14 +755,14 @@ def run_network_benchmarking(
     template = _nb_template(cfg)
     unitaries = np.array([elem.unitary for elem in single_qubit_cliffords()])
 
-    def draw(length, gen):
-        elements = gen.integers(len(unitaries), size=length)
+    def draw(length, gens):
+        elements = np.stack([gen.integers(len(unitaries), size=length) for gen in gens])
         carriers = np.arange(length) % 2
         final = length % 2  # the carrier after the last transfer
         inverse = invert_sequence(unitaries[elements])
-        steps = template.slots[24 * carriers + elements].ravel()
-        closing = template.slots[24 * final + inverse.index, 0]
-        return np.append(steps, closing), (L_QUBIT_PAIR[final],)
+        steps = template.slots[24 * carriers + elements].reshape(len(gens), -1)
+        closing = template.slots[24 * final + inverse.index, :1]
+        return np.hstack([steps, np.broadcast_to(closing, (len(gens), 1))]), (L_QUBIT_PAIR[final],)
 
     records = _run_sequences(
         noise,
@@ -781,11 +795,15 @@ def run_two_qubit_rb(
     (e.g. a compiled remote CNOT) runs as one segment after each random
     element; it must act as a two-qubit Clifford on the data block, which
     data_block_unitary enforces, and the fitted decay is meant to be divided
-    by a reference run.  A sequence is drawn as rows of the 12-slot
-    two-qubit template (``cliffords.two_qubit_template``), the interleaved
-    composite in a 13th slot: one draw of all its elements, one table
-    lookup, and the inverse from their stacked matrices.
+    by a reference run.  The sequences of one length are drawn together as
+    rows of the 12-slot two-qubit template (``cliffords.two_qubit_template``),
+    the interleaved composite in a 13th slot: one draw of each sequence's
+    elements, one table lookup and one ``invert_sequence`` call on their
+    matrices stacked (k, n, 4, 4), or (k, 2n, 4, 4) interleaved.  ``shots``
+    and ``seeds_per_length`` are checked before anything is drawn, compiled
+    or extracted.
     """
+    _check_counts(seeds_per_length, shots)
     cfg = cfg if cfg is not None else load_config()
     rng = rng if rng is not None else RngHandle(seed=0)
     for n in lengths:
@@ -803,15 +821,19 @@ def run_two_qubit_rb(
 
     protocol = "INTERLEAVED" if interleave is not None else "TQRB"
 
-    def draw(length, gen):
-        indices = gen.integers(TWO_QUBIT_GROUP_ORDER, size=length)
+    def draw(length, gens):
+        indices = np.stack([gen.integers(TWO_QUBIT_GROUP_ORDER, size=length) for gen in gens])
         rows, unitaries = template.slots[indices], _two_qubit_matrices(indices)
         if interleave is not None:
-            rows = np.hstack([rows, np.full((length, 1), inter_id, dtype=rows.dtype)])
-            unitaries = np.stack([unitaries, np.broadcast_to(inter_unitary, unitaries.shape)], 1)
-            unitaries = unitaries.reshape(-1, 4, 4)
+            inter_rows = np.full((*indices.shape, 1), inter_id, dtype=rows.dtype)
+            rows = np.concatenate([rows, inter_rows], axis=-1)
+            unitaries = np.stack([unitaries, np.broadcast_to(inter_unitary, unitaries.shape)], 2)
+            unitaries = unitaries.reshape(len(gens), -1, 4, 4)
         inverse = invert_sequence(unitaries, cfg)
-        return np.append(rows.ravel(), template.slots[inverse.index]), DATA_QUBITS
+        # one closing row per sequence; an inverse of one index closes them all
+        closing = template.slots[inverse.index]
+        closing = np.broadcast_to(closing, (len(gens), template.slots.shape[1]))
+        return np.hstack([rows.reshape(len(gens), -1), closing]), DATA_QUBITS
 
     records = _run_sequences(
         noise,

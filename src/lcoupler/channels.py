@@ -51,12 +51,18 @@ def superop_to_choi(superop: np.ndarray) -> np.ndarray:
 
 
 def time_ordered_product(u: np.ndarray) -> np.ndarray:
-    """u[-1] @ ... @ u[1] @ u[0], multiplied pairwise: log2(len(u)) batched
-    products instead of one product per factor."""
-    while len(u) > 1:
-        paired = u[1::2] @ u[: len(u) - len(u) % 2 : 2]
-        u = np.concatenate([paired, u[-1:]]) if len(u) % 2 else paired
-    return u[0]
+    """u[-1] @ ... @ u[1] @ u[0] along the factor axis -3, multiplied
+    pairwise: log2(n) batched products instead of one product per factor.
+
+    Leading axes are a batch of equal-length sequences, shape (..., n, d, d)
+    to (..., d, d); every sequence is paired as it would be alone, so each
+    product is bit for bit the product of that sequence by itself.
+    """
+    while u.shape[-3] > 1:
+        n = u.shape[-3]
+        paired = u[..., 1::2, :, :] @ u[..., : n - n % 2 : 2, :, :]
+        u = np.concatenate([paired, u[..., -1:, :, :]], axis=-3) if n % 2 else paired
+    return u[..., 0, :, :]
 
 
 @dataclass

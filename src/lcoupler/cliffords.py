@@ -590,33 +590,58 @@ def _two_qubit_lookup() -> _TableauLookup:
     return _TableauLookup(codes[order], order)
 
 
-def invert_sequence(seq, cfg: DeviceConfig | None = None) -> CliffordElement:
-    """Group element inverting the ordered product of the sequence: its
-    elements in order, or their unitaries stacked (n, d, d).
+class SequenceInverses(NamedTuple):
+    """The inverting elements of a stack of sequences, by group index."""
 
-    The product is one pairwise batched product.  Single-qubit sequences
-    resolve by phase-normalized matrix lookup, which rounds to 9 decimals;
-    two-qubit sequences by the tableau code of the inverse product, which
-    tolerates 1e-8.  Either way the rounding of the product cannot change
-    the element.
-    """
-    unitaries = seq if isinstance(seq, np.ndarray) else np.array([e.unitary for e in seq])
-    if not len(unitaries):
-        raise ValueError("cannot invert an empty sequence")
-    inverse = time_ordered_product(unitaries).conj().T
-    dim = inverse.shape[0]
-    if dim == 2:
+    index: np.ndarray  # one index per sequence, in the stack's batch shape
+
+
+def _inverse_indices(unitaries: np.ndarray) -> np.ndarray:
+    """Group index of the element inverting each sequence in ``unitaries``
+    (..., n, d, d), in the shape of the batch axes."""
+    inverse = time_ordered_product(unitaries).conj().swapaxes(-1, -2)
+    flat = inverse.reshape(-1, *inverse.shape[-2:])
+    if inverse.shape[-1] == 2:
         _, _, index_of = _single_qubit_table()
-        found = index_of.get(_phase_key(inverse))
-        if found is None:
+        found = [index_of.get(_phase_key(u)) for u in flat]
+        if None in found:
             raise RuntimeError("sequence product is not in the single-qubit group")
-        return single_qubit_cliffords()[found]
+        return np.array(found).reshape(inverse.shape[:-2])
     try:
-        code = _tableau_codes(inverse)
+        code = _tableau_codes(flat)
     except ValueError as exc:
         raise RuntimeError("sequence product is not in the two-qubit group") from exc
     codes, indices = _two_qubit_lookup()
-    pos = int(np.searchsorted(codes, code))
-    if pos == len(codes) or codes[pos] != code:
+    pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+    if np.any(codes[pos] != code):
         raise RuntimeError("sequence product is not in the two-qubit group")
-    return two_qubit_clifford(int(indices[pos]), cfg)
+    return indices[pos].reshape(inverse.shape[:-2])
+
+
+def invert_sequence(
+    seq, cfg: DeviceConfig | None = None
+) -> CliffordElement | SequenceInverses:
+    """Group element inverting the ordered product of the sequence: its
+    elements in order, or their unitaries stacked (n, d, d).
+
+    A stack (k, n, d, d) of k equal-length sequences gives their inverses
+    as ``SequenceInverses``, group indices only, no element built; one
+    sequence gives its ``CliffordElement``.  Each product is one pairwise
+    batched product (``time_ordered_product``), bit for bit the same in a
+    stack as alone.  Single-qubit sequences resolve by phase-normalized
+    matrix lookup, which rounds to 9 decimals; two-qubit sequences by the
+    tableau code of the inverse product, which tolerates 1e-8, one code
+    array and one sorted search for the whole stack.  Either way the
+    rounding of the product cannot change the element.
+    """
+    unitaries = seq if isinstance(seq, np.ndarray) else np.array([e.unitary for e in seq])
+    if not unitaries.size:
+        raise ValueError("cannot invert an empty sequence")
+    if unitaries.ndim not in (3, 4):
+        raise ValueError("expected a sequence (n, d, d) or a stack of them (k, n, d, d)")
+    index = _inverse_indices(unitaries)
+    if unitaries.ndim == 4:
+        return SequenceInverses(index)
+    if unitaries.shape[-1] == 2:
+        return single_qubit_cliffords()[int(index)]
+    return two_qubit_clifford(int(index), cfg)

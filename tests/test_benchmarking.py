@@ -254,6 +254,19 @@ class TestExtractionOnFirstUse:
             assert got.superoperator.tobytes() == channel.superoperator.tobytes()
             assert got.leakage_in.tobytes() == channel.leakage_in.tobytes()
 
+    @pytest.mark.parametrize("run", [run_network_benchmarking, run_two_qubit_rb])
+    @pytest.mark.parametrize(
+        "counts, message",
+        [({"shots": 0}, "shots must be positive"), ({"seeds_per_length": -3}, "seeds_per_length")],
+    )
+    def test_bad_counts_are_refused_before_extraction(self, extractions, run, counts, message):
+        cfg = load_config(ONE_MODE)
+        noise = NoiseModel.from_config(cfg)
+        with pytest.raises(ValueError, match=message):
+            run(noise, lengths=(2,), cfg=cfg, **counts)
+        assert extractions == []
+        assert len(noise.transfer_channels) == 0
+
     def test_transfer_timed_apart_from_its_schedule_is_refused(self, extractions):
         """Channels of a 306 ns schedule with circuits timed at the built-in
         206 ns: refused before anything is extracted."""

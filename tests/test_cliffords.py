@@ -313,6 +313,14 @@ class TestInversion:
         with pytest.raises(RuntimeError, match="not in the single-qubit group"):
             invert_sequence([bogus])
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_stack_with_one_non_group_product_rejected(self, d):
+        stack = np.broadcast_to(np.eye(d, dtype=complex), (3, 2, d, d)).copy()
+        stack[1, 0, -1, -1] = np.exp(0.3j)
+        group = "single-qubit" if d == 2 else "two-qubit"
+        with pytest.raises(RuntimeError, match=f"not in the {group} group"):
+            invert_sequence(stack)
+
 
 class TestRemoteCnot:
     def test_forward_equals_cnot(self):

@@ -5,6 +5,8 @@
 - Two-qubit Clifford inversion: a random sequence times its inverse is the
   identity up to phase, on the abstract matrices and on the compiled device
   circuits (local CNOTs, transfers and all).
+- A stack of sequences inverted in one call against each sequence inverted
+  alone, and its time-ordered products against each product taken alone.
 - ``op_matrix`` of every transfer op against ``ideal_transfer_unitary``, with
   the emitter-first qubit order undone by reshaping, not by a matrix.
 - The circuit executor's compiled segment superoperators against an op by op
@@ -56,6 +58,7 @@ from lcoupler.channels import (
     ideal_transfer_unitary,
     pauli_populations,
     pauli_transfer_matrix,
+    time_ordered_product,
     to_pauli,
 )
 from lcoupler.cliffords import (
@@ -65,6 +68,8 @@ from lcoupler.cliffords import (
     TWO_QUBIT_GROUP_ORDER,
     GateKind,
     Segment,
+    _two_qubit_matrices,
+    compile_remote_cnot,
     cz_op,
     data_block_unitary,
     embed_unitary,
@@ -140,6 +145,38 @@ def test_clifford_sequence_times_its_inverse_is_identity(indices):
     assert _phase_distance(inverse.unitary @ product, np.eye(4)) < 1e-9
     ops = [op for e in [*seq, inverse] for op in e.decomposition]
     assert _phase_distance(data_block_unitary(ops), np.eye(4)) < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(
+    two_qubit=st.booleans(),
+    interleaved=st.booleans(),
+    k=st.integers(1, 6),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_inverses_match_each_sequence_alone(two_qubit, interleaved, k, n, seed):
+    """k sequences of n random elements, each followed by a fixed element
+    when interleaved: the remote CNOT's data-block matrix on two qubits, one
+    fixed single-qubit Clifford on one."""
+    cfg = load_config()
+    gen = np.random.default_rng(seed)
+    if two_qubit:
+        stack = _two_qubit_matrices(gen.integers(TWO_QUBIT_GROUP_ORDER, size=(k, n)))
+        fixed = data_block_unitary(compile_remote_cnot(cfg=cfg))
+    else:
+        mats = np.array([e.unitary for e in single_qubit_cliffords()])
+        stack, fixed = mats[gen.integers(24, size=(k, n))], mats[13]
+    if interleaved:
+        stack = np.stack([stack, np.broadcast_to(fixed, stack.shape)], 2)
+        stack = stack.reshape(k, -1, *fixed.shape)
+    alone = [invert_sequence(sequence, cfg).index for sequence in stack]
+    assert invert_sequence(stack, cfg).index.tolist() == alone
+    assert np.array_equal(
+        time_ordered_product(stack), np.array([time_ordered_product(s) for s in stack])
+    )
+    with pytest.raises(ValueError, match="empty"):
+        invert_sequence(stack[:, :0], cfg)
 
 
 @PROPERTY_SETTINGS

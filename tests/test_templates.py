@@ -9,12 +9,17 @@
   ``run_network_benchmarking`` against the element-by-element reference
   draws of ``tests/oracles.py``, CSV for CSV, on an analytic transfer
   channel and on the one-mode extracted link.
+- The same protocols with 2 seeds per length against 5: every record of
+  the smaller batch appears, byte for byte, in the larger one.
+- The draws close each sequence through ``benchmarking.invert_sequence``:
+  with that name returning the identity, a noiseless run loses survival.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcoupler import benchmarking
 from lcoupler.benchmarking import (
     NoiseModel,
     SpamModel,
@@ -31,6 +36,7 @@ from lcoupler.cliffords import (
     L_QUBIT_PAIR,
     TWO_QUBIT_GROUP_ORDER,
     compile_remote_cnot,
+    single_qubit_cliffords,
     two_qubit_clifford,
     two_qubit_template,
 )
@@ -140,3 +146,44 @@ def test_network_benchmarking_matches_step_by_step_draws(device, seed):
 def test_a_run_that_draws_no_sequence_is_empty(run, lengths, seeds):
     data = run(NoiseModel.ideal(), lengths=lengths, seeds_per_length=seeds)
     assert data.records == []
+
+
+def _run(protocol, noise, spam, **kw):
+    """One protocol run: "tqrb", "irb" (the remote CNOT interleaved) or "nb"."""
+    if protocol == "nb":
+        return run_network_benchmarking(noise, spam, **kw)
+    interleave = compile_remote_cnot(cfg=kw.get("cfg")) if protocol == "irb" else None
+    return run_two_qubit_rb(noise, spam, interleave=interleave, **kw)
+
+
+@pytest.mark.parametrize("protocol", ["tqrb", "irb", "nb"])
+def test_records_do_not_depend_on_the_seeds_per_length(protocol):
+    cfg = load_config()
+    noise = NoiseModel.from_config(cfg, transfer_channels=_analytic_channels())
+    lengths = (2, 4, 6) if protocol == "nb" else (1, 2, 5)
+
+    def lines(seeds):
+        data = _run(protocol, noise, SpamModel.from_config(cfg), lengths=lengths,
+                    seeds_per_length=seeds, shots=200, rng=RngHandle(4), cfg=cfg)
+        return data.to_csv().splitlines()[1:]
+
+    few, many = lines(2), lines(5)
+    assert len(few) == 2 * len(lengths) and len(many) == 5 * len(lengths)
+    assert set(few) <= set(many)
+
+
+@pytest.mark.parametrize("protocol", ["tqrb", "irb", "nb"])
+def test_an_identity_inverse_loses_noiseless_survival(monkeypatch, protocol):
+    """The dropped-inverse case of ``benchmarks/selftest.py`` replaces
+    ``benchmarking.invert_sequence`` by a function that returns one identity
+    element, whatever it is given; the draws must still close their
+    sequences through that name."""
+    cfg = load_config()
+    lengths = (2, 4, 8) if protocol == "nb" else (1, 2, 4)
+    kw = dict(lengths=lengths, seeds_per_length=2, rng=RngHandle(0), cfg=cfg)
+    closed = _run(protocol, NoiseModel.ideal(), SpamModel.ideal(), **kw).records
+    assert all(r.survival == 1.0 for r in closed)
+    identity = single_qubit_cliffords()[0] if protocol == "nb" else two_qubit_clifford(0, cfg)
+    monkeypatch.setattr(benchmarking, "invert_sequence", lambda seq, cfg=None: identity)
+    opened = _run(protocol, NoiseModel.ideal(), SpamModel.ideal(), **kw).records
+    assert any(r.survival < 1.0 for r in opened)
