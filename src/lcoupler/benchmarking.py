@@ -64,6 +64,7 @@ from .cliffords import (
     invert_sequence,
     op_matrix,
     single_qubit_cliffords,
+    split_sq_slots,
     transfer_op,
     transfer_step,
     two_qubit_template,
@@ -383,20 +384,23 @@ class _CircuitRunner:
     blocks' nonzeros in numpy and permuted into register order, one CSR
     matrix built per op.  Each distinct segment gets an integer code and
     is compiled once into the product of its ops' matrices.  On the default
-    device the 48 segments of a TQRB run hold 256-860 nonzeros each (a
-    remote CNOT 860), 23,256 in all, where the row-major vec basis needed
-    94,935 complex ones (7,222 for a remote CNOT).  evolve runs a batch of
-    circuits in lockstep, one state row per circuit, one sparse product per
-    distinct segment at each position, and skips the code -1.  The
-    protocols draw their circuits as rows of a slot template
-    (cliffords.SlotTemplate), with -1 for a hole, so every circuit runs the
-    same slot at the same position: a position holds one code in a fixed
-    slot (a remote CNOT, a cycler, a dressing, a transfer step) and at most
-    23 in a single-qubit Clifford slot.  A benchmark ``rb`` round (seed 3)
-    makes 7,649 grouped products, where circuits that drifted out of phase
-    at every identity element made 20,128.  The caches of ops, segments and
-    bystander idle channels (one per qubit and duration) live as long as
-    the runner, which is one protocol run or one tomography preparation.
+    device a TQRB run compiles 19 segments: the two remote CNOTs, and on
+    each data qubit the three virtual Zs and five pulse trains of the
+    closing layer (the cyclers and dressings among them), plus dressing b.
+    evolve runs a batch of circuits in lockstep, one state row per
+    circuit, one sparse product per distinct segment at each position, and
+    skips the code -1.  The protocols draw their circuits as rows of a slot
+    template (cliffords.SlotTemplate), with -1 for a hole, so every circuit
+    runs the same slot at the same position: a position holds one code in
+    a fixed slot (a remote CNOT, a cycler, a dressing, a transfer step), at
+    most 3 in a frame slot (a random Clifford's leading virtual Z) and at
+    most 5 in a pulse slot (the rest of its pulse train).  Each grouped
+    product costs about 10-14 us whatever its width, so the number of
+    groups sets evolve's time: a benchmark ``rb`` round (seed 3) makes
+    3,750, where one slot of up to 23 codes per random Clifford made
+    7,649.  The caches of ops, segments and bystander idle channels (one
+    per qubit and duration) live as long as the runner, which is one
+    protocol run or one tomography preparation.
     """
 
     def __init__(self, noise: NoiseModel, qubit_order: tuple[str, ...]):
@@ -705,15 +709,19 @@ def _run_sequences(
 
 def _nb_template(cfg: DeviceConfig) -> SlotTemplate:
     """Network benchmarking's slot template: per step, the carrier's
-    single-qubit Clifford, then the transfer step to the other l-qubit.
+    single-qubit Clifford as a frame slot (its leading virtual Z) and a
+    pulse slot (the rest of its pulse train), then the transfer step to
+    the other l-qubit.
 
-    Row 24 c + e is element e on carrier L_QUBIT_PAIR[c]; segment id 24 c + e
-    is that element's pulse train (e = 0, the identity, runs none) and
-    48 + c the transfer step away from carrier c.
+    Row 24 c + e is element e on carrier L_QUBIT_PAIR[c]; segment id 24 c + u
+    is element u's pulse train on that carrier, and the row's two Clifford
+    slots hold the ids of e's frame and pulse parts
+    (``cliffords.split_sq_slots``), -1 where a part runs nothing; segment
+    id 48 + c is the transfer step away from carrier c.
     """
     sq_time, transfer_s = cfg.single_qubit_gate_time_s, cfg.transfer.total_duration_s
     rows = np.arange(48)
-    slots = np.stack([np.where(rows % 24 != 0, rows, -1), 48 + rows // 24], axis=1)
+    slots = np.column_stack([split_sq_slots(rows), 48 + rows // 24])
 
     def segment(segment_id: int) -> Segment:
         if segment_id < 48:
@@ -741,10 +749,12 @@ def run_network_benchmarking(
     configured transfer duration to the other l-qubit.  Sequence lengths
     must be even so the carrier ends where it started and a single local
     Clifford can invert the composite.  The sequences of one length are
-    drawn together as rows of the NB slot template (``_nb_template``): one
-    draw of each sequence's elements, then one ``invert_sequence`` call on
-    their matrices stacked (k, n, 2, 2).  ``shots`` and ``seeds_per_length``
-    are checked before anything is drawn, compiled or extracted.
+    drawn together as rows of the NB slot template (``_nb_template``), each
+    Clifford a frame slot and a pulse slot: one draw of each sequence's
+    elements, then one ``invert_sequence`` call on their matrices stacked
+    (k, n, 2, 2), whose element closes the sequence as the Clifford slots of
+    its row.  ``shots`` and ``seeds_per_length`` are checked before anything
+    is drawn, compiled or extracted.
     """
     _check_counts(seeds_per_length, shots)
     cfg = cfg if cfg is not None else load_config()
@@ -761,8 +771,10 @@ def run_network_benchmarking(
         final = length % 2  # the carrier after the last transfer
         inverse = invert_sequence(unitaries[elements])
         steps = template.slots[24 * carriers + elements].reshape(len(gens), -1)
-        closing = template.slots[24 * final + inverse.index, :1]
-        return np.hstack([steps, np.broadcast_to(closing, (len(gens), 1))]), (L_QUBIT_PAIR[final],)
+        # the inverse's row, every slot but the transfer step
+        closing = template.slots[24 * final + inverse.index, :-1]
+        closing = np.broadcast_to(closing, (len(gens), template.slots.shape[1] - 1))
+        return np.hstack([steps, closing]), (L_QUBIT_PAIR[final],)
 
     records = _run_sequences(
         noise,
@@ -796,8 +808,8 @@ def run_two_qubit_rb(
     element; it must act as a two-qubit Clifford on the data block, which
     data_block_unitary enforces, and the fitted decay is meant to be divided
     by a reference run.  The sequences of one length are drawn together as
-    rows of the 12-slot two-qubit template (``cliffords.two_qubit_template``),
-    the interleaved composite in a 13th slot: one draw of each sequence's
+    rows of the 14-slot two-qubit template (``cliffords.two_qubit_template``),
+    the interleaved composite in a 15th slot: one draw of each sequence's
     elements, one table lookup and one ``invert_sequence`` call on their
     matrices stacked (k, n, 4, 4), or (k, 2n, 4, 4) interleaved.  ``shots``
     and ``seeds_per_length`` are checked before anything is drawn, compiled

@@ -17,7 +17,7 @@ An element's decomposition is a sequence of segments: fixed op tuples that
 recur across elements (one remote CNOT, one single-qubit Clifford on one
 qubit), built once and shared, so an executor can compile each segment once.
 The two-qubit slot template (``two_qubit_template``) is the one definition
-of their order: 12 slots, each holding one segment id or a hole, so that
+of their order: 14 slots, each holding one segment id or a hole, so that
 sequences drawn as id arrays stay aligned slot by slot.
 """
 
@@ -153,26 +153,21 @@ def op_matrix(op: GateOp) -> np.ndarray:
     return u
 
 
-def embed_unitary(u: np.ndarray, positions: list[int], n_qubits: int) -> np.ndarray:
-    """Expand a k-qubit unitary to the full register at the given positions."""
-    k = len(positions)
-    rest = [q for q in range(n_qubits) if q not in positions]
-    big = np.kron(u, np.eye(2 ** len(rest), dtype=complex))
-    big = big.reshape((2,) * (2 * n_qubits))
-    perm = list(positions) + rest
-    inv = np.argsort(perm)
-    big = big.transpose([*inv, *(n_qubits + inv)])
-    return big.reshape(2**n_qubits, 2**n_qubits)
-
-
 def circuit_unitary(ops, qubit_order: tuple[str, ...] = QUBIT_ORDER) -> np.ndarray:
-    """Product of a gate list on the named register, first op applied first."""
+    """Product of a gate list on the named register, first op applied first.
+
+    The product is held as a (2,)*2n tensor, row axes first; each op's
+    matrix is contracted with its targets' row axes by ``np.tensordot``,
+    and the op's output axes are moved back to the targets' places.
+    """
     n = len(qubit_order)
-    u = np.eye(2**n, dtype=complex)
+    u = np.eye(2**n, dtype=complex).reshape((2,) * (2 * n))
     for op in ops:
-        positions = [qubit_order.index(q) for q in op.targets]
-        u = embed_unitary(op_matrix(op), positions, n) @ u
-    return u
+        axes = [qubit_order.index(q) for q in op.targets]
+        k = len(axes)
+        m = op_matrix(op).reshape((2,) * (2 * k))
+        u = np.moveaxis(np.tensordot(m, u, axes=(range(k, 2 * k), axes)), range(k), axes)
+    return u.reshape(2**n, 2**n)
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +470,43 @@ TWO_QUBIT_SEGMENT_IDS = 50
 
 
 @lru_cache(maxsize=None)
+def _frame_pulse_parts() -> np.ndarray:
+    """(24, 2) element indices: each single-qubit element's op train
+    (``_sq_ops``) cut into its leading virtual Z, the frame part, and the
+    rest of its pulse train, the pulse part.  Each part is itself the op
+    train of an element, 0 (the identity) where the part runs nothing:
+    the frame parts are Z(1), Z(2) and Z(3), the pulse parts X90,
+    X90.Z(1), X90.Z(2), X90.Z(3) and X90.X90."""
+    _, descs, _ = _single_qubit_table()
+    trains = [_sq_ops(desc, "q0", DeviceConfig.single_qubit_gate_time_s) for desc in descs]
+    element_of = {train.key: u for u, train in enumerate(trains)}
+    parts = []
+    for train in trains:
+        lead = int(bool(train) and train[0].kind is GateKind.VIRTUAL_Z)
+        parts.append([element_of[train.key[:lead]], element_of[train.key[lead:]]])
+    return np.array(parts)
+
+
+def split_sq_slots(ids) -> np.ndarray:
+    """Frame and pulse slot entries, shape (..., 2), of single-qubit
+    elements given as template segment ids 24 q + u (element u on the
+    template's qubit q): the ids 24 q + the frame and pulse parts'
+    elements (``_frame_pulse_parts``), -1 for a part that runs nothing.
+    Both templates split their random single-qubit Cliffords here, so such
+    a slot holds at most 3 (frame) or 5 (pulse) ids instead of 23."""
+    qubit, element = np.divmod(np.asarray(ids), 24)
+    parts = _frame_pulse_parts()[element]
+    return np.where(parts != 0, 24 * qubit[..., None] + parts, -1)
+
+
+@lru_cache(maxsize=None)
 def _two_qubit_slots() -> np.ndarray:
-    """The (11520, 12) slot table of the two-qubit group, in run order: the
+    """The (11520, 14) slot table of the two-qubit group, in run order: the
     cycler twice on D1 and twice on D2 (S3 = {identity, E, E.E}), the iSWAP
     dressing c, the forward then the reverse remote CNOT, the dressings a
     and b, the forward CNOT again (class 3), and the closing single-qubit
-    layer on D1 and on D2.  Dressing d, on D2 after c, is the identity, so
+    layer, a frame slot then a pulse slot on D1 and the same on D2
+    (``split_sq_slots``).  Dressing d, on D2 after c, is the identity, so
     it has no slot."""
     class_id, u1, u2, s1, s2 = _decode(np.arange(TWO_QUBIT_GROUP_ORDER))
     iswap = class_id == 2
@@ -491,7 +517,7 @@ def _two_qubit_slots() -> np.ndarray:
     d1, d2 = DATA_QUBITS
     cycler = _desc_index(_CYCLER_DESC)
     dress = {name: _desc_index(desc) for name, desc in _ISWAP_DRESSING.items()}
-    slots = np.stack(
+    fixed = np.stack(
         [
             sq(d1, cycler, s1 >= 1),
             sq(d1, cycler, s1 >= 2),
@@ -503,18 +529,19 @@ def _two_qubit_slots() -> np.ndarray:
             sq(d1, dress["a"], iswap),
             sq(d2, dress["b"], iswap),
             np.where(class_id == 3, _CNOT_FWD, -1),
-            sq(d1, u1),
-            sq(d2, u2),
         ],
         axis=1,
-    ).astype(np.int16)
+    )
+    closing = [split_sq_slots(24 * q + u) for q, u in enumerate((u1, u2))]
+    slots = np.hstack([fixed, *closing]).astype(np.int16)
     slots.flags.writeable = False
     return slots
 
 
 def two_qubit_template(cfg: DeviceConfig | None = None) -> SlotTemplate:
-    """The two-qubit group's slot template on the device: 12 slots, of
-    which only the closing single-qubit layer's two take more than one id."""
+    """The two-qubit group's slot template on the device: 14 slots, of
+    which only the closing single-qubit layer's four take more than one id,
+    3 in each frame slot and 5 in each pulse slot."""
     cfg = cfg if cfg is not None else load_config()
     _, descs, _ = _single_qubit_table()
 
@@ -533,8 +560,9 @@ def two_qubit_clifford(index: int, cfg: DeviceConfig | None = None) -> CliffordE
     row of the slot template, holes left out.
 
     Class k runs k remote CNOTs, each one segment, and only the directions
-    it uses are compiled; every single-qubit element is one segment on its
-    data qubit.
+    it uses are compiled; a cycler or dressing is one segment on its data
+    qubit, and each closing-layer Clifford is up to two, its leading
+    virtual Z and the rest of its pulse train.
     """
     class_id, u1, u2, s1, s2 = decode_two_qubit_index(index)
     template = two_qubit_template(cfg)

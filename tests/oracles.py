@@ -7,11 +7,15 @@ by axis, and tomography settings measured by rotating each axis onto Z.  The
 chain's qubit-mode exchange is built label by label, apart from the products
 of lowering operators the dynamics use.
 
-The benchmarking protocols draw sequences as slot-template arrays; the
-references here draw them element by element, as lists of segments: one
-scalar draw and one ``two_qubit_clifford`` (or single-qubit element) per
-element, ``invert_sequence`` on the element list, and each element's segments
-assembled from the layered class recipe.
+The benchmarking protocols draw sequences as slot-template arrays, each
+random single-qubit Clifford split into a frame slot (its leading virtual Z)
+and a pulse slot; the references here draw them element by element, as lists
+of unsplit segments: one scalar draw and one ``two_qubit_clifford`` (or
+single-qubit element) per element, ``invert_sequence`` on the element list,
+and each element run as one segment per single-qubit Clifford and remote
+CNOT, assembled from the layered class recipe.  ``embed_unitary`` expands
+an op's matrix to the whole register by Kronecker product and axis
+permutation, apart from ``circuit_unitary``'s tensor contraction.
 """
 
 import math
@@ -82,6 +86,18 @@ def apply_to_qubits(
     t = t.reshape([2] * (2 * k) + [2] * len(rest))
     t = np.transpose(t, np.argsort(perm))
     return t.reshape(2**n_qubits, 2**n_qubits)
+
+
+def embed_unitary(u: np.ndarray, positions: list[int], n_qubits: int) -> np.ndarray:
+    """Expand a k-qubit unitary to the full register at the given positions."""
+    k = len(positions)
+    rest = [q for q in range(n_qubits) if q not in positions]
+    big = np.kron(u, np.eye(2 ** len(rest), dtype=complex))
+    big = big.reshape((2,) * (2 * n_qubits))
+    perm = list(positions) + rest
+    inv = np.argsort(perm)
+    big = big.transpose([*inv, *(n_qubits + inv)])
+    return big.reshape(2**n_qubits, 2**n_qubits)
 
 
 def average_gate_fidelity_mc(
@@ -258,7 +274,8 @@ def two_qubit_rb(
 ) -> RbDataset:
     """TQRB (or IRB) drawn element by element: one scalar draw and one
     ``two_qubit_clifford`` per element, the interleaved composite as an
-    element of its own after each, then ``invert_sequence`` on the list."""
+    element of its own after each, then ``invert_sequence`` on the list.
+    Each element runs its unsplit segments (``two_qubit_segments``)."""
     inter_elem = None
     if interleave is not None:
         ops = Segment(interleave)
@@ -272,7 +289,11 @@ def two_qubit_rb(
             if inter_elem is not None:
                 sequence.append(inter_elem)
         sequence.append(invert_sequence(sequence, cfg))
-        return [segment for elem in sequence for segment in elem.segments], DATA_QUBITS
+        segments = [
+            two_qubit_segments(elem.index, cfg) if elem is not inter_elem else elem.segments
+            for elem in sequence
+        ]
+        return [segment for elem_segments in segments for segment in elem_segments], DATA_QUBITS
 
     stream = rng.stream("tqrb", protocol)
     return RbDataset(

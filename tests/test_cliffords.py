@@ -18,7 +18,6 @@ from lcoupler.cliffords import (
     cz_op,
     data_block_unitary,
     decode_two_qubit_index,
-    embed_unitary,
     invert_sequence,
     op_matrix,
     single_qubit_cliffords,
@@ -38,6 +37,8 @@ from lcoupler.cliffords import (
 )
 from lcoupler.config import load_config
 from lcoupler.tomography import bell_circuit
+
+from oracles import embed_unitary
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 CNOT_REV = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)

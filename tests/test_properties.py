@@ -9,6 +9,9 @@
   alone, and its time-ordered products against each product taken alone.
 - ``op_matrix`` of every transfer op against ``ideal_transfer_unitary``, with
   the emitter-first qubit order undone by reshaping, not by a matrix.
+- ``circuit_unitary``'s tensor contractions against the product of each
+  op's matrix embedded by Kronecker product (``oracles.embed_unitary``), on
+  every order of the register.
 - The circuit executor's compiled segment superoperators against an op by op
   reference: the embedded unitary, then ``apply_to_qubits`` for the op's
   depolarizing or transfer channel, then each bystander's idle channel.
@@ -69,10 +72,10 @@ from lcoupler.cliffords import (
     GateKind,
     Segment,
     _two_qubit_matrices,
+    circuit_unitary,
     compile_remote_cnot,
     cz_op,
     data_block_unitary,
-    embed_unitary,
     half_transfer_op,
     invert_sequence,
     op_matrix,
@@ -86,7 +89,7 @@ from lcoupler.config import load_config
 from lcoupler.rng import RngHandle
 from lcoupler.tomography import project_to_state, simulate_prep, tomography_of_state
 
-from oracles import apply_to_qubits, linear_inversion, pair_marginal
+from oracles import apply_to_qubits, embed_unitary, linear_inversion, pair_marginal
 
 PROPERTY_SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -280,6 +283,16 @@ _OPS = st.one_of(
 
 
 _SEGMENTS = st.lists(_OPS, min_size=1, max_size=4).map(Segment)
+
+
+@PROPERTY_SETTINGS
+@given(ops=st.lists(_OPS, max_size=8), order=st.permutations(QUBIT_ORDER))
+def test_circuit_unitary_is_the_product_of_embedded_ops(ops, order):
+    order = tuple(order)
+    want = np.eye(16, dtype=complex)
+    for op in ops:
+        want = embed_unitary(op_matrix(op), [order.index(q) for q in op.targets], 4) @ want
+    assert np.max(np.abs(circuit_unitary(ops, order) - want)) < 1e-12
 
 
 @PROPERTY_SETTINGS

@@ -1,8 +1,12 @@
 """Slot templates: the protocols' sequences drawn as arrays of segment ids.
 
 - The TQRB template, row by row for all 11,520 elements, against the
-  segments assembled from the layered class recipe and against
-  ``two_qubit_clifford``; the NB template against the step it encodes.
+  unsplit segments assembled from the layered class recipe and against
+  ``two_qubit_clifford``; the NB template against the step it encodes:
+  the same ops in the same order, each random single-qubit Clifford split
+  into a frame slot (its leading virtual Z) and a pulse slot.
+- The split protocols' pre-sampling Pauli vectors against the unsplit
+  route of ``tests/oracles.py``, within 1e-12.
 - One array draw ``integers(N, size=n)`` against n scalar draws on the
   protocols' generators: same values, same stream state after.
 - ``run_two_qubit_rb`` (plain and interleaved) and
@@ -15,6 +19,7 @@
   with that name returning the identity, a noiseless run loses survival.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +28,7 @@ from lcoupler import benchmarking
 from lcoupler.benchmarking import (
     NoiseModel,
     SpamModel,
+    _CircuitRunner,
     _nb_template,
     run_network_benchmarking,
     run_two_qubit_rb,
@@ -35,8 +41,12 @@ from lcoupler.channels import (
 from lcoupler.cliffords import (
     L_QUBIT_PAIR,
     TWO_QUBIT_GROUP_ORDER,
+    GateKind,
+    _single_qubit_table,
+    _sq_ops,
     compile_remote_cnot,
     single_qubit_cliffords,
+    split_sq_slots,
     two_qubit_clifford,
     two_qubit_template,
 )
@@ -48,8 +58,9 @@ import oracles
 ONE_MODE = {"cpw": {"modes_retained": 1}}
 
 
-def _keys(segments):
-    return [segment.key for segment in segments]
+def _op_keys(segments):
+    """The op keys the segments run, in order, whatever their grouping."""
+    return [key for segment in segments for key in segment.key]
 
 
 def _row_segments(template, row):
@@ -58,29 +69,45 @@ def _row_segments(template, row):
 
 class TestTemplates:
     def test_two_qubit_rows_match_the_recipe(self):
+        """Every element runs the ops of its unsplit segments, in order."""
         cfg = load_config()
         template = two_qubit_template(cfg)
-        assert template.slots.shape == (TWO_QUBIT_GROUP_ORDER, 12)
+        assert template.slots.shape == (TWO_QUBIT_GROUP_ORDER, 14)
         for index in range(TWO_QUBIT_GROUP_ORDER):
-            row = _keys(_row_segments(template, template.slots[index]))
-            assert row == _keys(oracles.two_qubit_segments(index, cfg)), index
-            assert row == _keys(two_qubit_clifford(index, cfg).segments), index
+            row = _op_keys(_row_segments(template, template.slots[index]))
+            assert row == _op_keys(oracles.two_qubit_segments(index, cfg)), index
+            assert row == _op_keys(two_qubit_clifford(index, cfg).segments), index
 
     def test_only_the_closing_layer_slots_take_more_than_one_id(self):
         slots = two_qubit_template().slots
         ids_per_slot = [len(set(column[column >= 0].tolist())) for column in slots.T]
-        # every fixed slot runs one segment; the closing layer runs any
-        # non-identity single-qubit element
-        assert ids_per_slot == [1] * 10 + [23, 23]
+        # every fixed slot runs one segment; the closing layer's frame slots
+        # run one of three virtual Zs, its pulse slots one of five trains
+        assert ids_per_slot == [1] * 10 + [3, 5, 3, 5]
 
     def test_nb_rows_match_the_step(self):
+        """Every NB row runs the ops of its unsplit step, in order."""
         cfg = load_config()
         template = _nb_template(cfg)
+        assert template.slots.shape == (48, 3)
         for c, carrier in enumerate(L_QUBIT_PAIR):
             for element in range(24):
                 row = template.slots[24 * c + element]
                 expected = oracles.nb_step(carrier, element, cfg)
-                assert _keys(_row_segments(template, row)) == _keys(expected)
+                assert _op_keys(_row_segments(template, row)) == _op_keys(expected)
+
+
+    def test_frame_and_pulse_parts_rebuild_every_element(self):
+        descs = _single_qubit_table()[1]
+        for q, qubit in enumerate(L_QUBIT_PAIR):
+            for element in range(24):
+                frame, pulse = split_sq_slots(24 * q + element)
+                parts = [
+                    _sq_ops(descs[i % 24], qubit, 35e-9) for i in (frame, pulse) if i >= 0
+                ]
+                assert _op_keys(parts) == _op_keys([_sq_ops(descs[element], qubit, 35e-9)])
+                assert frame == -1 or parts[0][0].kind is GateKind.VIRTUAL_Z
+                assert pulse == -1 or parts[-1][0].kind is GateKind.SQ_ROT
 
 
 @settings(max_examples=200, deadline=None)
@@ -139,6 +166,47 @@ def test_network_benchmarking_matches_step_by_step_draws(device, seed):
     kw = dict(lengths=(2, 4, 10), seeds_per_length=3, shots=200, rng=RngHandle(seed), cfg=cfg)
     got = run_network_benchmarking(noise, spam, **kw)
     assert got.to_csv() == oracles.network_benchmarking(noise, spam, **kw).to_csv()
+
+
+def _presampling_states(run, *args, **kw) -> np.ndarray:
+    """The Pauli vectors of the one ``_CircuitRunner.evolve`` call a
+    protocol run makes, one column per sequence, before any shot is drawn."""
+    states, evolve = [], _CircuitRunner.evolve
+
+    def spy(runner, rho, circuits):
+        states.append(evolve(runner, rho, circuits))
+        return states[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_CircuitRunner, "evolve", spy)
+        run(*args, **kw)
+    (batch,) = states
+    return batch
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    protocol=st.sampled_from(["tqrb", "irb", "nb"]),
+    seed=st.integers(0, 2**32),
+    lengths=st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
+    seeds=st.integers(1, 3),
+)
+def test_split_slots_keep_the_unsplit_pauli_vectors(protocol, seed, lengths, seeds):
+    """TQRB, IRB and NB batches, whose single-qubit Cliffords run as a frame
+    and a pulse segment, against the oracle that runs each as one segment."""
+    cfg = load_config()
+    noise = NoiseModel.from_config(cfg, transfer_channels=_analytic_channels())
+    spam = SpamModel.from_config(cfg)
+    lengths = tuple(2 * n for n in lengths) if protocol == "nb" else tuple(lengths)
+    kw = dict(lengths=lengths, seeds_per_length=seeds, shots=10, rng=RngHandle(seed), cfg=cfg)
+    got = _presampling_states(_run, protocol, noise, spam, **kw)
+    if protocol == "nb":
+        want = _presampling_states(oracles.network_benchmarking, noise, spam, **kw)
+    else:
+        interleave = compile_remote_cnot(cfg=cfg) if protocol == "irb" else None
+        want = _presampling_states(oracles.two_qubit_rb, noise, spam, interleave=interleave, **kw)
+    assert got.shape == want.shape == (4 ** (2 if protocol == "nb" else 4), seeds * len(lengths))
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("run", [run_two_qubit_rb, run_network_benchmarking])
