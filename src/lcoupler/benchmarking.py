@@ -29,8 +29,10 @@ the fitted p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field, fields
 from functools import reduce
+from types import MappingProxyType
 
 import numpy as np
 from scipy import sparse
@@ -138,7 +140,7 @@ class SpamModel:
 def spam_apply(
     distribution: np.ndarray,
     confusion: np.ndarray,
-    rng: RngHandle | np.random.Generator,
+    rng: RngHandle | np.random.Generator | Sequence[RngHandle | np.random.Generator],
     shots: int,
 ) -> np.ndarray:
     """Empirical outcome distribution after confusion and shot sampling.
@@ -150,22 +152,38 @@ def spam_apply(
     binomial draws on min(p, 1 - p), so a symmetric setting at 0.5 + 1 ulp
     and one at 0.5 - 1 ulp would otherwise give different counts for one
     seed.  Returns counts / shots.
+
+    A stack of distributions, shape (k, 2^n), takes a sequence of k
+    generators, one per row, and returns one row per distribution.  The
+    clip, normalisation check, confusion product and snap run once for the
+    whole stack, each row bit for bit as it would alone (the rows are made
+    contiguous, and the product is one matrix-vector product per row); only
+    the multinomial draw is per row, on that row's generator.
     """
     dist = np.asarray(distribution, dtype=float)
-    if dist.ndim != 1 or dist.size != confusion.shape[1]:
+    if dist.ndim not in (1, 2) or dist.shape[-1] != confusion.shape[1]:
         raise ValueError("distribution size does not match the confusion matrix")
+    gens = [rng] if dist.ndim == 1 else list(rng)
+    stack = np.ascontiguousarray(dist.reshape(-1, dist.shape[-1]))
+    if len(gens) != len(stack):
+        raise ValueError(f"{len(stack)} distributions but {len(gens)} generators")
     if shots <= 0:
         raise ValueError("shots must be positive")
-    dist = np.clip(dist, 0.0, None)
-    total = dist.sum()
-    if not math.isclose(total, 1.0, abs_tol=1e-6):
-        raise ValueError(f"distribution is not normalized: sum {total}")
-    noisy = np.clip(confusion @ (dist / total), 0.0, None)
-    noisy = np.rint(noisy * (1e12 / noisy.sum()))  # whole multiples of 1e-12
-    noisy /= noisy.sum()
-    gen = rng.generator() if isinstance(rng, RngHandle) else rng
-    counts = gen.multinomial(shots, noisy)
-    return counts / shots
+    stack = np.clip(stack, 0.0, None)
+    total = stack.sum(axis=-1, keepdims=True)
+    unnormalized = ~(np.abs(total - 1.0) <= 1e-6)
+    if unnormalized.any():
+        raise ValueError(f"distribution is not normalized: sum {total[unnormalized][0]}")
+    noisy = np.clip((confusion @ (stack / total)[..., None])[..., 0], 0.0, None)
+    noisy = np.rint(noisy * (1e12 / noisy.sum(axis=-1, keepdims=True)))  # whole multiples of 1e-12
+    noisy /= noisy.sum(axis=-1, keepdims=True)
+    counts = np.array(
+        [
+            (gen.generator() if isinstance(gen, RngHandle) else gen).multinomial(shots, p)
+            for gen, p in zip(gens, noisy)
+        ]
+    )
+    return (counts / shots).reshape(dist.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +197,20 @@ class _ExtractedChannels(dict):
     Only extract fills the table, which _CircuitRunner.encode calls with the
     transfer ops of the segments it is about to compile: the directions the
     table lacks are extracted in one dynamics.extract_channels call, and an
-    op not timed as the schedule is a ValueError.  A lookup extracts nothing.
+    op not timed as the schedule is a ValueError.  A lookup extracts nothing,
+    and every other way of writing to the table is a TypeError, so each
+    entry is the one its config fixes.
     """
 
     def __init__(self, cfg: DeviceConfig, method: str):
         super().__init__()
         self.cfg, self.method = cfg, method
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("extracted transfer channels are added only by extract")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    update = setdefault = pop = popitem = clear = _read_only
 
     def extract(self, ops) -> None:
         schedule_s = self.cfg.transfer.total_duration_s
@@ -201,10 +227,10 @@ class _ExtractedChannels(dict):
         forward = pulses.build_transfer_schedule(self.cfg, method=self.method)
         backward = pulses.reverse_schedule(forward)
         schedules = [forward if d == "L1->L2" else backward for d in missing]
-        self.update(zip(missing, dynamics.extract_channels(self.cfg, schedules, lossy=True)))
+        dict.update(self, zip(missing, dynamics.extract_channels(self.cfg, schedules, lossy=True)))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Circuit-level noise attached to each kind of operation.
 
@@ -216,14 +242,26 @@ class NoiseModel:
     with it empty, nothing idles.  The model holds noise only: the circuits
     it runs, and so every op's duration, come from the DeviceConfig the
     protocol is given.
+
+    The model is read-only and compares by identity, so the executor's
+    compiled ops (``circuit_runner``) stay valid for as long as the model
+    object does.  Each table given as a mapping is kept as a read-only copy
+    (``MappingProxyType``); an extracting table (_ExtractedChannels) is kept
+    as given, since only its extract adds entries.
     """
 
-    transfer_channels: dict[str, QuantumChannel]
-    half_transfer_channels: dict[str, QuantumChannel] = field(default_factory=dict)
-    sq_depolarizing: dict[str, float] = field(default_factory=dict)
-    cz_depolarizing: dict[frozenset, float] = field(default_factory=dict)
-    qubit_t1_s: dict[str, float] = field(default_factory=dict)
-    qubit_tphi_s: dict[str, float] = field(default_factory=dict)
+    transfer_channels: Mapping[str, QuantumChannel]
+    half_transfer_channels: Mapping[str, QuantumChannel] = field(default_factory=dict)
+    sq_depolarizing: Mapping[str, float] = field(default_factory=dict)
+    cz_depolarizing: Mapping[frozenset, float] = field(default_factory=dict)
+    qubit_t1_s: Mapping[str, float] = field(default_factory=dict)
+    qubit_tphi_s: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            table = getattr(self, f.name)
+            if not isinstance(table, _ExtractedChannels):
+                object.__setattr__(self, f.name, MappingProxyType(dict(table)))
 
     @property
     def idle_decoherence(self) -> bool:
@@ -399,8 +437,12 @@ class _CircuitRunner:
     groups sets evolve's time: a benchmark ``rb`` round (seed 3) makes
     3,750, where one slot of up to 23 codes per random Clifford made
     7,649.  The caches of ops, segments and bystander idle channels (one
-    per qubit and duration) live as long as the runner, which is one
-    protocol run or one tomography preparation.
+    per qubit and duration) live as long as the runner.  The program gets
+    its runners from ``circuit_runner``, which keeps the last one per
+    register and reuses it while the same NoiseModel object comes back, so
+    the protocol runs and preparations of one model (TQRB then IRB on one
+    device noise) compile each op and segment once, and a new model starts
+    from empty caches.
     """
 
     def __init__(self, noise: NoiseModel, qubit_order: tuple[str, ...]):
@@ -563,6 +605,25 @@ class _CircuitRunner:
         return from_pauli(self.evolve(rho, [self.encode(segments)])[:, 0])
 
 
+# The last runner built on each register, by qubit order.  It is keyed on
+# the model's identity, not its contents: an equal model built afresh (one
+# benchmark round's) compiles its own ops.  Replacing the register's entry
+# drops the previous model's runner, so this table keeps at most one model
+# per register alive, however many a caller keeps.
+_RUNNERS: dict[tuple[str, ...], _CircuitRunner] = {}
+
+
+def circuit_runner(noise: NoiseModel, qubit_order: tuple[str, ...]) -> _CircuitRunner:
+    """The executor of ``noise`` on the register ``qubit_order``: the
+    register's last runner when it was built for this very model object,
+    otherwise a new one, which replaces it."""
+    order = tuple(qubit_order)
+    runner = _RUNNERS.get(order)
+    if runner is None or runner.noise is not noise:
+        runner = _RUNNERS[order] = _CircuitRunner(noise, order)
+    return runner
+
+
 # ---------------------------------------------------------------------------
 # datasets
 
@@ -668,10 +729,15 @@ def _run_sequences(
     once each, so a transfer channel is still extracted only when a drawn
     circuit runs it; one array lookup then turns every sequence into
     segment codes, holes staying -1, and the executor runs them all as one
-    batch.
+    batch.  The executor is ``circuit_runner``'s for this model and
+    register, so a second run on the same model (IRB after TQRB) compiles
+    only the segments the first did not; which segments a runner already
+    holds changes their codes, never a state.  The whole batch then passes
+    through one ``spam_apply`` call, each record's shots drawn from its
+    own generator.
     """
     spam = spam if spam is not None else SpamModel.ideal(order)
-    runner = _CircuitRunner(noise, order)
+    runner = circuit_runner(noise, order)
     drawn, batches = [], []
     for n in lengths:
         gens = [stream.stream(n, seed).generator() for seed in range(seeds_per_length)]
@@ -689,13 +755,8 @@ def _run_sequences(
     codes[used] = runner.encode([segment(int(i)) for i in used])
     circuits = [row for ids in batches for row in codes[ids]]
     states = runner.evolve(runner.initial_state(spam), circuits)
-    confusion = spam.confusion(order)
-    measured = np.array(
-        [
-            spam_apply(populations, confusion, gen, shots)
-            for (_, _, gen, _), populations in zip(drawn, pauli_populations(states).T)
-        ]
-    )
+    gens = [gen for _, _, gen, _ in drawn]
+    measured = spam_apply(pauli_populations(states).T, spam.confusion(order), gens, shots)
     survival = np.empty(len(drawn))
     for qubits in {survivors for *_, survivors in drawn}:
         rows = [i for i, (*_, survivors) in enumerate(drawn) if survivors == qubits]

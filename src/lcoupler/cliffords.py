@@ -174,12 +174,17 @@ def circuit_unitary(ops, qubit_order: tuple[str, ...] = QUBIT_ORDER) -> np.ndarr
 # single-qubit group
 
 
-def _phase_key(u: np.ndarray, decimals: int = 9) -> bytes:
-    flat = np.asarray(u, dtype=complex).flatten()
-    first = int(np.argmax(np.abs(flat) > 1e-6))
-    normed = np.asarray(u, dtype=complex) * np.exp(-1j * np.angle(flat[first]))
+def _phase_keys(u: np.ndarray, decimals: int = 9) -> list[bytes]:
+    """One key per matrix stacked in ``u`` (..., d, d): the matrix divided
+    by the phase of its first entry of modulus above 1e-6, rounded to
+    ``decimals``, as bytes, so matrices equal up to a global phase share a
+    key."""
+    u = np.asarray(u, dtype=complex)
+    flat = u.reshape(-1, u.shape[-2] * u.shape[-1])
+    first = np.argmax(np.abs(flat) > 1e-6, axis=1)
+    normed = flat * np.exp(-1j * np.angle(flat[np.arange(len(flat)), first]))[:, None]
     # +0.0 collapses negative zeros so equal matrices share bytes
-    return (np.round(normed, decimals) + 0.0).tobytes()
+    return [row.tobytes() for row in np.round(normed, decimals) + 0.0]
 
 
 def _rz(angle_rad: float) -> np.ndarray:
@@ -196,24 +201,25 @@ def _single_qubit_table():
     A descriptor is (n_pulses, z_steps): z_steps are quarter-turn counts
     around the physical x pi/2 pulses, time-ordered first to last.
     """
+    candidates = [(_rz(a * np.pi / 2.0), (0, (a,))) for a in range(4)]
+    candidates += [
+        (_rz(b * np.pi / 2.0) @ _X90 @ _rz(a * np.pi / 2.0), (1, (a, b)))
+        for b, a in iter_product(range(4), repeat=2)
+    ]
+    candidates += [
+        (
+            _rz(c * np.pi / 2.0) @ _X90 @ _rz(b * np.pi / 2.0) @ _X90 @ _rz(a * np.pi / 2.0),
+            (2, (a, b, c)),
+        )
+        for c, b, a in iter_product(range(4), repeat=3)
+    ]
     mats, descs, index_of = [], [], {}
-
-    def consider(u, desc):
-        key = _phase_key(u)
+    keys = _phase_keys(np.array([u for u, _ in candidates]))
+    for key, (u, desc) in zip(keys, candidates):
         if key not in index_of:
             index_of[key] = len(mats)
             mats.append(u)
             descs.append(desc)
-
-    for a in range(4):
-        consider(_rz(a * np.pi / 2.0), (0, (a,)))
-    for b, a in iter_product(range(4), repeat=2):
-        consider(_rz(b * np.pi / 2.0) @ _X90 @ _rz(a * np.pi / 2.0), (1, (a, b)))
-    for c, b, a in iter_product(range(4), repeat=3):
-        consider(
-            _rz(c * np.pi / 2.0) @ _X90 @ _rz(b * np.pi / 2.0) @ _X90 @ _rz(a * np.pi / 2.0),
-            (2, (a, b, c)),
-        )
     if len(mats) != 24:
         raise RuntimeError("single-qubit enumeration did not close at 24")
     return tuple(mats), tuple(descs), index_of
@@ -631,7 +637,7 @@ def _inverse_indices(unitaries: np.ndarray) -> np.ndarray:
     flat = inverse.reshape(-1, *inverse.shape[-2:])
     if inverse.shape[-1] == 2:
         _, _, index_of = _single_qubit_table()
-        found = [index_of.get(_phase_key(u)) for u in flat]
+        found = [index_of.get(key) for key in _phase_keys(flat)]
         if None in found:
             raise RuntimeError("sequence product is not in the single-qubit group")
         return np.array(found).reshape(inverse.shape[:-2])

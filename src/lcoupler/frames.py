@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .benchmarking import NoiseModel, SpamModel, _CircuitRunner
+from .benchmarking import NoiseModel, SpamModel, circuit_runner
 from .cliffords import L_QUBIT_PAIR, GateOp, Segment, sq_rot, transfer_step, virtual_z
 
 TWO_PI = 2.0 * np.pi
@@ -95,7 +95,7 @@ def ramsey_round_trip(
         r2, r1 = transfer_frame(r2, r1, -delta, t_second)
     ops += pulse(r1, -np.pi / 2.0)
 
-    runner = _CircuitRunner(NoiseModel.ideal(), L_QUBIT_PAIR)
+    runner = circuit_runner(NoiseModel.ideal(), L_QUBIT_PAIR)
     ground = runner.initial_state(SpamModel.ideal(L_QUBIT_PAIR))
     rho = runner.run(ground, [Segment((op,)) for op in ops])
     return float(rho[0, 0].real + rho[1, 1].real)

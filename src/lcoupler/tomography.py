@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .benchmarking import NoiseModel, SpamModel, _CircuitRunner, spam_apply
+from .benchmarking import NoiseModel, SpamModel, circuit_runner, spam_apply
 from .channels import from_pauli, pauli_populations, to_pauli
 from .cliffords import (
     QUBIT_ORDER,
@@ -105,7 +105,7 @@ def simulate_prep(
     """Run a preparation circuit on the full register and return the reduced
     density matrix of the measured pair: the register's Pauli coefficients
     with I on every other qubit are the pair's."""
-    runner = _CircuitRunner(noise, QUBIT_ORDER)
+    runner = circuit_runner(noise, QUBIT_ORDER)
     circuit = runner.encode([Segment((op,)) for op in ops])
     paulis = runner.evolve(runner.initial_state(spam), [circuit])[:, 0]
     n = len(QUBIT_ORDER)

@@ -1,8 +1,12 @@
 """Tests for the randomized-benchmarking protocols and decay fits."""
 
+import dataclasses
+import gc
+import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +21,8 @@ from lcoupler.benchmarking import (
     RbDataset,
     RbRecord,
     SpamModel,
+    _ExtractedChannels,
+    circuit_runner,
     eps_from_decay,
     fit_exponential,
     run_network_benchmarking,
@@ -124,6 +130,29 @@ class TestSpamApply:
         with pytest.raises(ValueError):
             spam_apply(np.array([1.0, 0.0]), confusion, RngHandle(seed=0), 0)
 
+    def test_rejects_a_stack_with_one_bad_row(self):
+        """The same refusals for a stack: every row a point mass but the
+        last, which is the bad input; and one generator per row."""
+        confusion = SpamModel.ideal(("q",)).confusion(("q",))
+        gens = [RngHandle(seed=i) for i in range(3)]
+
+        def call(last, shots=10):
+            stack = np.zeros((3, len(last)))
+            stack[:, 0] = 1.0
+            stack[-1] = last
+            return spam_apply(stack, confusion, gens, shots)
+
+        with pytest.raises(ValueError, match="not normalized"):
+            call([0.7, 0.7])
+        with pytest.raises(ValueError, match="not normalized"):
+            call([math.nan, 1.0])
+        with pytest.raises(ValueError, match="size does not match"):
+            call([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="shots must be positive"):
+            call([1.0, 0.0], shots=0)
+        with pytest.raises(ValueError, match="3 distributions but 2 generators"):
+            spam_apply(np.eye(2)[[0, 0, 1]], confusion, gens[:2], 10)
+
 
 class TestNoiseModel:
     def test_ideal_channels_are_cptp_swaps(self):
@@ -183,6 +212,53 @@ class TestNoiseModel:
         # 1/T2 = 1/(2 T1) + 1/Tphi with T1 = 113 us, T2 = 18 us
         expected_tphi = 1.0 / (1.0 / 18e-6 - 0.5 / 113e-6)
         assert noise.qubit_tphi_s["L1"] == pytest.approx(expected_tphi)
+
+    def test_model_is_read_only(self, extractions):
+        """Item assignment on every table, attribute assignment and the
+        caller's own dict after the call all leave the model as built."""
+        passed = {d: QuantumChannel.identity(4) for d in TRANSFER_DIRECTIONS}
+        noise = NoiseModel.from_config(load_config(ONE_MODE), transfer_channels=passed)
+        for f in dataclasses.fields(noise):
+            table = getattr(noise, f.name)
+            with pytest.raises(TypeError):
+                table["L1->L2"] = QuantumChannel.identity(4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            noise.qubit_t1_s = {}
+        passed["L1->L2"] = QuantumChannel.identity(2)
+        del passed["L2->L1"]
+        assert noise.transfer_channels["L1->L2"].dim == 4
+        assert list(noise.transfer_channels) == list(TRANSFER_DIRECTIONS)
+        # reads through the mapping interface
+        assert noise.qubit_tphi_s.get("nowhere", math.inf) == math.inf
+        assert len(list(noise.sq_depolarizing.values())) == len(noise.sq_depolarizing)
+        assert extractions == []
+
+    def test_extracted_tables_are_written_only_by_extract(self, extractions):
+        noise = NoiseModel.from_config(load_config(ONE_MODE))
+        table = noise.half_transfer_channels
+        assert isinstance(table, _ExtractedChannels)
+        channel = QuantumChannel.identity(4)
+        writes = [
+            lambda: table.__setitem__("L1->L2", channel),
+            lambda: table.update({"L1->L2": channel}),
+            lambda: table.setdefault("L1->L2", channel),
+            lambda: table.__ior__({"L1->L2": channel}),
+            lambda: table.pop("L1->L2", None),
+            lambda: table.popitem(),
+            lambda: table.clear(),
+            lambda: table.__delitem__("L1->L2"),
+        ]
+        for write in writes:
+            with pytest.raises(TypeError, match="added only by extract"):
+                write()
+        assert len(table) == 0 and extractions == []
+
+    def test_models_compare_by_identity(self):
+        noise = NoiseModel.ideal()
+        twin = dataclasses.replace(noise)
+        assert twin.transfer_channels == noise.transfer_channels
+        assert twin != noise and twin == twin
+        assert len({noise, twin}) == 2
 
 
 class TestExtractionOnFirstUse:
@@ -432,6 +508,80 @@ class TestTwoQubitRb:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             run_two_qubit_rb(NoiseModel.ideal(), lengths=(0,))
+
+
+class TestRunnerCache:
+    """The protocol runs of one model share its executor
+    (``circuit_runner``), one per register, found by the model's identity."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """(register, op key) of every op compiled during the test."""
+        calls, compile_op = [], _CircuitRunner._compile
+
+        def counting(runner, op):
+            calls.append((runner.order, op.key))
+            return compile_op(runner, op)
+
+        monkeypatch.setattr(_CircuitRunner, "_compile", counting)
+        return calls
+
+    @pytest.mark.parametrize("irb_first", [False, True], ids=["tqrb-first", "irb-first"])
+    def test_reference_and_interleaved_compile_each_op_once(self, compiled, irb_first):
+        """TQRB and IRB at the default lengths and seeds on one model
+        compile the 24 distinct four-qubit ops once between them, and each
+        dataset equals the one a fresh model gives alone, in either order."""
+        cfg = load_config()
+        spam = SpamModel.from_config(cfg)
+        cnot = compile_remote_cnot(cfg=cfg)
+
+        def run(noise, interleave):
+            return run_two_qubit_rb(
+                noise, spam, rng=RngHandle(seed=3), interleave=interleave, cfg=cfg
+            ).to_csv()
+
+        def model():
+            transfers = NoiseModel.with_transfer_depolarizing(0.02).transfer_channels
+            return NoiseModel.from_config(cfg, transfer_channels=transfers)
+
+        shared = model()
+        order = [cnot, None] if irb_first else [None, cnot]
+        together = {bool(i): run(shared, i) for i in order}
+        assert len(compiled) == 24 and len(set(compiled)) == 24
+        assert {register for register, _ in compiled} == {QUBIT_ORDER}
+        for interleaved, csv in together.items():
+            assert csv == run(model(), cnot if interleaved else None)
+
+    def test_one_model_per_register_stays_alive(self):
+        """Fresh models, dropped after their runs: the cache keeps at most
+        one of them alive per register."""
+        kw = dict(lengths=(2,), seeds_per_length=2, shots=10)
+        nb_models, rb_models = [], []
+        for leak in (0.01, 0.02, 0.03):
+            noise = NoiseModel.with_transfer_leakage(leak)
+            run_network_benchmarking(noise, **kw)
+            nb_models.append(weakref.ref(noise))
+            noise = NoiseModel.with_transfer_depolarizing(leak)
+            run_two_qubit_rb(noise, **kw)
+            rb_models.append(weakref.ref(noise))
+        del noise
+        gc.collect()
+        for models in (nb_models, rb_models):
+            assert sum(ref() is not None for ref in models) <= 1
+
+    def test_an_equal_model_gets_its_own_runner(self, compiled):
+        noise = NoiseModel.with_transfer_depolarizing(0.01)
+        twin = dataclasses.replace(noise)
+        runner = circuit_runner(noise, L_QUBIT_PAIR)
+        assert circuit_runner(noise, L_QUBIT_PAIR) is runner
+        kw = dict(lengths=(2,), seeds_per_length=2, shots=10, rng=RngHandle(seed=4))
+        first = run_network_benchmarking(noise, **kw)
+        ops = len(compiled)
+        twin_runner = circuit_runner(twin, L_QUBIT_PAIR)
+        assert twin_runner is not runner and twin_runner.noise is twin
+        # the twin compiles its ops afresh, and draws the same records
+        assert run_network_benchmarking(twin, **kw).records == first.records
+        assert len(compiled) == 2 * ops > 0
 
 
 class TestDataset:

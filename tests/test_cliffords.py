@@ -28,7 +28,7 @@ from lcoupler.cliffords import (
     two_qubit_matrix,
     _ISWAP_DRESSING,
     _CYCLER_DESC,
-    _phase_key,
+    _phase_keys,
     _single_qubit_table,
     _sq_ops,
     _tableau_codes,
@@ -147,7 +147,7 @@ class TestSingleQubitGroup:
     def test_twenty_four_elements(self):
         els = single_qubit_cliffords()
         assert len(els) == 24
-        keys = {_phase_key(e.unitary) for e in els}
+        keys = set(_phase_keys(np.array([e.unitary for e in els])))
         assert len(keys) == 24
 
     def test_identity_first_with_empty_decomposition(self):
@@ -169,11 +169,10 @@ class TestSingleQubitGroup:
 
     def test_closure_under_composition(self):
         els = single_qubit_cliffords()
-        keys = {_phase_key(e.unitary) for e in els}
-        rng = np.random.default_rng(5)
-        for _ in range(500):
-            a, b = rng.integers(24, size=2)
-            assert _phase_key(els[a].unitary @ els[b].unitary) in keys
+        unitaries = np.array([e.unitary for e in els])
+        keys = set(_phase_keys(unitaries))
+        a, b = np.random.default_rng(5).integers(24, size=(2, 500))
+        assert keys.issuperset(_phase_keys(unitaries[a] @ unitaries[b]))
 
     def test_segments_concatenate_to_decomposition(self):
         descs = _single_qubit_table()[1]

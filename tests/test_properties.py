@@ -27,11 +27,16 @@
   diag(rho), and Clifford pulses and CZs as signed permutations.
 - The protocols' readout ``_ground`` against a marginal taken by reshaping
   the outcome distribution to one axis per qubit and summing the rest, and
-  on a stack of distributions against each distribution read alone.
+  on a stack of distributions against each distribution read alone;
+  ``spam_apply`` on a stack against each row sampled alone, on the same
+  generator.
+- Single-qubit phase keys of a stack of matrices against each matrix's key
+  computed alone.
 - Tomography: a prepared pair's state against the partial trace of the
   register's density matrix, for every ordered pair, and the exact-limit
   reconstruction against settings measured by rotating each axis onto Z.
 """
+import dataclasses
 import itertools
 import math
 
@@ -51,6 +56,7 @@ from lcoupler.benchmarking import (
     _ground,
     _pauli_transfer,
     run_two_qubit_rb,
+    spam_apply,
 )
 from lcoupler.channels import (
     QuantumChannel,
@@ -71,6 +77,8 @@ from lcoupler.cliffords import (
     TWO_QUBIT_GROUP_ORDER,
     GateKind,
     Segment,
+    _phase_keys,
+    _single_qubit_table,
     _two_qubit_matrices,
     circuit_unitary,
     compile_remote_cnot,
@@ -261,10 +269,9 @@ def _device_noise(seed, idle):
         load_config(),
         transfer_channels={d: _random_channel(gen, 4) for d in directions},
     )
-    noise.half_transfer_channels = {d: _random_channel(gen, 4) for d in directions}
-    if not idle:
-        noise.qubit_t1_s = {}
-    return noise
+    half = {d: _random_channel(gen, 4) for d in directions}
+    noise = dataclasses.replace(noise, half_transfer_channels=half)
+    return noise if idle else dataclasses.replace(noise, qubit_t1_s={})
 
 
 _ANGLES = st.sampled_from([np.pi / 2, -np.pi / 2, np.pi]) | st.floats(-4.0, 4.0)
@@ -440,7 +447,7 @@ def _random_device_noise(gen, idle):
         },
     )
     if not idle:  # an empty T1 table turns idle noise off
-        noise.qubit_t1_s = {}
+        noise = dataclasses.replace(noise, qubit_t1_s={})
     return noise
 
 
@@ -568,6 +575,56 @@ def test_ground_matches_reshaped_marginal(register, seed):
     kept = [order.index(q) for q in qubits]
     marginal = measured.reshape((2,) * n).sum(axis=tuple(k for k in range(n) if k not in kept))
     assert abs(_ground(measured, order, qubits) - marginal.flat[0]) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(1, 4),
+    k=st.integers(1, 40),
+    shots=st.integers(1, 5000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_spam_draws_each_row_as_alone(n, k, shots, seed):
+    """A stack laid out as the protocols pass it (the transpose of the
+    populations' columns), with exact zeros and rounding residue below zero,
+    against each row sampled alone on its own generator."""
+    gen = np.random.default_rng(seed)
+    names = tuple(f"q{i}" for i in range(n))
+    spam = SpamModel(dict(zip(names, gen.uniform(0.5, 1.0, n))), {})
+    populations = gen.dirichlet(np.full(2**n, 0.5), size=k).T.copy()
+    zeros = gen.random(populations.shape) < 0.2
+    zeros[populations.argmax(axis=0), np.arange(k)] = False
+    populations[zeros] = 0.0
+    populations /= populations.sum(axis=0)
+    populations += gen.choice([0.0, -1e-17], size=populations.shape)
+    stack = populations.T
+    gens = [np.random.default_rng([seed, i]) for i in range(k)]
+    got = spam_apply(stack, spam.confusion(names), gens, shots)
+    assert got.shape == (k, 2**n)
+    for i, row in enumerate(stack):
+        alone = spam_apply(row, spam.confusion(names), np.random.default_rng([seed, i]), shots)
+        assert np.array_equal(got[i], alone)
+
+
+def _phase_key(u, decimals=9):
+    """One matrix's key, computed alone: the reference for _phase_keys."""
+    flat = np.asarray(u, dtype=complex).flatten()
+    first = int(np.argmax(np.abs(flat) > 1e-6))
+    normed = np.asarray(u, dtype=complex) * np.exp(-1j * np.angle(flat[first]))
+    return (np.round(normed, decimals) + 0.0).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_stacked_phase_keys_equal_each_matrix_alone(seed):
+    """All 24 single-qubit Cliffords under random global phases, some with
+    the leading entry zero; the keys still find each element's index."""
+    gen = np.random.default_rng(seed)
+    mats, _, index_of = _single_qubit_table()
+    stack = np.array(mats) * np.exp(1j * gen.uniform(-np.pi, np.pi, size=24))[:, None, None]
+    keys = _phase_keys(stack)
+    assert keys == [_phase_key(u) for u in stack]
+    assert [index_of[key] for key in keys] == list(range(24))
 
 
 @PROPERTY_SETTINGS

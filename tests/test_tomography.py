@@ -1,5 +1,7 @@
 """Tests for Bell preparation circuits and state tomography."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,8 +60,7 @@ class TestBellCircuits:
 
     def test_tomography_refuses_a_malformed_noise_model(self):
         # the same check NB and TQRB apply: a depolarizing probability above 1
-        bad = NoiseModel.ideal()
-        bad.sq_depolarizing = {"D1": 1.5}
+        bad = dataclasses.replace(NoiseModel.ideal(), sq_depolarizing={"D1": 1.5})
         with pytest.raises(ValueError, match=r"sq_depolarizing\[D1\] out of range"):
             state_tomography(
                 bell_circuit("data-full"), bad, IDEAL_SPAM, qubits=("D1", "D2")
