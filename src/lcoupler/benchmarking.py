@@ -380,7 +380,7 @@ class NoiseModel:
 PAULI_RESIDUE = 8 * np.finfo(float).eps
 
 # Positions per sort in _CircuitRunner.evolve: one sort over a whole TQRB
-# batch (636 positions by 240 circuits) is faster, but its key and index
+# batch (343 positions by 240 circuits) is faster, but its key and index
 # arrays raise the peak memory of a protocol run.
 _EVOLVE_BLOCK = 64
 
@@ -421,28 +421,37 @@ class _CircuitRunner:
     are signed permutations.  The tensor product is multiplied out from the
     blocks' nonzeros in numpy and permuted into register order, one CSR
     matrix built per op.  Each distinct segment gets an integer code and
-    is compiled once into the product of its ops' matrices.  On the default
-    device a TQRB run compiles 19 segments: the two remote CNOTs, and on
-    each data qubit the three virtual Zs and five pulse trains of the
-    closing layer (the cyclers and dressings among them), plus dressing b.
+    is compiled once: a joined segment (cliffords.Segment.join) into the
+    product of its parts' matrices, each part coded and compiled once like
+    any other segment, and any other segment into the product of its ops'
+    matrices.  On the default device a TQRB run compiles 23 segments: the
+    two remote CNOTs; on each data qubit the three virtual Zs and five
+    pulse trains of the closing layer (the cycler and dressings c and a
+    among them); dressing b; and the four joined segments, a cycler pair
+    per data qubit and the iSWAP and SWAP class cores.
     evolve runs a batch of circuits in lockstep, one state row per
     circuit, one sparse product per distinct segment at each position, and
     skips the code -1.  The protocols draw their circuits as rows of a slot
     template (cliffords.SlotTemplate), with -1 for a hole, so every circuit
-    runs the same slot at the same position: a position holds one code in
-    a fixed slot (a remote CNOT, a cycler, a dressing, a transfer step), at
-    most 3 in a frame slot (a random Clifford's leading virtual Z) and at
-    most 5 in a pulse slot (the rest of its pulse train).  Each grouped
-    product costs about 10-14 us whatever its width, so the number of
-    groups sets evolve's time: a benchmark ``rb`` round (seed 3) makes
-    3,750, where one slot of up to 23 codes per random Clifford made
-    7,649.  The caches of ops, segments and bystander idle channels (one
-    per qubit and duration) live as long as the runner.  The program gets
-    its runners from ``circuit_runner``, which keeps the last one per
-    register and reuses it while the same NoiseModel object comes back, so
-    the protocol runs and preparations of one model (TQRB then IRB on one
-    device noise) compile each op and segment once, and a new model starts
-    from empty caches.
+    runs the same slot at the same position: a position holds at most 2
+    codes in a cycler slot, 3 in the class core or a frame slot (a random
+    Clifford's leading virtual Z), 5 in a pulse slot (the rest of its pulse
+    train) and 1 in NB's transfer slot.  A grouped product's cost grows
+    with its group: on the 4-qubit register, for a matrix of 256 to 860
+    nonzeros, about 15-18 us at 18 rows, 52-66 us at 80 rows and 170-250
+    us at 240 rows, for three passes over each row (the gather, scipy's
+    transposed copy of the group and the scatter) and the kernel's pass
+    over the nonzeros.  So the row passes, one per circuit and non-hole
+    position, set evolve's time along with the count of groups: at seed
+    11 a benchmark ``rb`` TQRB batch makes 22,686 row passes in 1,122
+    groups over 343 positions, where one slot per fixed segment made
+    33,538 in 1,269 over 686.  The caches of ops, segments and bystander idle
+    channels (one per qubit and duration) live as long as the runner.  The
+    program gets its runners from ``circuit_runner``, which keeps the last
+    one per register and reuses it while the same NoiseModel object comes
+    back, so the protocol runs and preparations of one model (TQRB then IRB
+    on one device noise) compile each op and segment once, and a new model
+    starts from empty caches.
     """
 
     def __init__(self, noise: NoiseModel, qubit_order: tuple[str, ...]):
@@ -556,17 +565,24 @@ class _CircuitRunner:
         directions of a table in one propagation."""
         segments = list(segments)
         self._extract_transfers(segments)
-        codes = []
-        for segment in segments:
-            code = self._codes.get(segment.key)
-            if code is None:
-                matrix = self._compiled_op(segment[0])
-                for op in segment[1:]:
-                    matrix = self._compiled_op(op) @ matrix
-                code = self._codes[segment.key] = len(self._segments)
-                self._segments.append(matrix)
-            codes.append(code)
-        return np.array(codes, dtype=np.int32)
+        return np.array([self._code(segment) for segment in segments], dtype=np.int32)
+
+    def _code(self, segment: Segment) -> int:
+        """The segment's code, compiling it the first time: the product of
+        its parts' matrices for a joined segment, each part coded and
+        compiled once like any other segment, else of its ops' matrices."""
+        code = self._codes.get(segment.key)
+        if code is None:
+            if segment.parts:
+                factors = [self._segments[self._code(part)] for part in segment.parts]
+            else:
+                factors = [self._compiled_op(op) for op in segment]
+            matrix = factors[0]
+            for factor in factors[1:]:
+                matrix = factor @ matrix
+            code = self._codes[segment.key] = len(self._segments)
+            self._segments.append(matrix)
+        return code
 
     def evolve(self, rho: np.ndarray, circuits) -> np.ndarray:
         """Pauli vectors, one column per circuit (its segment codes, -1 for
@@ -869,8 +885,8 @@ def run_two_qubit_rb(
     element; it must act as a two-qubit Clifford on the data block, which
     data_block_unitary enforces, and the fitted decay is meant to be divided
     by a reference run.  The sequences of one length are drawn together as
-    rows of the 14-slot two-qubit template (``cliffords.two_qubit_template``),
-    the interleaved composite in a 15th slot: one draw of each sequence's
+    rows of the 7-slot two-qubit template (``cliffords.two_qubit_template``),
+    the interleaved composite in an 8th slot: one draw of each sequence's
     elements, one table lookup and one ``invert_sequence`` call on their
     matrices stacked (k, n, 4, 4), or (k, 2n, 4, 4) interleaved.  ``shots``
     and ``seeds_per_length`` are checked before anything is drawn, compiled

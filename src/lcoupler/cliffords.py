@@ -15,10 +15,12 @@ canonical form: 720 symplectic actions x 16 sign patterns = 11520 elements.
 
 An element's decomposition is a sequence of segments: fixed op tuples that
 recur across elements (one remote CNOT, one single-qubit Clifford on one
-qubit), built once and shared, so an executor can compile each segment once.
-The two-qubit slot template (``two_qubit_template``) is the one definition
-of their order: 14 slots, each holding one segment id or a hole, so that
-sequences drawn as id arrays stay aligned slot by slot.
+qubit, or a run of them joined into one), built once and shared, so an
+executor can compile each segment once.  The two-qubit slot template
+(``two_qubit_template``) is the one definition of their order: 7 slots, a
+cycler slot per data qubit, the class core, and a frame and a pulse slot
+per data qubit for the closing layer, each holding one segment id or a
+hole, so that sequences drawn as id arrays stay aligned slot by slot.
 """
 
 from __future__ import annotations
@@ -90,11 +92,27 @@ class Segment(tuple):
     """A fixed op tuple that recurs across circuits, with its hashable
     ``key`` (its ops' keys), computed once when the segment is built.  The
     builders below are cached, so every element that runs a segment shares
-    one object and an executor looks it up without rebuilding the key."""
+    one object and an executor looks it up without rebuilding the key.
+
+    A segment made by ``join`` runs its parts' ops one part after another
+    and keeps the parts, so an executor can build it from the parts it has
+    already compiled; any other segment has no parts."""
+
+    parts: tuple[Segment, ...] = ()
 
     def __new__(cls, ops):
         segment = super().__new__(cls, ops)
         segment.key = tuple(op.key for op in segment)
+        return segment
+
+    @classmethod
+    def join(cls, parts) -> "Segment":
+        """One segment running ``parts`` in order; its ops and key are the
+        parts' ops and keys, concatenated."""
+        parts = tuple(parts)
+        segment = super().__new__(cls, (op for part in parts for op in part))
+        segment.key = tuple(key for part in parts for key in part.key)
+        segment.parts = parts
         return segment
 
 
@@ -470,9 +488,13 @@ class SlotTemplate(NamedTuple):
 
 
 # segment ids of the two-qubit template: 24 q + u is single-qubit element u
-# on data qubit q (u = 0, the identity, runs none), then the remote CNOTs
+# on data qubit q (u = 0, the identity, runs none), then the remote CNOTs,
+# then the joined segments (``_joined_parts``): the cycler twice on D1 and
+# on D2, the iSWAP class's core and the SWAP class's core
 _CNOT_FWD, _CNOT_REV = 48, 49
-TWO_QUBIT_SEGMENT_IDS = 50
+_CYCLER_PAIRS = 50  # + q, data qubit q
+_ISWAP_CORE, _SWAP_CORE = 52, 53
+TWO_QUBIT_SEGMENT_IDS = 54
 
 
 @lru_cache(maxsize=None)
@@ -506,48 +528,48 @@ def split_sq_slots(ids) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _two_qubit_slots() -> np.ndarray:
-    """The (11520, 14) slot table of the two-qubit group, in run order: the
-    cycler twice on D1 and twice on D2 (S3 = {identity, E, E.E}), the iSWAP
-    dressing c, the forward then the reverse remote CNOT, the dressings a
-    and b, the forward CNOT again (class 3), and the closing single-qubit
-    layer, a frame slot then a pulse slot on D1 and the same on D2
-    (``split_sq_slots``).  Dressing d, on D2 after c, is the identity, so
-    it has no slot."""
-    class_id, u1, u2, s1, s2 = _decode(np.arange(TWO_QUBIT_GROUP_ORDER))
-    iswap = class_id == 2
-
-    def sq(qubit, u, runs=True):
-        return np.where(runs & (u != 0), 24 * DATA_QUBITS.index(qubit) + u, -1)
-
-    d1, d2 = DATA_QUBITS
+def _joined_parts() -> dict[int, tuple[int, ...]]:
+    """The part ids of each joined segment id of the two-qubit template.
+    Dressing d, on D2 after c, is the identity, so the iSWAP core has no
+    part for it."""
     cycler = _desc_index(_CYCLER_DESC)
     dress = {name: _desc_index(desc) for name, desc in _ISWAP_DRESSING.items()}
-    fixed = np.stack(
-        [
-            sq(d1, cycler, s1 >= 1),
-            sq(d1, cycler, s1 >= 2),
-            sq(d2, cycler, s2 >= 1),
-            sq(d2, cycler, s2 >= 2),
-            sq(d1, dress["c"], iswap),
-            np.where(class_id >= 1, _CNOT_FWD, -1),
-            np.where(class_id >= 2, _CNOT_REV, -1),
-            sq(d1, dress["a"], iswap),
-            sq(d2, dress["b"], iswap),
-            np.where(class_id == 3, _CNOT_FWD, -1),
-        ],
-        axis=1,
-    )
+    return {
+        _CYCLER_PAIRS: (cycler, cycler),
+        _CYCLER_PAIRS + 1: (24 + cycler, 24 + cycler),
+        _ISWAP_CORE: (dress["c"], _CNOT_FWD, _CNOT_REV, dress["a"], 24 + dress["b"]),
+        _SWAP_CORE: (_CNOT_FWD, _CNOT_REV, _CNOT_FWD),
+    }
+
+
+@lru_cache(maxsize=None)
+def _two_qubit_slots() -> np.ndarray:
+    """The (11520, 7) slot table of the two-qubit group, in run order: a
+    cycler slot on D1 and one on D2 (S3 = {identity, E, E.E}: a hole, the
+    cycler, or the two cyclers joined), the class core (class 1: the
+    forward remote CNOT; class 2: the iSWAP dressing c, the forward then
+    the reverse CNOT, the dressings a and b; class 3: the forward, reverse
+    and forward CNOTs), then the closing single-qubit layer, a frame slot
+    then a pulse slot on D1 and the same on D2 (``split_sq_slots``).  Each
+    run of fixed segments is one joined segment (``_joined_parts``), so a
+    circuit takes one executor position per slot, not one per segment."""
+    class_id, u1, u2, s1, s2 = _decode(np.arange(TWO_QUBIT_GROUP_ORDER))
+    cycler = _desc_index(_CYCLER_DESC)
+
+    def cyclers(q, s):
+        return np.choose(s, [-1, 24 * q + cycler, _CYCLER_PAIRS + q])
+
+    core = np.array([-1, _CNOT_FWD, _ISWAP_CORE, _SWAP_CORE])[class_id]
     closing = [split_sq_slots(24 * q + u) for q, u in enumerate((u1, u2))]
-    slots = np.hstack([fixed, *closing]).astype(np.int16)
+    slots = np.column_stack([cyclers(0, s1), cyclers(1, s2), core, *closing]).astype(np.int16)
     slots.flags.writeable = False
     return slots
 
 
 def two_qubit_template(cfg: DeviceConfig | None = None) -> SlotTemplate:
-    """The two-qubit group's slot template on the device: 14 slots, of
-    which only the closing single-qubit layer's four take more than one id,
-    3 in each frame slot and 5 in each pulse slot."""
+    """The two-qubit group's slot template on the device: 7 slots, taking
+    2, 2 and 3 ids (the cycler slots and the class core) and 3, 5, 3 and 5
+    (the closing layer's frame and pulse slots)."""
     cfg = cfg if cfg is not None else load_config()
     _, descs, _ = _single_qubit_table()
 
@@ -555,6 +577,10 @@ def two_qubit_template(cfg: DeviceConfig | None = None) -> SlotTemplate:
         if segment_id < _CNOT_FWD:
             qubit, u = DATA_QUBITS[segment_id // 24], segment_id % 24
             return _sq_ops(descs[u], qubit, cfg.single_qubit_gate_time_s)
+        if segment_id > _CNOT_REV:
+            parts = _joined_parts()[segment_id]
+            built = {i: segment(i) for i in set(parts)}
+            return Segment.join(built[i] for i in parts)
         control, target = DATA_QUBITS if segment_id == _CNOT_FWD else DATA_QUBITS[::-1]
         return compile_remote_cnot(control, target, cfg)
 
@@ -565,10 +591,11 @@ def two_qubit_clifford(index: int, cfg: DeviceConfig | None = None) -> CliffordE
     """Element by canonical index, with its device-compiled segments: its
     row of the slot template, holes left out.
 
-    Class k runs k remote CNOTs, each one segment, and only the directions
-    it uses are compiled; a cycler or dressing is one segment on its data
-    qubit, and each closing-layer Clifford is up to two, its leading
-    virtual Z and the rest of its pulse train.
+    Each data qubit's cyclers are one segment, the class's remote CNOTs
+    with the iSWAP dressings between them are one joined segment, and only
+    the CNOT directions the class uses are compiled; each closing-layer
+    Clifford is up to two segments, its leading virtual Z and the rest of
+    its pulse train.
     """
     class_id, u1, u2, s1, s2 = decode_two_qubit_index(index)
     template = two_qubit_template(cfg)

@@ -40,8 +40,10 @@ from lcoupler.channels import (
 )
 from lcoupler.cliffords import (
     L_QUBIT_PAIR,
+    QUBIT_ORDER,
     TWO_QUBIT_GROUP_ORDER,
     GateKind,
+    _joined_parts,
     _single_qubit_table,
     _sq_ops,
     compile_remote_cnot,
@@ -72,18 +74,19 @@ class TestTemplates:
         """Every element runs the ops of its unsplit segments, in order."""
         cfg = load_config()
         template = two_qubit_template(cfg)
-        assert template.slots.shape == (TWO_QUBIT_GROUP_ORDER, 14)
+        assert template.slots.shape == (TWO_QUBIT_GROUP_ORDER, 7)
         for index in range(TWO_QUBIT_GROUP_ORDER):
             row = _op_keys(_row_segments(template, template.slots[index]))
             assert row == _op_keys(oracles.two_qubit_segments(index, cfg)), index
             assert row == _op_keys(two_qubit_clifford(index, cfg).segments), index
 
-    def test_only_the_closing_layer_slots_take_more_than_one_id(self):
+    def test_ids_per_slot(self):
         slots = two_qubit_template().slots
         ids_per_slot = [len(set(column[column >= 0].tolist())) for column in slots.T]
-        # every fixed slot runs one segment; the closing layer's frame slots
-        # run one of three virtual Zs, its pulse slots one of five trains
-        assert ids_per_slot == [1] * 10 + [3, 5, 3, 5]
+        # a cycler slot runs one cycler or two joined, the class core one of
+        # three; the closing layer's frame slots run one of three virtual
+        # Zs, its pulse slots one of five trains
+        assert ids_per_slot == [2, 2, 3, 3, 5, 3, 5]
 
     def test_nb_rows_match_the_step(self):
         """Every NB row runs the ops of its unsplit step, in order."""
@@ -108,6 +111,64 @@ class TestTemplates:
                 assert _op_keys(parts) == _op_keys([_sq_ops(descs[element], qubit, 35e-9)])
                 assert frame == -1 or parts[0][0].kind is GateKind.VIRTUAL_Z
                 assert pulse == -1 or parts[-1][0].kind is GateKind.SQ_ROT
+
+
+class TestJoinedSegments:
+    """The two-qubit template's joined segments (the cycler pairs, the iSWAP
+    and SWAP cores) against the parts they join."""
+
+    def test_ops_and_key_are_the_parts_concatenated(self):
+        template = two_qubit_template()
+        used = set(template.slots[template.slots >= 0].tolist())
+        assert {i for i in used if template.segment(i).parts} == set(_joined_parts())
+        for segment_id, part_ids in _joined_parts().items():
+            segment = template.segment(segment_id)
+            parts = [template.segment(i) for i in part_ids]
+            assert [part.key for part in segment.parts] == [part.key for part in parts]
+            assert not any(part.parts for part in parts)
+            assert tuple(segment) == tuple(op for part in parts for op in part)
+            assert segment.key == tuple(key for part in parts for key in part.key)
+
+    def test_compiled_matrix_is_the_op_by_op_product(self):
+        cfg = load_config()
+        noise = NoiseModel.from_config(cfg, transfer_channels=_analytic_channels())
+        runner = _CircuitRunner(noise, QUBIT_ORDER)
+        template = two_qubit_template(cfg)
+        for segment_id in _joined_parts():
+            segment = template.segment(segment_id)
+            (code,) = runner.encode([segment])
+            expected = np.eye(4 ** len(QUBIT_ORDER))
+            for op in segment:
+                expected = runner._compiled_op(op) @ expected
+            got = runner._segments[code].toarray()
+            assert np.max(np.abs(got - expected)) <= 1e-13, segment_id
+
+    def test_reference_then_interleaved_compile_each_segment_once(self, monkeypatch):
+        """TQRB then IRB on one model: every segment, joined or a part of
+        one, is compiled once, and each joined segment from its parts."""
+        compiled, code = [], _CircuitRunner._code
+
+        def counting(runner, segment):
+            new = segment.key not in runner._codes
+            result = code(runner, segment)
+            if new:
+                compiled.append(segment.key)
+            return result
+
+        monkeypatch.setattr(_CircuitRunner, "_code", counting)
+        cfg = load_config()
+        noise = NoiseModel.from_config(cfg, transfer_channels=_analytic_channels())
+        kw = dict(rng=RngHandle(3), cfg=cfg)
+        run_two_qubit_rb(noise, **kw)
+        run_two_qubit_rb(noise, interleave=compile_remote_cnot(cfg=cfg), **kw)
+        assert len(compiled) == len(set(compiled))
+        template = two_qubit_template(cfg)
+        for segment_id in _joined_parts():
+            segment = template.segment(segment_id)
+            assert segment.key in compiled, segment_id
+            # each part was compiled by the time the joined segment was
+            before = compiled[: compiled.index(segment.key)]
+            assert all(part.key in before for part in segment.parts), segment_id
 
 
 @settings(max_examples=200, deadline=None)
