@@ -257,6 +257,17 @@ def _expm(omega: np.ndarray) -> np.ndarray:
     degree is the least whose first omitted term is below 1e-17 at the
     largest scaled norm of the batch, and the series is summed as
     _series_table lays it out.
+
+    The series' products are real.  NumPy's stacked complex product costs
+    three to five times a real one on the same data at k <= 8 (1.3 times
+    at 26 x 26), so the powers x^(i-1) x and Horner's steps, times x^q,
+    multiply the left factor's interleaved parts by the real form of x or
+    of x^q (_real_form): two forms per batch.  The squarings stay complex, since each has a new
+    right factor, whose form would serve one product.  One array holds the
+    powers, Horner's two running sums and the form, and the result is one
+    of its rows: with each in an array of its own, a 26 x 26 batch's peak
+    passes the size at which glibc's malloc returns freed memory to the
+    system, and every batch page-faults its arrays afresh.
     """
     norms = np.abs(omega).sum(axis=-2).max(axis=-1)
     theta, squarings = float(norms.max()), None
@@ -270,25 +281,43 @@ def _expm(omega: np.ndarray) -> np.ndarray:
         degree += 1
     coef = _series_table(degree)
     q = coef.shape[1] - 1
-    powers = np.empty((q + 1, *omega.shape), dtype=complex)
-    powers[0] = np.eye(omega.shape[-1])
+    k = omega.shape[-1]
+    work = np.empty((q + 5, *omega.shape), dtype=complex)
+    powers, out, spare = work[: q + 1], work[q + 1], work[q + 2]
+    step = work[q + 3 :].reshape(-1).view(float).reshape(*omega.shape[:-2], 2 * k, 2 * k)
+    powers[0] = np.eye(k)
     powers[1] = omega
+    _real_form(omega, out=step)
     for i in range(2, q + 1):
-        np.matmul(omega, powers[i - 1], out=powers[i])
+        np.matmul(powers[i - 1].view(float), step, out=powers[i].view(float))
+    _real_form(powers[q], out=step)
     flat = powers.reshape(q + 1, -1).view(float)
-
-    def block(j: int) -> np.ndarray:
-        # the coefficients are real: one real product over the interleaved parts
-        return (coef[j] @ flat).view(complex).reshape(omega.shape)
-
-    out = block(len(coef) - 1)
+    sums = out.reshape(-1).view(float)
+    # the coefficients are real: each block is one real product over the interleaved parts
+    np.matmul(coef[-1], flat, out=sums)
     for j in range(len(coef) - 2, -1, -1):
-        out = out @ powers[q] + block(j)
+        np.matmul(out.view(float), step, out=spare.view(float))
+        np.matmul(coef[j], flat, out=sums)
+        out += spare
     out += powers[0]
     if squarings is not None:
-        for k in range(squarings.max()):
-            more = squarings > k
+        for i in range(squarings.max()):
+            more = squarings > i
             out[more] = out[more] @ out[more]
+    return out
+
+
+def _real_form(b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The real 2k x 2k form R of each k x k matrix of a stack, with
+    a @ b == (a.view(float) @ R).view(complex): a's interleaved real and
+    imaginary parts times R.  Rows 2l and 2l + 1 of R are row l of b and
+    of i b, each as interleaved parts.  Written into out if given."""
+    k = b.shape[-1]
+    if out is None:
+        out = np.empty((*b.shape[:-2], 2 * k, 2 * k))
+    rows = out.reshape(*b.shape[:-2], k, 2, 2 * k).view(complex)
+    rows[..., 0, :] = b
+    np.multiply(b, 1j, out=rows[..., 1, :])
     return out
 
 

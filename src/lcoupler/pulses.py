@@ -57,11 +57,14 @@ def satd_couplings(t, duration: float, g_hz: float, theta_max: float = FULL_TRAN
 
     The correction rescales the couplings so the dressed dark state is
     followed exactly at any sweep speed; it vanishes at both ends where the
-    angular acceleration is zero.
+    angular acceleration is zero.  At g = 0 the denominator is zero at both
+    ends, where the acceleration is zero too; it is taken as 1 there, so the
+    couplings are all zero.
     """
     th, thd, thdd = theta_derivatives(t, duration, theta_max)
     g_angular = 2 * math.pi * g_hz
     denom = g_angular**2 + thd**2
+    denom = denom + (denom == 0.0)  # adds nothing where it is positive
     g_e = g_hz * (np.sin(th) + thdd * np.cos(th) / denom)
     g_r = g_hz * (np.cos(th) - thdd * np.sin(th) / denom)
     return g_e, g_r

@@ -325,6 +325,17 @@ class TestSweep:
         assert lines[0] == "g_hz,T_s,pop_emitter,pop_receiver,pop_other,saturated"
         assert len(lines) == 5
 
+    def test_zero_coupling_cell_leaves_the_emitter_excited(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = sweep_transfer(
+                default_config(), TransferMethod.SATD, [0.0], [135e-9], lossy=False
+            )
+        assert sweep.errors == [[None]]
+        cell = sweep.results[0][0]
+        assert cell.pop_emitter == pytest.approx(1.0, abs=1e-12)
+        assert cell.pop_receiver == pytest.approx(0.0, abs=1e-12)
+
     def test_bad_cell_recorded_not_raised(self):
         cfg = single_mode_config()
         sweep = sweep_transfer(cfg, TransferMethod.SATD, [3.5e6], [-10e-9], lossy=False)

@@ -142,6 +142,27 @@ def test_series_exponential_matches_scipy(scale):
     assert np.max(np.abs(dynamics._expm(omega) - expm(omega))) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 34),
+    batch=st.lists(st.integers(1, 4), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_real_form_multiplies_as_the_complex_matrix(k, batch, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (
+        rng.normal(size=(*batch, k, k)) + 1j * rng.normal(size=(*batch, k, k)) for _ in range(2)
+    )
+    form = dynamics._real_form(b)
+    assert form.shape == (*batch, 2 * k, 2 * k)
+    scale = float((np.abs(a) @ np.abs(b)).max())
+    product = (a.view(float) @ form).view(complex)
+    assert np.max(np.abs(product - a @ b)) <= 1e-13 * scale
+    # the form of the adjoint is the transposed form, to the bit
+    adjoint = dynamics._real_form(b.conj().swapaxes(-1, -2))
+    assert np.array_equal(adjoint, form.swapaxes(-1, -2))
+
+
 def test_tighter_tol_never_fewer_substeps():
     cfg = default_config()
     sched = build_transfer_schedule(cfg, "satd", 1e6, 50e-9, 121e-9)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,17 @@ def test_sqrt_variant_ends_at_equal_couplings():
 class TestBuildSchedule:
     def setup_method(self):
         self.cfg = default_config()
+
+    @pytest.mark.parametrize("method", [TransferMethod.SATD, TransferMethod.SQRT_SATD])
+    def test_zero_peak_coupling_gives_zero_couplings(self, method):
+        # the correction's denominator (2 pi g)^2 + thetadot^2 is 0 at both
+        # sweep ends when g = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sched = build_transfer_schedule(self.cfg, method, g_hz=0.0)
+        for column in (sched.g_e_hz, sched.g_r_hz):
+            assert np.all(np.isfinite(column))
+            assert not np.any(column)
 
     def test_structure_and_durations(self):
         sched = build_transfer_schedule(self.cfg, TransferMethod.SATD)
