@@ -22,7 +22,6 @@ from lcoupler.dynamics import (
     TransferResult,
     build_hamiltonian,
     evolve,
-    extract_channel,
     extract_channels,
     simulate_transfer,
     sweep_transfer,
@@ -81,7 +80,6 @@ __all__ = [
     "TransferResult",
     "build_hamiltonian",
     "evolve",
-    "extract_channel",
     "extract_channels",
     "simulate_transfer",
     "sweep_transfer",

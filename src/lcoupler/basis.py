@@ -99,15 +99,15 @@ class DensityOperator:
     def min_eigenvalue(self) -> float:
         return float(np.min(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))))
 
-    def validate(self, trace_tol: float = 1e-9, eig_floor: float = -1e-8) -> "DensityOperator":
-        """Check hermiticity, unit trace, and positivity within tolerance."""
+    def validate(self) -> "DensityOperator":
+        """Check hermiticity and unit trace within 1e-9, eigenvalues >= -1e-8."""
         herm_err = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
         if herm_err > 1e-9:
             raise ValueError(f"density matrix not hermitian (deviation {herm_err:.3e})")
-        if abs(self.trace() - 1.0) > trace_tol:
+        if abs(self.trace() - 1.0) > 1e-9:
             raise ValueError(f"trace drifted to {self.trace():.12f}")
         lam = self.min_eigenvalue()
-        if lam < eig_floor:
+        if lam < -1e-8:
             raise ValueError(f"negative eigenvalue {lam:.3e}")
         return self
 

@@ -29,6 +29,7 @@ the fitted p.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from functools import reduce
@@ -138,33 +139,31 @@ class SpamModel:
 
 
 def spam_apply(
-    distribution: np.ndarray,
+    distributions: np.ndarray,
     confusion: np.ndarray,
-    rng: RngHandle | np.random.Generator | Sequence[RngHandle | np.random.Generator],
+    gens: Sequence[np.random.Generator],
     shots: int,
 ) -> np.ndarray:
-    """Empirical outcome distribution after confusion and shot sampling.
+    """Empirical outcome distributions after confusion and shot sampling.
 
-    The ideal distribution over computational outcomes (first qubit is the
-    most significant bit) is mixed by the register's confusion matrix
-    (SpamModel.confusion), then ``shots`` outcomes are drawn multinomially.
-    The draw sees the mixed probabilities snapped to a 1e-12 grid: NumPy's
-    binomial draws on min(p, 1 - p), so a symmetric setting at 0.5 + 1 ulp
-    and one at 0.5 - 1 ulp would otherwise give different counts for one
-    seed.  Returns counts / shots.
+    ``distributions`` is a stack (k, 2^n) of ideal distributions over
+    computational outcomes (first qubit the most significant bit), and
+    ``gens`` holds k generators, one per row.  Each row is mixed by the
+    register's confusion matrix (SpamModel.confusion), then ``shots``
+    outcomes are drawn multinomially on that row's generator.  The draw
+    sees the mixed probabilities snapped to a 1e-12 grid: NumPy's binomial
+    draws on min(p, 1 - p), so a symmetric setting at 0.5 + 1 ulp and one at
+    0.5 - 1 ulp would otherwise give different counts for one seed.
+    Returns counts / shots, one row per distribution.
 
-    A stack of distributions, shape (k, 2^n), takes a sequence of k
-    generators, one per row, and returns one row per distribution.  The
-    clip, normalisation check, confusion product and snap run once for the
-    whole stack, each row bit for bit as it would alone (the rows are made
-    contiguous, and the product is one matrix-vector product per row); only
-    the multinomial draw is per row, on that row's generator.
+    The clip, normalisation check, confusion product and snap run once for
+    the whole stack, each row bit for bit as it would alone (the rows are
+    made contiguous, and the product is one matrix-vector product per row);
+    only the multinomial draw is per row.
     """
-    dist = np.asarray(distribution, dtype=float)
-    if dist.ndim not in (1, 2) or dist.shape[-1] != confusion.shape[1]:
+    stack = np.ascontiguousarray(distributions, dtype=float)
+    if stack.ndim != 2 or stack.shape[1] != confusion.shape[1]:
         raise ValueError("distribution size does not match the confusion matrix")
-    gens = [rng] if dist.ndim == 1 else list(rng)
-    stack = np.ascontiguousarray(dist.reshape(-1, dist.shape[-1]))
     if len(gens) != len(stack):
         raise ValueError(f"{len(stack)} distributions but {len(gens)} generators")
     if shots <= 0:
@@ -177,13 +176,8 @@ def spam_apply(
     noisy = np.clip((confusion @ (stack / total)[..., None])[..., 0], 0.0, None)
     noisy = np.rint(noisy * (1e12 / noisy.sum(axis=-1, keepdims=True)))  # whole multiples of 1e-12
     noisy /= noisy.sum(axis=-1, keepdims=True)
-    counts = np.array(
-        [
-            (gen.generator() if isinstance(gen, RngHandle) else gen).multinomial(shots, p)
-            for gen, p in zip(gens, noisy)
-        ]
-    )
-    return (counts / shots).reshape(dist.shape)
+    counts = np.array([gen.multinomial(shots, p) for gen, p in zip(gens, noisy)])
+    return (counts / shots).reshape(stack.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +277,10 @@ class NoiseModel:
             for key, p in probs.items():
                 if not 0.0 <= p <= 1.0:
                     raise ValueError(f"{label}[{key}] out of range: {p}")
+        for label in ("qubit_t1_s", "qubit_tphi_s"):
+            for qubit, t in getattr(self, label).items():
+                if not t > 0.0:  # NaN fails too; inf (no decay) passes
+                    raise ValueError(f"{label}[{qubit}] must be positive, got {t}")
         return self
 
     @classmethod
@@ -713,7 +711,10 @@ def _ground(measured: np.ndarray, order: tuple[str, ...], qubits):
     return kept.sum(axis=-1)
 
 
-def _check_counts(seeds_per_length: int, shots: int) -> None:
+def _check_counts(lengths, seeds_per_length: int, shots: int) -> None:
+    repeated = sorted(n for n, count in Counter(lengths).items() if count > 1)
+    if repeated:
+        raise ValueError(f"sequence lengths must be distinct, got {repeated} more than once")
     if seeds_per_length < 0:
         raise ValueError(f"seeds_per_length must be >= 0, got {seeds_per_length}")
     if shots < 1:
@@ -830,10 +831,10 @@ def run_network_benchmarking(
     Clifford a frame slot and a pulse slot: one draw of each sequence's
     elements, then one ``invert_sequence`` call on their matrices stacked
     (k, n, 2, 2), whose element closes the sequence as the Clifford slots of
-    its row.  ``shots`` and ``seeds_per_length`` are checked before anything
-    is drawn, compiled or extracted.
+    its row.  ``shots``, ``seeds_per_length`` and repeated ``lengths`` are
+    checked before anything is drawn, compiled or extracted.
     """
-    _check_counts(seeds_per_length, shots)
+    _check_counts(lengths, seeds_per_length, shots)
     cfg = cfg if cfg is not None else load_config()
     rng = rng if rng is not None else RngHandle(seed=0)
     for n in lengths:
@@ -888,11 +889,11 @@ def run_two_qubit_rb(
     rows of the 7-slot two-qubit template (``cliffords.two_qubit_template``),
     the interleaved composite in an 8th slot: one draw of each sequence's
     elements, one table lookup and one ``invert_sequence`` call on their
-    matrices stacked (k, n, 4, 4), or (k, 2n, 4, 4) interleaved.  ``shots``
-    and ``seeds_per_length`` are checked before anything is drawn, compiled
-    or extracted.
+    matrices stacked (k, n, 4, 4), or (k, 2n, 4, 4) interleaved.  ``shots``,
+    ``seeds_per_length`` and repeated ``lengths`` are checked before
+    anything is drawn, compiled or extracted.
     """
-    _check_counts(seeds_per_length, shots)
+    _check_counts(lengths, seeds_per_length, shots)
     cfg = cfg if cfg is not None else load_config()
     rng = rng if rng is not None else RngHandle(seed=0)
     for n in lengths:

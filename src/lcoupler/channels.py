@@ -117,9 +117,10 @@ class QuantumChannel:
         reduced = np.einsum("ikjk->ij", c)
         return float(np.max(np.abs(reduced - np.eye(d))))
 
-    def validate(self, cp_floor: float = -1e-8, tp_tol: float = 1e-6) -> "QuantumChannel":
+    def validate(self, tp_tol: float = 1e-6) -> "QuantumChannel":
+        """No Choi eigenvalue below -1e-8, no TP deficit above tp_tol."""
         lam = self.choi_min_eigenvalue()
-        if lam < cp_floor:
+        if lam < -1e-8:
             raise ValueError(f"channel is not CP: Choi eigenvalue {lam:.3e}")
         deficit = self.trace_preservation_deficit()
         if deficit > tp_tol:

@@ -35,6 +35,7 @@ _CONTROLS = 4  # g_e, g_r, det_e, det_r: the parts they multiply lead each table
 _PAIRS = np.triu_indices(_CONTROLS, 1)  # the pairs i < j of the controls' brackets
 _LINEAR_ULPS = 16  # a sample this many eps * max|c| off its chord still counts as linear
 _EPS = np.finfo(float).eps
+_TOL = 1e-9  # remainder bound per interval of every propagation (see _substep_counts)
 
 
 def mode_sign(mode_index: int, target_mode_index: int, end: str) -> float:
@@ -825,17 +826,14 @@ def evolve(
     model: HamiltonianModel,
     collapse: CollapseSet,
     rho0: DensityOperator,
-    tol: float = 1e-9,
 ) -> DensityOperator:
     """Integrate the master equation over the model's schedule; CollapseSet()
     for the lossless chain."""
     if list(rho0.basis) != list(model.basis):
         raise ValueError("state basis does not match the Hamiltonian basis")
     rho0.validate()
-    final = _propagate(model, collapse, rho0.matrix, tol)
-    out = DensityOperator(final, model.basis)
-    out.validate(trace_tol=1e-9, eig_floor=-1e-8)
-    return out
+    final = _propagate(model, collapse, rho0.matrix, _TOL)
+    return DensityOperator(final, model.basis).validate()
 
 
 @dataclass
@@ -875,17 +873,14 @@ def _populations(rho: DensityOperator, emitter_site: int, receiver_site: int) ->
 
 def simulate_transfer(
     cfg: DeviceConfig,
-    schedule: PulseSchedule | None = None,
+    schedule: PulseSchedule,
     lossy: bool = True,
-    tol: float = 1e-9,
 ) -> TransferResult:
     """Run one transfer with the emitter excited and everything else ground.
 
     Lossless runs use the pure-state fast path; the density route gives the
     same populations and is exercised when collapse operators are present.
     """
-    if schedule is None:
-        schedule = build_transfer_schedule(cfg)
     model = build_hamiltonian(cfg, schedule)
     idx = basis_index(model.basis)
     occ0 = [0] * len(model.basis[0].occupations)
@@ -895,11 +890,11 @@ def simulate_transfer(
     if lossy:
         collapse = CollapseSet.from_config(cfg, model.basis)
         rho0 = DensityOperator.single_excitation(model.emitter_site, model.basis)
-        final = evolve(model, collapse, rho0, tol)
+        final = evolve(model, collapse, rho0)
     else:
         psi0 = np.zeros(model.dim, dtype=complex)
         psi0[start] = 1.0
-        psi = _propagate(model, CollapseSet(), psi0, tol)
+        psi = _propagate(model, CollapseSet(), psi0, _TOL)
         final = DensityOperator.from_pure(psi, model.basis)
 
     pop_e, pop_r, pop_other = _populations(final, model.emitter_site, model.receiver_site)
@@ -970,7 +965,6 @@ def sweep_transfer(
     g_grid_hz,
     t_grid_s,
     lossy: bool = False,
-    tol: float = 1e-9,
 ) -> SweepResult:
     """Transfer populations over a (g, T) grid.
 
@@ -997,7 +991,7 @@ def sweep_transfer(
                     sweep_duration_s=float(t),
                     total_duration_s=float(t) + ramp_total,
                 )
-                row.append(simulate_transfer(cfg, schedule, lossy, tol))
+                row.append(simulate_transfer(cfg, schedule, lossy))
                 err_row.append(None)
             except (ValueError, RuntimeError) as exc:  # schedule or propagator
                 row.append(None)
@@ -1021,8 +1015,6 @@ def extract_channels(
     cfg: DeviceConfig,
     schedules: list[PulseSchedule],
     lossy: bool = True,
-    tol: float = 1e-9,
-    frame_correct: bool = True,
 ) -> list[QuantumChannel]:
     """CPTP maps of schedules on the (L1, L2) pair, L1 the more significant
     bit, one per schedule, all propagated together.
@@ -1036,9 +1028,10 @@ def extract_channels(
     |j><i| is the adjoint of the output for |i><j|, and the other 6 are
     filled that way.  Under loss, the inputs of every schedule go through
     one _propagate call, each schedule on its own piece propagators, so each
-    channel is the one the schedule gives alone, to the last bit.  With
-    frame_correct the deterministic detuning phase (half the per-qubit ramp
-    integral, symmetric ramps) is removed by a virtual Z on each qubit.
+    channel is the one the schedule gives alone, to the last bit.  A
+    virtual Z on each qubit, applied after the propagated map, then removes
+    the deterministic detuning phase (half the per-qubit ramp integral,
+    symmetric ramps).
     """
     schedules = list(schedules)
     if not schedules:
@@ -1054,7 +1047,7 @@ def extract_channels(
     inputs = bits * (mode_total == 0)
     rows, cols = np.triu_indices(4)
     stack = inputs[rows, :, None] * inputs[cols, None, :]
-    propagated = _propagate(models, collapse, [stack] * len(models), tol)
+    propagated = _propagate(models, collapse, [stack] * len(models), _TOL)
     # entries whose mode occupations agree are traced into their pair bits
     same_modes = np.all(modes[:, None, :] == modes[None, :, :], axis=2)
 
@@ -1070,27 +1063,12 @@ def extract_channels(
         populations = np.diagonal(finals[::5], axis1=1, axis2=2)
         leakage = np.real(np.sum((mode_total > 0) * populations, axis=1))
 
-        if frame_correct:
-            phi_e, phi_r = schedule.detuning_phase_rad()
-            chi = 0.5 * (phi_e + phi_r)
-            phases = np.array(
-                [np.exp(1j * chi * bin(i).count("1")) for i in range(4)], dtype=complex
-            )
-            u = np.diag(phases)
-            superop = np.kron(u, u.conj()) @ superop
+        phi_e, phi_r = schedule.detuning_phase_rad()
+        chi = 0.5 * (phi_e + phi_r)
+        u = np.diag([np.exp(1j * chi * bin(i).count("1")) for i in range(4)])
+        superop = np.kron(u, u.conj()) @ superop
 
         # a CP floor of -1e-8 and a TP deficit of at most 1e-8
         channels.append(QuantumChannel(superop, 4, leakage_in=leakage).validate(tp_tol=1e-8))
     return channels
 
-
-def extract_channel(
-    cfg: DeviceConfig,
-    schedule: PulseSchedule,
-    lossy: bool = True,
-    tol: float = 1e-9,
-    frame_correct: bool = True,
-) -> QuantumChannel:
-    """The CPTP map of one schedule on the (L1, L2) pair: extract_channels
-    of that schedule alone."""
-    return extract_channels(cfg, [schedule], lossy, tol, frame_correct)[0]

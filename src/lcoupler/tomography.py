@@ -176,8 +176,10 @@ def tomography_of_state(
 
     Each setting's outcome probabilities come from the state's Pauli
     coefficients.  With exact=True the confusion-mixed probabilities are used
-    directly (the infinite-shot limit); otherwise each setting is sampled
-    multinomially through spam_apply.
+    directly (the infinite-shot limit); otherwise all nine settings are
+    sampled in one spam_apply call, each on its own generator
+    (``rng.stream("tomo", setting)``).  A single-qubit expectation is the
+    mean of its marginal over the three settings that measure it.
     """
     if rho2.shape != (4, 4):
         raise ValueError("tomography_of_state expects a two-qubit state")
@@ -187,22 +189,22 @@ def tomography_of_state(
     confusion = spam.confusion(qubits)
     coefficients = np.zeros((16, len(SETTINGS)))
     coefficients[[0, 3, 12, 15]] = to_pauli(rho2)[_SETTING_READS].T  # II IZ ZI ZZ
+    probs = np.ascontiguousarray(pauli_populations(coefficients).T)  # a row per setting
+    if exact:
+        freq = (confusion @ np.clip(probs, 0.0, None)[..., None])[..., 0]
+        freq /= freq.sum(axis=1, keepdims=True)
+    else:
+        gens = [rng.stream("tomo", setting).generator() for setting in SETTINGS]
+        freq = spam_apply(probs, confusion, gens, shots_per_setting)
     signs = np.array([1.0, -1.0])
-    two_q: dict[str, float] = {}
-    singles: dict[str, list[float]] = {}
-    for setting, probs in zip(SETTINGS, pauli_populations(coefficients).T):
-        if exact:
-            freq = confusion @ np.clip(probs, 0.0, None)
-            freq /= freq.sum()
-        else:
-            gen = rng.stream("tomo", setting).generator()
-            freq = spam_apply(probs, confusion, gen, shots_per_setting)
-        grid = freq.reshape(2, 2)
-        two_q[setting] = float(signs @ grid @ signs)
-        singles.setdefault(setting[0] + "I", []).append(float(signs @ grid.sum(axis=1)))
-        singles.setdefault("I" + setting[1], []).append(float(signs @ grid.sum(axis=0)))
-    expectations = dict(two_q)
-    expectations.update({k: float(np.mean(v)) for k, v in singles.items()})
+    grids = freq.reshape(3, 3, 2, 2)  # [first basis, second basis, first bit, second bit]
+    two_q = (signs @ grids) @ signs
+    first = (grids.sum(axis=3) @ signs).mean(axis=1)
+    second = (grids.sum(axis=2) @ signs).mean(axis=0)
+    expectations = {s: float(v) for s, v in zip(SETTINGS, two_q.ravel())}
+    for p, q in SETTINGS:  # keys in the order the settings first read them
+        expectations.setdefault(p + "I", float(first["XYZ".index(p)]))
+        expectations.setdefault("I" + q, float(second["XYZ".index(q)]))
     measured = {"II": 1.0, **expectations}
     estimate = from_pauli(np.array([measured[p + q] for p in "IXYZ" for q in "IXYZ"]))
     return TomographyResult(

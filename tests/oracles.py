@@ -16,6 +16,12 @@ and each element run as one segment per single-qubit Clifford and remote
 CNOT, assembled from the layered class recipe.  ``embed_unitary`` expands
 an op's matrix to the whole register by Kronecker product and axis
 permutation, apart from ``circuit_unitary``'s tensor contraction.
+
+``tomography_per_setting`` measures the nine tomography settings one at a
+time, one ``spam_apply`` call and one expectation per setting, where the
+library stacks them.  ``detuning_frame`` is the virtual-Z frame that channel
+extraction composes with the propagated pair map, for tests that compare an
+extracted channel with a raw one.
 """
 
 import math
@@ -31,7 +37,7 @@ from lcoupler.benchmarking import (
     _ground,
     spam_apply,
 )
-from lcoupler.channels import QuantumChannel, pauli_populations
+from lcoupler.channels import QuantumChannel, from_pauli, pauli_populations, to_pauli
 from lcoupler.cliffords import (
     DATA_QUBITS,
     L_QUBIT_PAIR,
@@ -50,6 +56,13 @@ from lcoupler.cliffords import (
     single_qubit_cliffords,
     transfer_step,
     two_qubit_clifford,
+)
+from lcoupler.rng import RngHandle
+from lcoupler.tomography import (
+    _SETTING_READS,
+    SETTINGS,
+    TomographyResult,
+    project_to_state,
 )
 
 # rotate the measured axis onto Z: u P u^dag = Z
@@ -240,7 +253,7 @@ def _run_drawn(noise, spam, order, lengths, seeds_per_length, shots, stream, dra
     confusion = spam.confusion(order)
     records = []
     for (n, seed, gen, survivors), populations in zip(drawn, pauli_populations(states).T):
-        measured = spam_apply(populations, confusion, gen, shots)
+        measured = spam_apply(populations[None], confusion, [gen], shots)[0]
         ground = [_ground(measured, order, q) for q in (survivors, ("L1",), ("L2",))]
         records.append(RbRecord(n, seed, shots, *ground))
     return records
@@ -299,4 +312,51 @@ def two_qubit_rb(
     return RbDataset(
         protocol,
         _run_drawn(noise, spam, QUBIT_ORDER, lengths, seeds_per_length, shots, stream, draw),
+    )
+
+
+def detuning_frame(schedule) -> np.ndarray:
+    """Superoperator of the virtual Z on each qubit that removes the
+    schedule's detuning phase (half the per-qubit ramp integral), row-major
+    vec, L1 the more significant bit."""
+    phi_e, phi_r = schedule.detuning_phase_rad()
+    chi = 0.5 * (phi_e + phi_r)
+    u = np.diag([np.exp(1j * chi * bin(i).count("1")) for i in range(4)])
+    return np.kron(u, u.conj())
+
+
+def tomography_per_setting(
+    rho2, spam, qubits, shots_per_setting=10000, rng=None, exact=False
+) -> TomographyResult:
+    """``tomography_of_state`` one setting at a time: each setting's
+    frequencies from its own ``spam_apply`` call on its own generator (or
+    normalised on their own when exact), its expectations from its own 2 x 2
+    grid, and each single-qubit expectation the mean of the list of its
+    three marginals."""
+    rng = rng if rng is not None else RngHandle(seed=0)
+    confusion = spam.confusion(qubits)
+    coefficients = np.zeros((16, len(SETTINGS)))
+    coefficients[[0, 3, 12, 15]] = to_pauli(rho2)[_SETTING_READS].T
+    signs = np.array([1.0, -1.0])
+    two_q, singles = {}, {}
+    for setting, probs in zip(SETTINGS, pauli_populations(coefficients).T):
+        if exact:
+            freq = confusion @ np.clip(probs, 0.0, None)
+            freq /= freq.sum()
+        else:
+            gen = rng.stream("tomo", setting).generator()
+            freq = spam_apply(probs[None], confusion, [gen], shots_per_setting)[0]
+        grid = freq.reshape(2, 2)
+        two_q[setting] = float(signs @ grid @ signs)
+        singles.setdefault(setting[0] + "I", []).append(float(signs @ grid.sum(axis=1)))
+        singles.setdefault("I" + setting[1], []).append(float(signs @ grid.sum(axis=0)))
+    expectations = dict(two_q)
+    expectations.update({k: float(np.mean(v)) for k, v in singles.items()})
+    measured = {"II": 1.0, **expectations}
+    estimate = from_pauli(np.array([measured[p + q] for p in "IXYZ" for q in "IXYZ"]))
+    return TomographyResult(
+        density_matrix=project_to_state(estimate),
+        expectations=expectations,
+        shots_per_setting=None if exact else shots_per_setting,
+        qubits=tuple(qubits),
     )

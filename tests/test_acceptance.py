@@ -36,7 +36,7 @@ from lcoupler.dynamics import (
     CollapseSet,
     build_hamiltonian,
     evolve,
-    extract_channel,
+    extract_channels,
     simulate_transfer,
     sweep_transfer,
 )
@@ -137,7 +137,7 @@ def test_criterion_05_population_swap_sign():
         (forward, 2, 1),
         (reverse_schedule(forward), 1, 2),
     ):
-        channel = extract_channel(cfg, sched, lossy=False)
+        channel = extract_channels(cfg, [sched], lossy=False)[0]
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[excited] = 1.0 / math.sqrt(2.0)
         out = channel.apply(np.outer(psi, psi.conj()))

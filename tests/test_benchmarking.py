@@ -41,7 +41,7 @@ from lcoupler.cliffords import (
     virtual_z,
 )
 from lcoupler.config import load_config
-from lcoupler.dynamics import extract_channel
+from lcoupler.dynamics import extract_channels
 from lcoupler.pulses import build_transfer_schedule, reverse_schedule
 from lcoupler.rng import RngHandle
 
@@ -92,19 +92,22 @@ class TestSpamApply:
     def test_ideal_spam_deterministic_distribution(self):
         spam = SpamModel.ideal(("a", "b"))
         dist = np.array([1.0, 0.0, 0.0, 0.0])
-        out = spam_apply(dist, spam.confusion(("a", "b")), RngHandle(seed=1), 100)
+        gen = RngHandle(seed=1).generator()
+        (out,) = spam_apply([dist], spam.confusion(("a", "b")), [gen], 100)
         assert out[0] == 1.0 and out[1:].sum() == 0.0
 
     def test_confusion_mixes_outcomes(self):
         spam = SpamModel({"q": 0.9}, {"q": 0.0})
-        out = spam_apply(np.array([1.0, 0.0]), spam.confusion(("q",)), RngHandle(seed=2), 200000)
+        gen = RngHandle(seed=2).generator()
+        (out,) = spam_apply([[1.0, 0.0]], spam.confusion(("q",)), [gen], 200000)
         assert out[0] == pytest.approx(0.9, abs=0.01)
 
     def test_symmetric_confusion_erases_information(self):
         """F = 0.5 maps every state to coin flips."""
         spam = SpamModel({"q": 0.5}, {"q": 0.0})
         for probs in ([1.0, 0.0], [0.0, 1.0], [0.3, 0.7]):
-            out = spam_apply(np.array(probs), spam.confusion(("q",)), RngHandle(seed=8), 200000)
+            gen = RngHandle(seed=8).generator()
+            (out,) = spam_apply([probs], spam.confusion(("q",)), [gen], 200000)
             assert out[0] == pytest.approx(0.5, abs=0.01)
 
     @pytest.mark.parametrize("outcomes", [2, 4])
@@ -118,23 +121,24 @@ class TestSpamApply:
         for p in (above, below):
             dist = np.zeros(outcomes)
             dist[0], dist[-1] = p, 1.0 - p
-            counts.append(spam_apply(dist, confusion, RngHandle(seed=5), 1001))
+            counts.append(spam_apply([dist], confusion, [RngHandle(seed=5).generator()], 1001))
         assert np.array_equal(*counts)
 
     def test_rejects_bad_inputs(self):
         confusion = SpamModel.ideal(("q",)).confusion(("q",))
+        gens = [RngHandle(seed=0).generator()]
         with pytest.raises(ValueError):
-            spam_apply(np.array([0.7, 0.7]), confusion, RngHandle(seed=0), 10)
+            spam_apply([[0.7, 0.7]], confusion, gens, 10)
         with pytest.raises(ValueError):
-            spam_apply(np.array([1.0, 0.0, 0.0]), confusion, RngHandle(seed=0), 10)
+            spam_apply([[1.0, 0.0, 0.0]], confusion, gens, 10)
         with pytest.raises(ValueError):
-            spam_apply(np.array([1.0, 0.0]), confusion, RngHandle(seed=0), 0)
+            spam_apply([[1.0, 0.0]], confusion, gens, 0)
 
     def test_rejects_a_stack_with_one_bad_row(self):
         """The same refusals for a stack: every row a point mass but the
         last, which is the bad input; and one generator per row."""
         confusion = SpamModel.ideal(("q",)).confusion(("q",))
-        gens = [RngHandle(seed=i) for i in range(3)]
+        gens = [RngHandle(seed=i).generator() for i in range(3)]
 
         def call(last, shots=10):
             stack = np.zeros((3, len(last)))
@@ -196,6 +200,26 @@ class TestNoiseModel:
         wrong_dim = NoiseModel(transfer_channels={"L1->L2": QuantumChannel.identity(2)})
         with pytest.raises(ValueError):
             wrong_dim.validate()
+
+    @pytest.mark.parametrize("field", ["qubit_t1_s", "qubit_tphi_s"])
+    @pytest.mark.parametrize("lifetime", [0.0, -20e-6, math.nan])
+    def test_idle_lifetimes_must_be_positive(self, field, lifetime):
+        lifetimes = {"qubit_t1_s": {"L1": 50e-6, "L2": 50e-6}, "qubit_tphi_s": {}}
+        lifetimes[field]["L2"] = lifetime
+        noise = dataclasses.replace(NoiseModel.ideal(), **lifetimes)
+        message = rf"{field}\[L2\] must be positive, got {lifetime}"
+        with pytest.raises(ValueError, match=message):
+            noise.validate()
+        # the executor validates its model before it compiles an idle
+        with pytest.raises(ValueError, match=message):
+            run_network_benchmarking(noise, lengths=(2,), seeds_per_length=1, shots=100)
+
+    def test_infinite_idle_lifetimes_do_not_decay(self):
+        noise = dataclasses.replace(
+            NoiseModel.ideal(), qubit_t1_s={"L1": math.inf}, qubit_tphi_s={"L1": math.inf}
+        )
+        ds = run_network_benchmarking(noise.validate(), lengths=(2,), seeds_per_length=2, shots=100)
+        assert all(r.survival == 1.0 for r in ds.records)
 
     def test_from_config_noise_strengths(self):
         cfg = load_config()
@@ -308,8 +332,9 @@ class TestExtractionOnFirstUse:
         expected = {}
         for method in tables:
             forward = build_transfer_schedule(cfg, method=method)
-            expected[method, "L1->L2"] = extract_channel(cfg, forward, lossy=True)
-            expected[method, "L2->L1"] = extract_channel(cfg, reverse_schedule(forward), lossy=True)
+            schedules = (forward, reverse_schedule(forward))
+            for direction, schedule in zip(TRANSFER_DIRECTIONS, schedules):
+                expected[method, direction] = extract_channels(cfg, [schedule], lossy=True)[0]
         extractions.clear()
         duration = cfg.transfer.total_duration_s
         runner = _CircuitRunner(noise, L_QUBIT_PAIR)
@@ -333,13 +358,18 @@ class TestExtractionOnFirstUse:
     @pytest.mark.parametrize("run", [run_network_benchmarking, run_two_qubit_rb])
     @pytest.mark.parametrize(
         "counts, message",
-        [({"shots": 0}, "shots must be positive"), ({"seeds_per_length": -3}, "seeds_per_length")],
+        [
+            ({"shots": 0}, "shots must be positive"),
+            ({"seeds_per_length": -3}, "seeds_per_length"),
+            # a repeated length would run the same (length, seed) streams twice
+            ({"lengths": (2, 2, 4, 8)}, r"distinct, got \[2\] more than once"),
+        ],
     )
     def test_bad_counts_are_refused_before_extraction(self, extractions, run, counts, message):
         cfg = load_config(ONE_MODE)
         noise = NoiseModel.from_config(cfg)
         with pytest.raises(ValueError, match=message):
-            run(noise, lengths=(2,), cfg=cfg, **counts)
+            run(noise, cfg=cfg, **{"lengths": (2,), **counts})
         assert extractions == []
         assert len(noise.transfer_channels) == 0
 

@@ -121,6 +121,12 @@ class TestNbCommand:
         assert code == 2
         assert "even" in capsys.readouterr().err
 
+    def test_repeated_length_rejected(self, tmp_path, capsys):
+        code = run(tmp_path, "nb", "--noiseless", "--seeds", "2", "--lengths", "2,2,4,8")
+        assert code == 2
+        assert "distinct" in capsys.readouterr().err
+        assert not (tmp_path / "nb_dataset.csv").exists()
+
 
 class TestRbCommand:
     def test_interleaved_fit_has_both_decays(self, tmp_path):
@@ -145,6 +151,11 @@ class TestRbCommand:
         fit = json.loads((tmp_path / "rb_fit.json").read_text())
         assert fit["interleaved"] is None
         assert not (tmp_path / "rb_interleaved.csv").exists()
+
+    def test_repeated_length_rejected(self, tmp_path, capsys):
+        code = run(tmp_path, "rb", "--noiseless", "--seeds", "2", "--lengths", "1,4,4")
+        assert code == 2
+        assert "distinct" in capsys.readouterr().err
 
 
 class TestBellCommand:

@@ -10,6 +10,7 @@ the propagator beyond the model's operators and controls.
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from lcoupler.dynamics import (
     CollapseSet,
     _propagate,
     build_hamiltonian,
-    extract_channel,
     extract_channels,
 )
 from lcoupler.pulses import (
@@ -35,6 +35,8 @@ from lcoupler.pulses import (
     constant_coupling_schedule,
     reverse_schedule,
 )
+
+from oracles import detuning_frame
 
 SINGLE_MODE = {
     "cpw": {"modes_retained": 1, "mode_frequencies_hz": [4.881e9], "mode_t1_s": [5.23e-6]}
@@ -119,14 +121,14 @@ def test_states_match_dop853_oracle(method, g_hz, sweep_s):
 def test_pair_superoperator_matches_dop853_oracle(lossy, monkeypatch):
     cfg = load_config(SINGLE_MODE)
     sched = build_transfer_schedule(cfg)
-    channel = extract_channel(cfg, sched, lossy=lossy)
+    channel = extract_channels(cfg, [sched], lossy=lossy)[0]
 
     def oracle_integrate(models, collapse, m0, tol):
-        # extract_channel hands _propagate a list of models, one input stack each
+        # extract_channels hands _propagate a list of models, one input stack each
         return np.stack([oracle_matrices(m, collapse, y) for m, y in zip(models, m0)])
 
     monkeypatch.setattr(dynamics, "_propagate", oracle_integrate)
-    reference = extract_channel(cfg, sched, lossy=lossy)
+    reference = extract_channels(cfg, [sched], lossy=lossy)[0]
     assert np.max(np.abs(channel.superoperator - reference.superoperator)) < AGREEMENT
     assert np.max(np.abs(channel.leakage_in - reference.leakage_in)) < AGREEMENT
 
@@ -214,7 +216,7 @@ def _assert_batch_matches_alone(cfg, schedules):
     together = extract_channels(cfg, schedules, lossy=True)
     assert len(together) == len(schedules)
     for schedule, channel in zip(schedules, together):
-        alone = extract_channel(cfg, schedule, lossy=True)
+        alone = extract_channels(cfg, [schedule], lossy=True)[0]
         assert channel.superoperator.tobytes() == alone.superoperator.tobytes()
         assert channel.leakage_in.tobytes() == alone.leakage_in.tobytes()
     return together
@@ -340,7 +342,8 @@ def test_lossy_pair_channel_is_cptp(sched):
     # moves trace: at tol 1e-9 a 1 ns interval whose coupling flips sign
     # leaves a 1e-10 deficit, so the 1e-10 bounds are checked at 1e-11
     cfg = load_config(SINGLE_MODE)
-    channel = extract_channel(cfg, sched, lossy=True, tol=1e-11, frame_correct=False)
+    with mock.patch.object(dynamics, "_TOL", 1e-11):
+        channel = extract_channels(cfg, [sched], lossy=True)[0]
     choi = superop_to_choi(channel.superoperator)
     assert np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0] >= -1e-10
     assert channel.trace_preservation_deficit() <= 1e-10
@@ -422,8 +425,9 @@ def test_decoupled_schedule_matches_closed_form_channel(modes):
     )
     # the ramp, the idle and the ramp back, each one interval
     assert ends.tolist() == [0, 355, 1705, 2060]
-    channel = extract_channel(cfg, sched, lossy=True, frame_correct=False)
-    assert np.max(np.abs(channel.superoperator - _closed_form_pair(cfg, sched))) < 1e-12
+    channel = extract_channels(cfg, [sched], lossy=True)[0]
+    closed_form = detuning_frame(sched) @ _closed_form_pair(cfg, sched)
+    assert np.max(np.abs(channel.superoperator - closed_form)) < 1e-12
     assert not channel.leakage_in.any()
 
 
@@ -449,9 +453,10 @@ def test_long_decoupled_idle_takes_substeps_past_the_per_interval_cap(monkeypatc
         theta_max=0.0,
     )
     steps = _counted_lawson_steps(monkeypatch)
-    channel = extract_channel(cfg, sched, lossy=True, frame_correct=False)
+    channel = extract_channels(cfg, [sched], lossy=True)[0]
     assert dynamics._MAX_SUBSTEPS < len(steps) < n
-    assert np.max(np.abs(channel.superoperator - _closed_form_pair(cfg, sched))) < 1e-12
+    closed_form = detuning_frame(sched) @ _closed_form_pair(cfg, sched)
+    assert np.max(np.abs(channel.superoperator - closed_form)) < 1e-12
 
 
 def _closed_form_pair(cfg, sched):
@@ -471,7 +476,7 @@ def test_default_transfer_takes_its_lawson_steps(modes, steps, monkeypatch):
     # each ramp two substeps
     cfg = load_config({"cpw": {"modes_retained": modes}})
     taken = _counted_lawson_steps(monkeypatch)
-    extract_channel(cfg, build_transfer_schedule(cfg), lossy=True)
+    extract_channels(cfg, [build_transfer_schedule(cfg)], lossy=True)
     assert len(taken) == steps
 
 

@@ -50,9 +50,11 @@ from lcoupler.dynamics import (
     _sector_blocks,
     _substep_counts,
     build_hamiltonian,
-    extract_channel,
+    extract_channels,
 )
 from lcoupler.pulses import PulseSchedule, build_transfer_schedule, reverse_schedule
+
+from oracles import detuning_frame
 
 AGREEMENT = 1e-12
 ONE_MODE = {"cpw": {"modes_retained": 1}}
@@ -161,7 +163,8 @@ def reference_propagate(model, collapse, y0, tol):
 
 
 def reference_extract_channel(cfg, schedule, lossy, tol=1e-9):
-    """extract_channel with all 16 inputs propagated by the reference route."""
+    """extract_channels of one schedule, with all 16 inputs propagated by
+    the reference route."""
     model = build_hamiltonian(cfg, schedule, 2)
     collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet()
     occ = np.array([label.occupations for label in model.basis])
@@ -175,10 +178,7 @@ def reference_extract_channel(cfg, schedule, lossy, tol=1e-9):
     superop = np.einsum("ia,nab,jb->ijn", bits, finals * same_modes, bits).reshape(16, 16)
     populations = np.diagonal(finals[::5], axis1=1, axis2=2)
     leakage = np.real(np.sum((mode_total > 0) * populations, axis=1))
-    phi_e, phi_r = schedule.detuning_phase_rad()
-    chi = 0.5 * (phi_e + phi_r)
-    u = np.diag([np.exp(1j * chi * bin(i).count("1")) for i in range(4)])
-    return QuantumChannel(np.kron(u, u.conj()) @ superop, 4, leakage_in=leakage)
+    return QuantumChannel(detuning_frame(schedule) @ superop, 4, leakage_in=leakage)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ def test_pair_extraction_matches_reference(overrides, method, lossy, reverse):
     sched = build_transfer_schedule(cfg, method)
     if reverse:
         sched = reverse_schedule(sched)
-    channel = extract_channel(cfg, sched, lossy=lossy)
+    channel = extract_channels(cfg, [sched], lossy=lossy)[0]
     reference = reference_extract_channel(cfg, sched, lossy)
     assert np.max(np.abs(channel.superoperator - reference.superoperator)) < AGREEMENT
     assert np.max(np.abs(channel.leakage_in - reference.leakage_in)) < AGREEMENT
@@ -242,7 +242,7 @@ def test_pair_extraction_matches_reference(overrides, method, lossy, reverse):
 
 def test_lossy_transfer_matches_reference():
     cfg = default_config()
-    result = dynamics.simulate_transfer(cfg, lossy=True)
+    result = dynamics.simulate_transfer(cfg, build_transfer_schedule(cfg), lossy=True)
     model = build_hamiltonian(cfg, build_transfer_schedule(cfg))
     collapse = CollapseSet.from_config(cfg, model.basis)
     rho0 = DensityOperator.single_excitation(model.emitter_site, model.basis).matrix

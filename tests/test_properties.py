@@ -34,7 +34,9 @@
   computed alone.
 - Tomography: a prepared pair's state against the partial trace of the
   register's density matrix, for every ordered pair, and the exact-limit
-  reconstruction against settings measured by rotating each axis onto Z.
+  reconstruction against settings measured by rotating each axis onto Z,
+  and the nine settings measured as one stack against each setting
+  measured on its own, exact and sampled, bit for bit.
 """
 import dataclasses
 import itertools
@@ -97,7 +99,13 @@ from lcoupler.config import load_config
 from lcoupler.rng import RngHandle
 from lcoupler.tomography import project_to_state, simulate_prep, tomography_of_state
 
-from oracles import apply_to_qubits, embed_unitary, linear_inversion, pair_marginal
+from oracles import (
+    apply_to_qubits,
+    embed_unitary,
+    linear_inversion,
+    pair_marginal,
+    tomography_per_setting,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -602,8 +610,8 @@ def test_stacked_spam_draws_each_row_as_alone(n, k, shots, seed):
     got = spam_apply(stack, spam.confusion(names), gens, shots)
     assert got.shape == (k, 2**n)
     for i, row in enumerate(stack):
-        alone = spam_apply(row, spam.confusion(names), np.random.default_rng([seed, i]), shots)
-        assert np.array_equal(got[i], alone)
+        alone = spam_apply([row], spam.confusion(names), [np.random.default_rng([seed, i])], shots)
+        assert np.array_equal(got[i], alone[0])
 
 
 def _phase_key(u, decimals=9):
@@ -671,3 +679,21 @@ def test_exact_tomography_matches_rotated_settings(seed):
     assert result.expectations.keys() == expectations.keys()
     assert max(abs(result.expectations[k] - v) for k, v in expectations.items()) < 1e-12
     assert np.max(np.abs(result.density_matrix - project_to_state(estimate))) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4), exact=st.booleans())
+def test_tomography_matches_the_per_setting_oracle(seed, rank, exact):
+    # rank 1 gives pure states, whose settings hold zero probabilities
+    gen = np.random.default_rng(seed)
+    a = gen.normal(size=(4, rank)) + 1j * gen.normal(size=(4, rank))
+    rho2 = a @ a.conj().T / np.linalg.norm(a) ** 2
+    pair = ("D1", "D2")
+    spam = SpamModel({q: float(gen.uniform(0.5, 1.0)) for q in pair}, {})
+    shots, rng = int(gen.integers(100, 10_000)), RngHandle(seed=int(gen.integers(2**32)))
+    got = tomography_of_state(rho2, spam, pair, shots, rng, exact)
+    expected = tomography_per_setting(rho2, spam, pair, shots, rng, exact)
+    assert list(got.expectations) == list(expected.expectations)
+    values = [np.array(list(r.expectations.values())) for r in (got, expected)]
+    assert values[0].tobytes() == values[1].tobytes()
+    assert got.density_matrix.tobytes() == expected.density_matrix.tobytes()
