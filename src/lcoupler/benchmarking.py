@@ -231,11 +231,12 @@ class NoiseModel:
     transfer_channels maps a direction string to the CPTP map applied to the
     (L1, L2) pair in place of the ideal transfer unitary.  sq_depolarizing
     and cz_depolarizing are depolarizing probabilities added after each
-    physical pulse / CZ.  Qubits listed in qubit_t1_s relax and dephase for
-    the duration of each op that does not address them (idle_decoherence);
-    with it empty, nothing idles.  The model holds noise only: the circuits
-    it runs, and so every op's duration, come from the DeviceConfig the
-    protocol is given.
+    physical pulse / CZ.  Qubits listed in qubit_t1_s relax, and those listed
+    in qubit_tphi_s dephase, for the duration of each op that does not
+    address them (idle_decoherence); with both empty, nothing idles.  Both
+    tables name qubits of cliffords.QUBIT_ORDER.  The model holds noise
+    only: the circuits it runs, and so every op's duration, come from the
+    DeviceConfig the protocol is given.
 
     The model is read-only and compares by identity, so the executor's
     compiled ops (``circuit_runner``) stay valid for as long as the model
@@ -259,8 +260,9 @@ class NoiseModel:
 
     @property
     def idle_decoherence(self) -> bool:
-        """Whether bystanders decohere: exactly when some qubit has a T1."""
-        return bool(self.qubit_t1_s)
+        """Whether bystanders decohere: exactly when some qubit has a T1 or
+        a Tphi."""
+        return bool(self.qubit_t1_s or self.qubit_tphi_s)
 
     def validate(self) -> "NoiseModel":
         for table in (self.transfer_channels, self.half_transfer_channels):
@@ -279,6 +281,8 @@ class NoiseModel:
                     raise ValueError(f"{label}[{key}] out of range: {p}")
         for label in ("qubit_t1_s", "qubit_tphi_s"):
             for qubit, t in getattr(self, label).items():
+                if qubit not in QUBIT_ORDER:
+                    raise ValueError(f"{label}[{qubit}] names no qubit of {QUBIT_ORDER}")
                 if not t > 0.0:  # NaN fails too; inf (no decay) passes
                     raise ValueError(f"{label}[{qubit}] must be positive, got {t}")
         return self
@@ -488,20 +492,24 @@ class _CircuitRunner:
 
     def _idle_superop(self, qubit: str, duration_s: float) -> np.ndarray:
         """Relaxation and pure dephasing of a bystander for the op's
-        duration, built on the first call for each (qubit, duration)."""
+        duration, each from its own table (a qubit may have either alone),
+        built on the first call for each (qubit, duration)."""
         key = (qubit, duration_s)
         if key in self._idle:
             return self._idle[key]
         superop = np.eye(4)
         t1 = self.noise.qubit_t1_s.get(qubit)
-        if duration_s > 0 and t1 is not None:
-            channel = amplitude_damping_channel(1.0 - math.exp(-duration_s / t1))
-            tphi = self.noise.qubit_tphi_s.get(qubit, math.inf)
+        tphi = self.noise.qubit_tphi_s.get(qubit, math.inf)
+        if duration_s > 0:
+            channel = None
+            if t1 is not None:
+                channel = amplitude_damping_channel(1.0 - math.exp(-duration_s / t1))
             if math.isfinite(tphi):
                 # coherences shrink by (1 - 2p) = exp(-duration / Tphi)
-                p = 0.5 * (1.0 - math.exp(-duration_s / tphi))
-                channel = dephasing_channel(p).compose(channel)
-            superop = channel.superoperator
+                dephasing = dephasing_channel(0.5 * (1.0 - math.exp(-duration_s / tphi)))
+                channel = dephasing if channel is None else dephasing.compose(channel)
+            if channel is not None:
+                superop = channel.superoperator
         self._idle[key] = superop
         return superop
 

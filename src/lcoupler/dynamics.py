@@ -599,6 +599,34 @@ def _interval_ends(times, ctrl, a0, parts) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+def _piece_rows(h, lo, slope, counts) -> tuple[np.ndarray, np.ndarray]:
+    """The lengths and Magnus coefficient rows of all the pieces of a
+    schedule, in time order, interval i (of length h[i], controls from
+    lo[i] changing by slope[i]) cut into counts[i] equal pieces.
+
+    h/2 (A1 + A2) = h A(centre), and A1 = A2 - gap slope . P, gap the Gauss
+    points' distance as a fraction of the interval, so (sqrt(3) / 12) h^2
+    [A2, A1] = -twist [A2, slope . P].  Both are linear in the parts and the
+    brackets, so a piece's exponent is h a0 plus one real product of its
+    row [h centre, -twist (bracket coefficients)] with a block's table.
+    """
+    interval = np.repeat(np.arange(len(h)), counts)
+    index = np.arange(len(interval)) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = 1.0 / counts[interval]
+    begin = index * width
+    lengths = h[interval] * width
+    gap = (_GAUSS_NODES[1] - _GAUSS_NODES[0]) * width
+    twist = (math.sqrt(3.0) / 12.0) * lengths**2 * gap
+    lo, slope = lo[interval], slope[interval]
+    centre = lo + (begin + 0.5 * width)[:, None] * slope
+    late = lo + (begin + _GAUSS_NODES[1] * width)[:, None] * slope
+    rows = np.concatenate(
+        [lengths[:, None] * centre, -twist[:, None] * _bracket_coefficients(late, slope)],
+        axis=1,
+    )
+    return lengths, rows
+
+
 def _piece_propagators(model: HamiltonianModel, a0, tol: float, jump_rate: float, split: int):
     """Yield (lengths, propagators) of the schedule's pieces in time order.
 
@@ -610,12 +638,8 @@ def _piece_propagators(model: HamiltonianModel, a0, tol: float, jump_rate: float
     gives a multiple of split, so split-sized groups never straddle batches.
     The Magnus exponents and their exponentials are taken per block of
     _sector_blocks; the propagators are block diagonal, the identity off
-    the blocks.  h/2 (A1 + A2) = h A(centre), and A1 = A2 - gap slope . P,
-    gap the Gauss points' distance as a fraction of the interval, so
-    (sqrt(3) / 12) h^2 [A2, A1] = -twist [A2, slope . P].  Both are linear
-    in the parts and the brackets, so a piece's exponent is h a0 plus one
-    real product of the row [h centre, -twist (bracket coefficients)] with
-    the block's table.
+    the blocks.  The exponents' coefficient rows (_piece_rows) are formed
+    once per schedule, and each batch takes its slice of them.
     """
     parts = -2j * math.pi * model.parts
     times, ctrl = model.schedule.times_s, model.control_samples()
@@ -631,28 +655,15 @@ def _piece_propagators(model: HamiltonianModel, a0, tol: float, jump_rate: float
             f"an interval of {spans[worst]} samples needs {counts[worst]:.3g} substeps"
             f" to reach tol {tol:.1e}"
         )
-    counts = split * counts.astype(int)
-    interval = np.repeat(np.arange(len(h)), counts)
-    index = np.arange(len(interval)) - np.repeat(np.cumsum(counts) - counts, counts)
+    lengths, coef = _piece_rows(h, lo, slope, split * counts.astype(int))
     eye = np.eye(model.dim, dtype=complex)
-    for first in range(0, len(interval), _CHUNK):
-        iv = interval[first : first + _CHUNK]
-        width = 1.0 / counts[iv]
-        begin = index[first : first + _CHUNK] * width
-        lengths = h[iv] * width
-        gap = (_GAUSS_NODES[1] - _GAUSS_NODES[0]) * width
-        twist = (math.sqrt(3.0) / 12.0) * lengths**2 * gap
-        centre = lo[iv] + (begin + 0.5 * width)[:, None] * slope[iv]
-        late = lo[iv] + (begin + _GAUSS_NODES[1] * width)[:, None] * slope[iv]
-        coef = np.concatenate(
-            [lengths[:, None] * centre, -twist[:, None] * _bracket_coefficients(late, slope[iv])],
-            axis=1,
-        )
-        props = np.repeat(eye[None], len(iv), axis=0)
+    for first in range(0, len(coef), _CHUNK):
+        rows, batch = coef[first : first + _CHUNK], lengths[first : first + _CHUNK]
+        props = np.repeat(eye[None], len(batch), axis=0)
         for block in blocks:
-            omega = _combination(coef, block.table) + lengths[:, None, None] * block.a0
+            omega = _combination(rows, block.table) + batch[:, None, None] * block.a0
             props[:, block.span, block.span] = _expm(omega)
-        yield lengths, props
+        yield batch, props
 
 
 def _stacked_jump(
@@ -685,7 +696,10 @@ def _lawson_step(x, first, second, h, jump) -> np.ndarray:
     the (propagators, adjoints) pairs of its half steps, one d x d matrix
     per schedule.  Each conjugation u_s m_sb u_s^dag of all S B matrices is
     two batched GEMMs: u_s times the d x (B d) rows of x[s], then the
-    (d B) x d result times u_s^dag."""
+    (d B) x d result times u_s^dag.  jump returns a new array.  The stages
+    are scaled and summed in place, in arrays the step has made, with the
+    operands of the plain formula in its order, so x is never written and
+    the result is the plain formula's to the bit."""
     schedules, d = x.shape[:2]
 
     def propagate(pair, m):
@@ -694,11 +708,28 @@ def _lawson_step(x, first, second, h, jump) -> np.ndarray:
         return (rows @ u_dag).reshape(m.shape)
 
     mid, k1 = propagate(first, x), propagate(first, jump(x))
-    k2 = jump(mid + 0.5 * h * k1)
-    k3 = jump(mid + 0.5 * h * k2)
-    end = propagate(second, mid + h * k3)
-    out = propagate(second, mid + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3))
-    return out + (h / 6.0) * jump(end)
+    half, sixth = 0.5 * h, h / 6.0
+    # the stages' inputs mid + h/2 k1, mid + h/2 k2, mid + h k3, in turn in one array
+    stage = np.multiply(half, k1)
+    stage += mid
+    k2 = jump(stage)
+    np.multiply(half, k2, out=stage)
+    stage += mid
+    k3 = jump(stage)
+    np.multiply(h, k3, out=stage)
+    stage += mid
+    end = jump(propagate(second, stage))
+    # k1 + 2 k2 + 2 k3, summed in that order: doubling is exact
+    np.multiply(2.0, k2, out=k2)
+    k2 += k1
+    np.multiply(2.0, k3, out=k3)
+    k2 += k3
+    np.multiply(sixth, k2, out=k2)
+    k2 += mid
+    out = propagate(second, k2)
+    np.multiply(sixth, end, out=end)
+    out += end
+    return out
 
 
 def _lockstep(streams, x, stacked) -> np.ndarray:

@@ -29,7 +29,7 @@ from lcoupler.benchmarking import (
     run_two_qubit_rb,
     spam_apply,
 )
-from lcoupler.channels import QuantumChannel, ideal_transfer_channel
+from lcoupler.channels import QuantumChannel, amplitude_damping_channel, ideal_transfer_channel
 from lcoupler.cliffords import (
     L_QUBIT_PAIR,
     QUBIT_ORDER,
@@ -213,6 +213,29 @@ class TestNoiseModel:
         # the executor validates its model before it compiles an idle
         with pytest.raises(ValueError, match=message):
             run_network_benchmarking(noise, lengths=(2,), seeds_per_length=1, shots=100)
+
+    @pytest.mark.parametrize("field", ["qubit_t1_s", "qubit_tphi_s"])
+    def test_idle_lifetimes_must_name_register_qubits(self, field):
+        noise = dataclasses.replace(NoiseModel.ideal(), **{field: {"L1": 50e-6, "Q9": 1e-9}})
+        with pytest.raises(ValueError, match=rf"{field}\[Q9\] names no qubit"):
+            noise.validate()
+
+    def test_idle_dephasing_without_a_t1(self):
+        # a data qubit idles holding its state through every remote CNOT (NB
+        # idles an l-qubit only in |0>, where neither T1 nor T_phi acts)
+        noise = dataclasses.replace(NoiseModel.ideal(), qubit_tphi_s={"D1": 1e-9}).validate()
+        assert noise.idle_decoherence
+        ds = run_two_qubit_rb(noise, lengths=(1, 2), seeds_per_length=2, shots=100)
+        assert all(r.survival < 1.0 for r in ds.records)
+        # D1 dephases fully while it idles, and does not relax
+        idle = circuit_runner(noise, QUBIT_ORDER)._idle_superop("D1", 35e-9)
+        assert np.allclose(idle, np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-12)
+
+    def test_idle_channel_of_a_t1_alone_is_amplitude_damping(self):
+        noise = dataclasses.replace(NoiseModel.ideal(), qubit_t1_s={"L1": 20e-6}).validate()
+        idle = circuit_runner(noise, QUBIT_ORDER)._idle_superop("L1", 35e-9)
+        damping = amplitude_damping_channel(1.0 - math.exp(-35e-9 / 20e-6))
+        assert idle.tobytes() == damping.superoperator.tobytes()
 
     def test_infinite_idle_lifetimes_do_not_decay(self):
         noise = dataclasses.replace(

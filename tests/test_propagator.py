@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -37,6 +38,7 @@ from lcoupler.pulses import (
 )
 
 from oracles import detuning_frame
+from test_propagator_reference import reference_lawson_step
 
 SINGLE_MODE = {
     "cpw": {"modes_retained": 1, "mode_frequencies_hz": [4.881e9], "mode_t1_s": [5.23e-6]}
@@ -491,3 +493,64 @@ def _counted_lawson_steps(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_lawson_step", counted)
     return taken
+
+
+# ---------------------------------------------------------------------------
+# the Lawson step on the stacked layout
+
+
+def _random_step_inputs(seed, schedules=2, d=4, batch=3):
+    """x in the stacked layout (S, d, B, d), random unitary half steps per
+    schedule, positive lengths, and a random jump superoperator with its
+    stacked form."""
+    rng = np.random.default_rng(seed)
+
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    x = normal(schedules, d, batch, d)
+    halves = []
+    for _ in range(2):
+        u = np.linalg.qr(normal(schedules, d, d))[0]
+        halves.append((u, u.conj().transpose(0, 2, 1)))
+    superop = normal(d * d, d * d) * (rng.random((d * d, d * d)) < 0.3)
+    superop = superop / np.abs(superop).sum(axis=1).max()
+    h = rng.uniform(0.1, 0.5, size=schedules)
+    stacked = dynamics._stacked_jump(sparse.csr_matrix(superop), d, batch, schedules)
+
+    def jump(m):
+        return (stacked @ m.ravel()).reshape(m.shape)
+
+    return x, halves, h, superop, jump
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lawson_step_leaves_its_input_unchanged(seed):
+    x, (first, second), h, _, jump = _random_step_inputs(seed)
+    kept = x.copy()
+    dynamics._lawson_step(x, first, second, h[:, None, None, None], jump)
+    dynamics._lawson_step(x, first, second, h[0], jump)
+    assert x.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lawson_step_takes_a_scalar_length_as_the_same_length_per_schedule(seed):
+    x, (first, second), h, _, jump = _random_step_inputs(seed)
+    scalar = dynamics._lawson_step(x, first, second, h[0], jump)
+    broadcast = np.full((len(x), 1, 1, 1), h[0])
+    assert scalar.tobytes() == dynamics._lawson_step(x, first, second, broadcast, jump).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lawson_step_matches_the_reference_step(seed):
+    x, (first, second), h, superop, jump = _random_step_inputs(seed)
+    got = dynamics._lawson_step(x, first, second, h[:, None, None, None], jump)
+    d = x.shape[1]
+
+    def reference_jump(m):
+        return (superop @ m.reshape(-1, d * d).T).T.reshape(m.shape)
+
+    for s in range(len(x)):
+        rho = x[s].transpose(1, 0, 2)  # the B matrices m_sb
+        want = reference_lawson_step(rho, first[0][s], second[0][s], h[s], reference_jump)
+        assert np.max(np.abs(got[s].transpose(1, 0, 2) - want)) < 1e-13

@@ -235,7 +235,10 @@ def _random_state(gen, n):
 
 
 def _idle_channel(noise, qubit, duration_s):
-    channel = amplitude_damping_channel(1.0 - math.exp(-duration_s / noise.qubit_t1_s[qubit]))
+    channel = QuantumChannel.identity(2)
+    if qubit in noise.qubit_t1_s:
+        t1 = noise.qubit_t1_s[qubit]
+        channel = amplitude_damping_channel(1.0 - math.exp(-duration_s / t1))
     tphi = noise.qubit_tphi_s.get(qubit, math.inf)
     if math.isfinite(tphi):
         channel = dephasing_channel(0.5 * (1.0 - math.exp(-duration_s / tphi))).compose(channel)
@@ -262,7 +265,7 @@ def _reference_run(noise, order, rho, ops):
                 rho = apply_to_qubits(depolarizing_channel(lam, len(op.targets)), rho, positions, n)
         if noise.idle_decoherence and op.duration_s > 0:
             for q in order:
-                if q not in op.targets and q in noise.qubit_t1_s:
+                if q not in op.targets:
                     idle = _idle_channel(noise, q, op.duration_s)
                     rho = apply_to_qubits(idle, rho, (order.index(q),), n)
     return rho
@@ -279,7 +282,7 @@ def _device_noise(seed, idle):
     )
     half = {d: _random_channel(gen, 4) for d in directions}
     noise = dataclasses.replace(noise, half_transfer_channels=half)
-    return noise if idle else dataclasses.replace(noise, qubit_t1_s={})
+    return noise if idle else dataclasses.replace(noise, qubit_t1_s={}, qubit_tphi_s={})
 
 
 _ANGLES = st.sampled_from([np.pi / 2, -np.pi / 2, np.pi]) | st.floats(-4.0, 4.0)
@@ -454,8 +457,8 @@ def _random_device_noise(gen, idle):
             q: math.inf if gen.random() < 0.25 else gen.uniform(5e-6, 400e-6) for q in QUBIT_ORDER
         },
     )
-    if not idle:  # an empty T1 table turns idle noise off
-        noise = dataclasses.replace(noise, qubit_t1_s={})
+    if not idle:  # empty T1 and T_phi tables turn idle noise off
+        noise = dataclasses.replace(noise, qubit_t1_s={}, qubit_tphi_s={})
     return noise
 
 
