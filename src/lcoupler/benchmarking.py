@@ -184,65 +184,30 @@ def spam_apply(
 # noise model
 
 
-class _ExtractedChannels(dict):
-    """A device's transfer channels by direction, from the lossy ``method``
-    schedule of ``cfg`` (reversed for L2->L1).
-
-    Only extract fills the table, which _CircuitRunner.encode calls with the
-    transfer ops of the segments it is about to compile: the directions the
-    table lacks are extracted in one dynamics.extract_channels call, and an
-    op not timed as the schedule is a ValueError.  A lookup extracts nothing,
-    and every other way of writing to the table is a TypeError, so each
-    entry is the one its config fixes.
-    """
-
-    def __init__(self, cfg: DeviceConfig, method: str):
-        super().__init__()
-        self.cfg, self.method = cfg, method
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("extracted transfer channels are added only by extract")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    update = setdefault = pop = popitem = clear = _read_only
-
-    def extract(self, ops) -> None:
-        schedule_s = self.cfg.transfer.total_duration_s
-        for op in ops:
-            if op.duration_s != schedule_s:
-                raise ValueError(
-                    f"transfer {op.params['direction']} lasts {op.duration_s:.6g} s, but its "
-                    f"channel is extracted from a {schedule_s:.6g} s schedule"
-                )
-        directions = {op.params["direction"] for op in ops}
-        missing = [d for d in TRANSFER_DIRECTIONS if d in directions and d not in self]
-        if not missing:
-            return
-        forward = pulses.build_transfer_schedule(self.cfg, method=self.method)
-        backward = pulses.reverse_schedule(forward)
-        schedules = [forward if d == "L1->L2" else backward for d in missing]
-        dict.update(self, zip(missing, dynamics.extract_channels(self.cfg, schedules, lossy=True)))
-
-
 @dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Circuit-level noise attached to each kind of operation.
 
-    transfer_channels maps a direction string to the CPTP map applied to the
-    (L1, L2) pair in place of the ideal transfer unitary.  sq_depolarizing
-    and cz_depolarizing are depolarizing probabilities added after each
-    physical pulse / CZ.  Qubits listed in qubit_t1_s relax, and those listed
-    in qubit_tphi_s dephase, for the duration of each op that does not
-    address them (idle_decoherence); with both empty, nothing idles.  Both
-    tables name qubits of cliffords.QUBIT_ORDER.  The model holds noise
-    only: the circuits it runs, and so every op's duration, come from the
+    transfer_channels (half_transfer_channels) maps a direction string to
+    the CPTP map applied to the (L1, L2) pair in place of the ideal
+    (half) transfer unitary.  sq_depolarizing and cz_depolarizing are
+    depolarizing probabilities added after each physical pulse / CZ, keyed
+    by qubit and by CZ pair (a frozenset).  Qubits listed in qubit_t1_s
+    relax, and those listed in qubit_tphi_s dephase, for the duration of
+    each op that does not address them (idle_decoherence); with both
+    empty, nothing idles.  Every key names qubits of cliffords.QUBIT_ORDER.
+    The circuits the model runs, and so every op's duration, come from the
     DeviceConfig the protocol is given.
+
+    ``device``, which from_config sets, is the DeviceConfig the transfer
+    channels belong to: such a model fills its own transfer tables
+    (_extract) as the executor compiles the transfers that need them.
 
     The model is read-only and compares by identity, so the executor's
     compiled ops (``circuit_runner``) stay valid for as long as the model
-    object does.  Each table given as a mapping is kept as a read-only copy
-    (``MappingProxyType``); an extracting table (_ExtractedChannels) is kept
-    as given, since only its extract adds entries.
+    object does.  Each table is a read-only view (``MappingProxyType``) of
+    the model's own copy of what it was given, so a ``dataclasses.replace``
+    twin owns its tables and extracts into them alone.
     """
 
     transfer_channels: Mapping[str, QuantumChannel]
@@ -251,12 +216,55 @@ class NoiseModel:
     cz_depolarizing: Mapping[frozenset, float] = field(default_factory=dict)
     qubit_t1_s: Mapping[str, float] = field(default_factory=dict)
     qubit_tphi_s: Mapping[str, float] = field(default_factory=dict)
+    device: DeviceConfig | None = None
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            table = getattr(self, f.name)
-            if not isinstance(table, _ExtractedChannels):
-                object.__setattr__(self, f.name, MappingProxyType(dict(table)))
+        # the dicts behind the read-only views; only _extract writes to them
+        tables = {f.name: dict(getattr(self, f.name)) for f in fields(self) if f.name != "device"}
+        object.__setattr__(self, "_tables", tables)
+        for name, table in tables.items():
+            object.__setattr__(self, name, MappingProxyType(table))
+
+    def _extract(self, transfers: Sequence[GateOp]) -> None:
+        """Fill the transfer tables for the transfer ops ``transfers``.
+
+        Without a device this does nothing.  With one, an op not timed as
+        the device's transfer schedule is a ValueError, and every channel
+        the tables lack is extracted in one dynamics.extract_channels call:
+        full transfers from the lossy SATD schedule, half transfers from
+        its square-root variant, L2->L1 from the reversed schedule, in the
+        order full before half and L1->L2 before L2->L1.
+        """
+        cfg = self.device
+        if cfg is None:
+            return
+        schedule_s = cfg.transfer.total_duration_s
+        for op in transfers:
+            if op.duration_s != schedule_s:
+                raise ValueError(
+                    f"transfer {op.params['direction']} lasts {op.duration_s:.6g} s, but its "
+                    f"channel is extracted from a {schedule_s:.6g} s schedule"
+                )
+        wanted = {(bool(op.params.get("half")), op.params["direction"]) for op in transfers}
+        kinds = (
+            ("transfer_channels", "satd", False),
+            ("half_transfer_channels", "sqrt_satd", True),
+        )
+        missing = [
+            (name, method, direction)
+            for name, method, half in kinds
+            for direction in TRANSFER_DIRECTIONS
+            if (half, direction) in wanted and direction not in self._tables[name]
+        ]
+        if not missing:
+            return
+        methods = {method for _, method, _ in missing}
+        forward = {m: pulses.build_transfer_schedule(cfg, method=m) for m in methods}
+        backward = {m: pulses.reverse_schedule(schedule) for m, schedule in forward.items()}
+        schedules = [(forward if d == "L1->L2" else backward)[m] for _, m, d in missing]
+        channels = dynamics.extract_channels(cfg, schedules, lossy=True)
+        for (name, _, direction), channel in zip(missing, channels):
+            self._tables[name][direction] = channel
 
     @property
     def idle_decoherence(self) -> bool:
@@ -272,11 +280,14 @@ class NoiseModel:
                 if channel.dim != 4:
                     raise ValueError("transfer channels act on the l-qubit pair")
                 channel.validate()
-        for label, probs in (
-            ("sq_depolarizing", self.sq_depolarizing),
-            ("cz_depolarizing", self.cz_depolarizing),
-        ):
-            for key, p in probs.items():
+        for qubit in self.sq_depolarizing:
+            if qubit not in QUBIT_ORDER:
+                raise ValueError(f"sq_depolarizing[{qubit}] names no qubit of {QUBIT_ORDER}")
+        for pair in self.cz_depolarizing:
+            if not (isinstance(pair, frozenset) and len(pair) == 2 and pair <= {*QUBIT_ORDER}):
+                raise ValueError(f"cz_depolarizing[{pair}] is not a pair of {QUBIT_ORDER}")
+        for label in ("sq_depolarizing", "cz_depolarizing"):
+            for key, p in getattr(self, label).items():
                 if not 0.0 <= p <= 1.0:
                     raise ValueError(f"{label}[{key}] out of range: {p}")
         for label in ("qubit_t1_s", "qubit_tphi_s"):
@@ -345,30 +356,29 @@ class NoiseModel:
         depolarizing from the calibrated Clifford errors, CZ depolarizing
         from the calibrated gate errors, and idle decoherence.
 
-        A transfer table not passed in is extracted from the lossy SATD
-        schedule, and the half-transfer table always is from its square-root
-        variant (_ExtractedChannels), each direction when
-        _CircuitRunner.encode compiles a segment that runs it; a lookup
-        before then is a KeyError and extracts nothing.  Calibrated
-        single-qubit Clifford errors count one physical pulse per Clifford
-        on average, so the per-pulse depolarizing probability is 2 * error
-        (average infidelity of depolarizing is lam / 2).
+        The model holds ``cfg`` as its device.  The half-transfer table
+        starts empty, and so does the transfer table unless one is passed
+        in; the model extracts each channel they lack from the device's
+        lossy schedules when _CircuitRunner.encode compiles a segment that
+        runs it (NoiseModel._extract), and a lookup before then is a
+        KeyError and extracts nothing.  Calibrated single-qubit Clifford
+        errors count one physical pulse per Clifford on average, so the
+        per-pulse depolarizing probability is 2 * error (average
+        infidelity of depolarizing is lam / 2).
         """
         cfg = cfg if cfg is not None else load_config()
-        if transfer_channels is None:
-            transfer_channels = _ExtractedChannels(cfg, "satd")
         qubits = [*cfg.l_qubits, *cfg.data_qubits]
         rates = {q.name: pure_dephasing_rate(q) for q in qubits}
         tphi = {name: 1.0 / r if r > 0 else math.inf for name, r in rates.items()}
         return cls(
-            transfer_channels=transfer_channels,
-            half_transfer_channels=_ExtractedChannels(cfg, "sqrt_satd"),
+            transfer_channels=transfer_channels or {},
             sq_depolarizing={q.name: 2.0 * q.sq_clifford_error for q in qubits},
             cz_depolarizing={
                 frozenset(g.pair): g.error_per_gate * 4.0 / 3.0 for g in cfg.cz_gates
             },
             qubit_t1_s={q.name: q.t1_s for q in qubits},
             qubit_tphi_s=tphi,
+            device=cfg,
         )
 
 
@@ -550,27 +560,15 @@ class _CircuitRunner:
             matrix = self._ops[op.key] = self._compile(op)
         return matrix
 
-    def _extract_transfers(self, segments) -> None:
-        """Hand each extracting transfer table (_ExtractedChannels) the
-        transfer ops of the segments not yet compiled, in one call."""
-        tables = (self.noise.transfer_channels, self.noise.half_transfer_channels)
-        wanted: tuple[list[GateOp], list[GateOp]] = ([], [])
-        for segment in segments:
-            if segment.key not in self._codes:
-                for op in segment:
-                    if op.kind is GateKind.TRANSFER:
-                        wanted[bool(op.params.get("half"))].append(op)
-        for table, ops in zip(tables, wanted):
-            if ops and isinstance(table, _ExtractedChannels):
-                table.extract(ops)
-
     def encode(self, segments) -> np.ndarray:
         """A circuit's segment codes, compiling each segment the first time;
         the segments are cliffords.Segment, which carry their keys.  The
-        transfer channels the new segments run are extracted first, all
-        directions of a table in one propagation."""
+        model first gets the transfer ops of the new segments
+        (NoiseModel._extract), so a model with a device extracts every
+        channel they need and it lacks in one propagation."""
         segments = list(segments)
-        self._extract_transfers(segments)
+        new = [segment for segment in segments if segment.key not in self._codes]
+        self.noise._extract([op for s in new for op in s if op.kind is GateKind.TRANSFER])
         return np.array([self._code(segment) for segment in segments], dtype=np.int32)
 
     def _code(self, segment: Segment) -> int:

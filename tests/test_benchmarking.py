@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -21,7 +22,6 @@ from lcoupler.benchmarking import (
     RbDataset,
     RbRecord,
     SpamModel,
-    _ExtractedChannels,
     circuit_runner,
     eps_from_decay,
     fit_exponential,
@@ -214,10 +214,30 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match=message):
             run_network_benchmarking(noise, lengths=(2,), seeds_per_length=1, shots=100)
 
-    @pytest.mark.parametrize("field", ["qubit_t1_s", "qubit_tphi_s"])
+    @pytest.mark.parametrize(
+        "field", ["qubit_t1_s", "qubit_tphi_s", "sq_depolarizing", "cz_depolarizing"]
+    )
     def test_idle_lifetimes_must_name_register_qubits(self, field):
-        noise = dataclasses.replace(NoiseModel.ideal(), **{field: {"L1": 50e-6, "Q9": 1e-9}})
-        with pytest.raises(ValueError, match=rf"{field}\[Q9\] names no qubit"):
+        """The idle and the gate-noise tables alike: a key that misnames a
+        qubit would switch its noise off unseen."""
+        good, bad = "L1", "Q9"
+        if field == "cz_depolarizing":
+            good, bad = frozenset({"D1", "L1"}), frozenset({"D1", "Q9"})
+        noise = dataclasses.replace(NoiseModel.ideal(), **{field: {good: 50e-6, bad: 1e-9}})
+        message = rf"{field}\[.*Q9.*\] (names no qubit|is not a pair)"
+        with pytest.raises(ValueError, match=message):
+            noise.validate()
+        with pytest.raises(ValueError, match=message):
+            run_two_qubit_rb(noise, lengths=(1,), seeds_per_length=1, shots=100)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [frozenset({"D1"}), frozenset({"D1", "L1", "L2"}), ("D1", "L1"), "D1"],
+        ids=["one-qubit", "three-qubit", "tuple", "str"],
+    )
+    def test_cz_depolarizing_keys_are_qubit_pairs(self, pair):
+        noise = dataclasses.replace(NoiseModel.ideal(), cz_depolarizing={pair: 0.01})
+        with pytest.raises(ValueError, match=r"cz_depolarizing\[.*\] is not a pair"):
             noise.validate()
 
     def test_idle_dephasing_without_a_t1(self):
@@ -261,44 +281,45 @@ class TestNoiseModel:
         assert noise.qubit_tphi_s["L1"] == pytest.approx(expected_tphi)
 
     def test_model_is_read_only(self, extractions):
-        """Item assignment on every table, attribute assignment and the
-        caller's own dict after the call all leave the model as built."""
-        passed = {d: QuantumChannel.identity(4) for d in TRANSFER_DIRECTIONS}
-        noise = NoiseModel.from_config(load_config(ONE_MODE), transfer_channels=passed)
+        """On a device model after an extraction, no write reaches a table,
+        an extracted channel's included: item assignment and deletion, and
+        every dict method (a table is a read-only view, not a dict).  Nor
+        does attribute assignment, or the caller's own dict after the
+        call."""
+        cfg = load_config(ONE_MODE)
+        passed = {"L1->L2": QuantumChannel.identity(4)}
+        noise = NoiseModel.from_config(cfg, transfer_channels=passed)
+        run_network_benchmarking(noise, lengths=(2,), seeds_per_length=1, shots=100, cfg=cfg)
+        # the passed direction is only looked up; the one it lacks is extracted
+        assert extractions == [[("satd", "L2->L1")]]
+        channel = QuantumChannel.identity(4)
+        writes = [
+            lambda table: operator.setitem(table, "L1->L2", channel),
+            lambda table: operator.delitem(table, "L2->L1"),
+            lambda table: dict.update(table, {"L1->L2": channel}),
+            lambda table: dict.setdefault(table, "L1->L2", channel),
+            lambda table: dict.__ior__(table, {"L1->L2": channel}),
+            lambda table: dict.pop(table, "L1->L2", None),
+            lambda table: dict.popitem(table),
+            lambda table: dict.clear(table),
+        ]
         for f in dataclasses.fields(noise):
-            table = getattr(noise, f.name)
-            with pytest.raises(TypeError):
-                table["L1->L2"] = QuantumChannel.identity(4)
+            if f.name != "device":
+                for write in writes:
+                    with pytest.raises(TypeError):
+                        write(getattr(noise, f.name))
         with pytest.raises(dataclasses.FrozenInstanceError):
             noise.qubit_t1_s = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            noise.device = None
         passed["L1->L2"] = QuantumChannel.identity(2)
-        del passed["L2->L1"]
+        passed.clear()
         assert noise.transfer_channels["L1->L2"].dim == 4
         assert list(noise.transfer_channels) == list(TRANSFER_DIRECTIONS)
         # reads through the mapping interface
         assert noise.qubit_tphi_s.get("nowhere", math.inf) == math.inf
         assert len(list(noise.sq_depolarizing.values())) == len(noise.sq_depolarizing)
-        assert extractions == []
-
-    def test_extracted_tables_are_written_only_by_extract(self, extractions):
-        noise = NoiseModel.from_config(load_config(ONE_MODE))
-        table = noise.half_transfer_channels
-        assert isinstance(table, _ExtractedChannels)
-        channel = QuantumChannel.identity(4)
-        writes = [
-            lambda: table.__setitem__("L1->L2", channel),
-            lambda: table.update({"L1->L2": channel}),
-            lambda: table.setdefault("L1->L2", channel),
-            lambda: table.__ior__({"L1->L2": channel}),
-            lambda: table.pop("L1->L2", None),
-            lambda: table.popitem(),
-            lambda: table.clear(),
-            lambda: table.__delitem__("L1->L2"),
-        ]
-        for write in writes:
-            with pytest.raises(TypeError, match="added only by extract"):
-                write()
-        assert len(table) == 0 and extractions == []
+        assert len(extractions) == 1
 
     def test_models_compare_by_identity(self):
         noise = NoiseModel.ideal()
@@ -329,6 +350,16 @@ class TestExtractionOnFirstUse:
         )
         assert len(extractions) == 1
         assert len(noise.half_transfer_channels) == 0
+
+    def test_a_twin_extracts_into_its_own_tables(self, extractions):
+        cfg = load_config(ONE_MODE)
+        noise = NoiseModel.from_config(cfg)
+        twin = dataclasses.replace(noise)
+        assert twin.device is noise.device
+        run_network_benchmarking(twin, lengths=(2,), seeds_per_length=1, shots=100, cfg=cfg)
+        assert extractions == [[("satd", "L1->L2"), ("satd", "L2->L1")]]
+        assert list(twin.transfer_channels) == list(TRANSFER_DIRECTIONS)
+        assert len(noise.transfer_channels) == 0
 
     def test_a_run_extracts_its_directions_in_one_call(self, extractions):
         cfg = load_config(ONE_MODE)
@@ -368,10 +399,14 @@ class TestExtractionOnFirstUse:
                 for d in TRANSFER_DIRECTIONS
             ]
         )
-        # one extraction per table, both directions in it
+        # one extraction for both tables: full before half, L1->L2 before L2->L1
         assert extractions == [
-            [("satd", "L1->L2"), ("satd", "L2->L1")],
-            [("sqrt_satd", "L1->L2"), ("sqrt_satd", "L2->L1")],
+            [
+                ("satd", "L1->L2"),
+                ("satd", "L2->L1"),
+                ("sqrt_satd", "L1->L2"),
+                ("sqrt_satd", "L2->L1"),
+            ]
         ]
         for (method, direction), channel in expected.items():
             got = tables[method][direction]
