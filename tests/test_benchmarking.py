@@ -321,6 +321,28 @@ class TestNoiseModel:
         assert len(list(noise.sq_depolarizing.values())) == len(noise.sq_depolarizing)
         assert len(extractions) == 1
 
+    def test_extracted_tables_are_written_only_by_extract(self, extractions):
+        """A device model's transfer tables start empty and refuse every
+        write from outside: only the model's own extraction fills them."""
+        noise = NoiseModel.from_config(load_config(ONE_MODE))
+        channel = QuantumChannel.identity(4)
+        for table in (noise.transfer_channels, noise.half_transfer_channels):
+            writes = [
+                lambda: operator.setitem(table, "L1->L2", channel),
+                lambda: dict.update(table, {"L1->L2": channel}),
+                lambda: dict.setdefault(table, "L1->L2", channel),
+                lambda: dict.__ior__(table, {"L1->L2": channel}),
+                lambda: dict.pop(table, "L1->L2", None),
+                lambda: dict.popitem(table),
+                lambda: dict.clear(table),
+                lambda: operator.delitem(table, "L1->L2"),
+            ]
+            for write in writes:
+                with pytest.raises(TypeError):
+                    write()
+            assert len(table) == 0
+        assert extractions == []
+
     def test_models_compare_by_identity(self):
         noise = NoiseModel.ideal()
         twin = dataclasses.replace(noise)
