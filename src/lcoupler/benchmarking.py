@@ -791,6 +791,22 @@ def _run_sequences(
     ]
 
 
+def _circuit_device(noise: NoiseModel, cfg: DeviceConfig | None) -> DeviceConfig:
+    """The device a protocol times its circuits from: ``cfg``, else the
+    model's device, else the built-in table.  A ``cfg`` whose config_hash
+    differs from the model's device's is a ValueError naming both."""
+    device = noise.device
+    if cfg is None:
+        return device if device is not None else load_config()
+    if device is not None and device is not cfg:
+        given, own = cfg.config_hash(), device.config_hash()
+        if given != own:
+            raise ValueError(
+                f"cfg (config_hash {given}) is not the noise model's device (config_hash {own})"
+            )
+    return cfg
+
+
 def _nb_template(cfg: DeviceConfig) -> SlotTemplate:
     """Network benchmarking's slot template: per step, the carrier's
     single-qubit Clifford as a frame slot (its leading virtual Z) and a
@@ -837,11 +853,14 @@ def run_network_benchmarking(
     Clifford a frame slot and a pulse slot: one draw of each sequence's
     elements, then one ``invert_sequence`` call on their matrices stacked
     (k, n, 2, 2), whose element closes the sequence as the Clifford slots of
-    its row.  ``shots``, ``seeds_per_length`` and repeated ``lengths`` are
-    checked before anything is drawn, compiled or extracted.
+    its row.  The gate and transfer times come from ``cfg``, or when it is
+    omitted from ``noise.device`` (the built-in table for a model without
+    one); a ``cfg`` that is not the model's device is a ValueError.  That,
+    ``shots``, ``seeds_per_length`` and repeated ``lengths`` are checked
+    before anything is drawn, compiled or extracted.
     """
     _check_counts(lengths, seeds_per_length, shots)
-    cfg = cfg if cfg is not None else load_config()
+    cfg = _circuit_device(noise, cfg)
     rng = rng if rng is not None else RngHandle(seed=0)
     for n in lengths:
         if n < 2 or n % 2:
@@ -895,12 +914,15 @@ def run_two_qubit_rb(
     rows of the 7-slot two-qubit template (``cliffords.two_qubit_template``),
     the interleaved composite in an 8th slot: one draw of each sequence's
     elements, one table lookup and one ``invert_sequence`` call on their
-    matrices stacked (k, n, 4, 4), or (k, 2n, 4, 4) interleaved.  ``shots``,
-    ``seeds_per_length`` and repeated ``lengths`` are checked before
-    anything is drawn, compiled or extracted.
+    matrices stacked (k, n, 4, 4), or (k, 2n, 4, 4) interleaved.  The
+    circuits are timed from ``cfg``, or when it is omitted from
+    ``noise.device`` (the built-in table for a model without one); a
+    ``cfg`` that is not the model's device is a ValueError.  That,
+    ``shots``, ``seeds_per_length`` and repeated ``lengths`` are checked
+    before anything is drawn, compiled or extracted.
     """
     _check_counts(lengths, seeds_per_length, shots)
-    cfg = cfg if cfg is not None else load_config()
+    cfg = _circuit_device(noise, cfg)
     rng = rng if rng is not None else RngHandle(seed=0)
     for n in lengths:
         if n < 1:

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .basis import BasisLabel, DensityOperator, basis_index, build_basis
 from .channels import QuantumChannel, time_ordered_product
@@ -673,8 +674,9 @@ def _stacked_jump(
     index of _propagate's stacked layout x[s, r, b, c] = m_sb[r, c]: entry
     (r d + c, t d + e) lands at (n s + r B d + b d + c, n s + t B d + b d + e)
     for each of the B = batch matrices of each of the S = schedules
-    schedules, n = d B d, so one sparse product jumps them all.  Its
-    leading n S' rows and columns are the jump of the first S' schedules."""
+    schedules, n = d B d, so one sparse product jumps them all.  It is
+    block diagonal: its leading n S' rows read only its leading n S'
+    columns, and are the jump of the first S' schedules."""
     entries = superop.tocoo()
     n = d * batch * d
     offsets = n * np.arange(schedules)[:, None, None] + d * np.arange(batch)[None, :, None]
@@ -688,7 +690,23 @@ def _stacked_jump(
     return sparse.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size))
 
 
-def _lawson_step(x, first, second, h, jump) -> np.ndarray:
+def _jump(stacked: sparse.csr_matrix, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """stacked times the flat m, written into out (m's shape, both
+    C-contiguous) and returned.  It calls the CSR kernel that
+    `stacked @ vector` ends in, adding into out zeroed as that product's own
+    result is, so the products are the same to the bit, without
+    scipy.sparse's per-call dispatch.  The kernel reads the leading m.size
+    rows of stacked, which (block diagonal) read only its leading m.size
+    columns: the jump of the first S' schedules when m holds S' of them."""
+    n = m.size
+    out.fill(0.0)
+    _sparsetools.csr_matvec(
+        n, n, stacked.indptr, stacked.indices, stacked.data, m.ravel(), out.ravel()
+    )
+    return out
+
+
+def _lawson_step(x, first, second, h, jump, work) -> np.ndarray:
     """One RK4 step in the interaction picture of the no-jump evolution, on
     the stacked layout x[s, r, b, c] = m_sb[r, c] of _propagate, of length
     h[s] for schedule s (h of shape (S, 1, 1, 1), or one scalar for all of
@@ -696,29 +714,37 @@ def _lawson_step(x, first, second, h, jump) -> np.ndarray:
     the (propagators, adjoints) pairs of its half steps, one d x d matrix
     per schedule.  Each conjugation u_s m_sb u_s^dag of all S B matrices is
     two batched GEMMs: u_s times the d x (B d) rows of x[s], then the
-    (d B) x d result times u_s^dag.  jump returns a new array.  The stages
-    are scaled and summed in place, in arrays the step has made, with the
-    operands of the plain formula in its order, so x is never written and
-    the result is the plain formula's to the bit."""
+    (d B) x d result times u_s^dag.  jump is _stacked_jump for at least S
+    schedules, applied by _jump.  work holds eight C-contiguous arrays of
+    x's shape: the first receives the result, which is returned, and the
+    others hold the stages and the GEMMs' rows, so the step makes no array
+    of x's size and calls no scipy.sparse operator.  The stages are scaled
+    and summed in place with the operands of the plain formula in its
+    order, so x is never written and the result is the plain formula's to
+    the bit."""
+    out, mid, k1, k2, k3, stage, end, rows = work
     schedules, d = x.shape[:2]
+    wide, tall = rows.reshape(schedules, d, -1), rows.reshape(schedules, -1, d)
 
-    def propagate(pair, m):
+    def propagate(pair, m, into):
         u, u_dag = pair
-        rows = (u @ m.reshape(schedules, d, -1)).reshape(schedules, -1, d)
-        return (rows @ u_dag).reshape(m.shape)
+        np.matmul(u, m.reshape(schedules, d, -1), out=wide)
+        np.matmul(tall, u_dag, out=into.reshape(schedules, -1, d))
+        return into
 
-    mid, k1 = propagate(first, x), propagate(first, jump(x))
+    propagate(first, x, mid)
+    propagate(first, _jump(jump, x, stage), k1)
     half, sixth = 0.5 * h, h / 6.0
-    # the stages' inputs mid + h/2 k1, mid + h/2 k2, mid + h k3, in turn in one array
-    stage = np.multiply(half, k1)
+    # the stages' inputs mid + h/2 k1, mid + h/2 k2, mid + h k3, in turn in stage
+    np.multiply(half, k1, out=stage)
     stage += mid
-    k2 = jump(stage)
+    _jump(jump, stage, k2)
     np.multiply(half, k2, out=stage)
     stage += mid
-    k3 = jump(stage)
+    _jump(jump, stage, k3)
     np.multiply(h, k3, out=stage)
     stage += mid
-    end = jump(propagate(second, stage))
+    _jump(jump, propagate(second, stage, out), end)
     # k1 + 2 k2 + 2 k3, summed in that order: doubling is exact
     np.multiply(2.0, k2, out=k2)
     k2 += k1
@@ -726,7 +752,7 @@ def _lawson_step(x, first, second, h, jump) -> np.ndarray:
     k2 += k3
     np.multiply(sixth, k2, out=k2)
     k2 += mid
-    out = propagate(second, k2)
+    propagate(second, k2, out)
     np.multiply(sixth, end, out=end)
     out += end
     return out
@@ -741,29 +767,35 @@ def _lockstep(streams, x, stacked) -> np.ndarray:
     the schedules' batches line up and their steps are paired in order.
     stacked is _stacked_jump for all S schedules.  A schedule whose steps
     have run out is dropped: its rows of x are set aside, and the others
-    step on without it, under the leading rows and columns of stacked.  No
-    schedule takes a padding step, and its pieces are never batched with
-    another schedule's, so each schedule's propagators are those it has
-    alone.
+    step on without it, under the leading rows of stacked.  No schedule
+    takes a padding step, and its pieces are never batched with another
+    schedule's, so each schedule's propagators are those it has alone.
+
+    The steps share one workspace of eight arrays of x's shape, made again
+    only when a schedule drops out; each step's result is swapped in as x,
+    and the old x becomes the next step's result array, so x itself (which
+    must be C-contiguous) is overwritten.  Every batch's propagators and
+    their conjugates go into two arrays made once, so a batch makes none of
+    the propagators' size.
     """
     live = np.arange(len(x))  # the schedule of each row of x
     out = np.empty_like(x)
-    d, size = x.shape[1], x[0].size
-
-    def jump(m):
-        return (stacked @ m.ravel()).reshape(m.shape)
-
+    d = x.shape[1]
+    work = [np.empty_like(x) for _ in range(8)]
+    # each batch's propagators and their conjugates; a schedule's slots past
+    # its own pieces keep an earlier batch's, and it drops out before them
+    held = np.zeros((2, len(x), _CHUNK, d, d), dtype=complex)
     for batches in itertools.zip_longest(*streams):
         # a schedule with no batch left has run out and takes no steps
         batches = [batches[s] for s in live]
         steps = np.array([0 if b is None else len(b[0]) // 2 for b in batches])
-        props = np.zeros((len(live), 2 * steps.max(), d, d), dtype=complex)
+        props, adjoints = held[:, : len(live), : 2 * steps.max()]
         h = np.zeros((len(live), steps.max()))
         for row, batch in enumerate(batches):
             if batch is not None:
                 props[row, : len(batch[1])] = batch[1]
                 h[row, : steps[row]] = 2.0 * batch[0][::2]
-        adjoints = props.conj().transpose(0, 1, 3, 2)
+        adjoints = np.conj(props, out=adjoints).transpose(0, 1, 3, 2)
         # where every schedule's step has one length (as for a schedule and
         # its reverse) the step takes it as a scalar, whose products are faster
         uniform = bool(np.all(h == h[0]))
@@ -775,12 +807,12 @@ def _lockstep(streams, x, stacked) -> np.ndarray:
                 keep = ~done
                 live, steps, x, props, h = (a[keep] for a in (live, steps, x, props, h))
                 adjoints = props.conj().transpose(0, 1, 3, 2)
-                stacked = stacked[: size * len(live), : size * len(live)]
+                work = [np.empty_like(x) for _ in range(8)]
                 drop = steps.min()
             first = props[:, 2 * k], adjoints[:, 2 * k]
             second = props[:, 2 * k + 1], adjoints[:, 2 * k + 1]
             length = h[0, k] if uniform else h[:, k, None, None, None]
-            x = _lawson_step(x, first, second, length, jump)
+            x, work[0] = _lawson_step(x, first, second, length, stacked, work), x
     out[live] = x
     return out
 

@@ -22,8 +22,13 @@ time, one ``spam_apply`` call and one expectation per setting, where the
 library stacks them.  ``detuning_frame`` is the virtual-Z frame that channel
 extraction composes with the propagated pair map, for tests that compare an
 extracted channel with a raw one.
+
+``allocating_lockstep`` is the Lindblad lockstep of the dynamics as it was
+before its steps worked in a preallocated workspace: every stage a new
+array, the jump a scipy.sparse product re-sliced when a schedule drops out.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -360,3 +365,78 @@ def tomography_per_setting(
         shots_per_setting=None if exact else shots_per_setting,
         qubits=tuple(qubits),
     )
+
+
+def allocating_lawson_step(x, first, second, h, jump) -> np.ndarray:
+    """``dynamics._lawson_step`` as it was before its workspace: the same
+    operands in the same order, each conjugation and each jump a new
+    array, ``jump(m)`` returning one."""
+    schedules, d = x.shape[:2]
+
+    def propagate(pair, m):
+        u, u_dag = pair
+        rows = (u @ m.reshape(schedules, d, -1)).reshape(schedules, -1, d)
+        return (rows @ u_dag).reshape(m.shape)
+
+    mid, k1 = propagate(first, x), propagate(first, jump(x))
+    half, sixth = 0.5 * h, h / 6.0
+    stage = np.multiply(half, k1)
+    stage += mid
+    k2 = jump(stage)
+    np.multiply(half, k2, out=stage)
+    stage += mid
+    k3 = jump(stage)
+    np.multiply(h, k3, out=stage)
+    stage += mid
+    end = jump(propagate(second, stage))
+    np.multiply(2.0, k2, out=k2)
+    k2 += k1
+    np.multiply(2.0, k3, out=k3)
+    k2 += k3
+    np.multiply(sixth, k2, out=k2)
+    k2 += mid
+    out = propagate(second, k2)
+    np.multiply(sixth, end, out=end)
+    out += end
+    return out
+
+
+def allocating_lockstep(streams, x, stacked) -> np.ndarray:
+    """``dynamics._lockstep`` as it was before its workspace: the jump is
+    ``stacked @ m.ravel()`` through scipy.sparse, re-sliced to the live
+    schedules' leading rows and columns when one drops out, and every step
+    is ``allocating_lawson_step``.  x is left unchanged."""
+    live = np.arange(len(x))
+    out = np.empty_like(x)
+    d, size = x.shape[1], x[0].size
+
+    def jump(m):
+        return (stacked @ m.ravel()).reshape(m.shape)
+
+    for batches in itertools.zip_longest(*streams):
+        batches = [batches[s] for s in live]
+        steps = np.array([0 if b is None else len(b[0]) // 2 for b in batches])
+        props = np.zeros((len(live), 2 * steps.max(), d, d), dtype=complex)
+        h = np.zeros((len(live), steps.max()))
+        for row, batch in enumerate(batches):
+            if batch is not None:
+                props[row, : len(batch[1])] = batch[1]
+                h[row, : steps[row]] = 2.0 * batch[0][::2]
+        adjoints = props.conj().transpose(0, 1, 3, 2)
+        uniform = bool(np.all(h == h[0]))
+        drop = steps.min()
+        for k in range(steps.max()):
+            if k == drop:
+                done = steps <= k
+                out[live[done]] = x[done]
+                keep = ~done
+                live, steps, x, props, h = (a[keep] for a in (live, steps, x, props, h))
+                adjoints = props.conj().transpose(0, 1, 3, 2)
+                stacked = stacked[: size * len(live), : size * len(live)]
+                drop = steps.min()
+            first = props[:, 2 * k], adjoints[:, 2 * k]
+            second = props[:, 2 * k + 1], adjoints[:, 2 * k + 1]
+            length = h[0, k] if uniform else h[:, k, None, None, None]
+            x = allocating_lawson_step(x, first, second, length, jump)
+    out[live] = x
+    return out

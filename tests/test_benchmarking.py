@@ -5,6 +5,7 @@ import gc
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -44,6 +45,7 @@ from lcoupler.config import load_config
 from lcoupler.dynamics import extract_channels
 from lcoupler.pulses import build_transfer_schedule, reverse_schedule
 from lcoupler.rng import RngHandle
+from lcoupler.tomography import bell_circuit, state_tomography
 
 # one bus mode: a pair extraction takes about 0.5 s
 ONE_MODE = {"cpw": {"modes_retained": 1}}
@@ -454,17 +456,49 @@ class TestExtractionOnFirstUse:
         assert len(noise.transfer_channels) == 0
 
     def test_transfer_timed_apart_from_its_schedule_is_refused(self, extractions):
-        """Channels of a 306 ns schedule with circuits timed at the built-in
+        """Channels of a 306 ns schedule with a circuit timed at the built-in
         206 ns: refused before anything is extracted."""
         cfg = load_config({**ONE_MODE, "transfer": {"total_duration_s": 306e-9}})
         noise = NoiseModel.from_config(cfg)
-        kw = dict(lengths=(2,), seeds_per_length=1, shots=100)
+        circuit = bell_circuit("data-full", load_config(ONE_MODE))
         with pytest.raises(ValueError, match="from a 3.06e-07 s schedule"):
-            run_network_benchmarking(noise, **kw)
+            state_tomography(circuit, noise, SpamModel.ideal(), exact=True)
         assert extractions == []
-        # the same noise with circuits timed from its own config runs
-        run_network_benchmarking(noise, cfg=cfg, **kw)
+        # the same noise with circuits timed from its own device runs
+        run_network_benchmarking(noise, lengths=(2,), seeds_per_length=1, shots=100)
         assert extractions == [[("satd", "L1->L2"), ("satd", "L2->L1")]]
+
+    @pytest.mark.parametrize("run", [run_network_benchmarking, run_two_qubit_rb])
+    def test_circuits_are_timed_from_the_model_device(self, extractions, run):
+        """Without cfg the protocols time their circuits from the model's
+        device: here its 500 ns single-qubit gates, not the built-in 35 ns."""
+        cfg = load_config({"single_qubit_gate_time_s": 500e-9})
+        transfers = dict.fromkeys(TRANSFER_DIRECTIONS, QuantumChannel.identity(4))
+        noise = NoiseModel.from_config(cfg, transfer_channels=transfers)
+        kw = dict(lengths=(2,), seeds_per_length=2, shots=100)
+        omitted = run(noise, rng=RngHandle(seed=5), **kw)
+        assert omitted.to_csv() == run(noise, rng=RngHandle(seed=5), cfg=cfg, **kw).to_csv()
+        built_in = NoiseModel.from_config(load_config(), transfer_channels=transfers)
+        assert run(built_in, rng=RngHandle(seed=5), **kw).to_csv() != omitted.to_csv()
+        assert extractions == []
+
+    @pytest.mark.parametrize("run", [run_network_benchmarking, run_two_qubit_rb])
+    def test_cfg_other_than_the_model_device_is_refused(self, extractions, run):
+        cfg = load_config(ONE_MODE)
+        other = load_config()
+        message = (
+            f"cfg (config_hash {other.config_hash()}) is not the noise model's device"
+            f" (config_hash {cfg.config_hash()})"
+        )
+        kw = dict(lengths=(2,), seeds_per_length=1, shots=100)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(NoiseModel.from_config(cfg), cfg=other, **kw)
+        assert extractions == []
+        # an equal device loaded apart is the model's device
+        transfers = dict.fromkeys(TRANSFER_DIRECTIONS, QuantumChannel.identity(4))
+        noise = NoiseModel.from_config(cfg, transfer_channels=transfers)
+        run(noise, cfg=load_config(ONE_MODE), **kw)
+        assert extractions == []
 
 
 class TestNetworkBenchmarking:

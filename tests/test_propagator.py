@@ -10,6 +10,8 @@ the propagator beyond the model's operators and controls.
 
 import dataclasses
 import math
+import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -37,7 +39,7 @@ from lcoupler.pulses import (
     reverse_schedule,
 )
 
-from oracles import detuning_frame
+from oracles import allocating_lawson_step, allocating_lockstep, detuning_frame
 from test_propagator_reference import reference_lawson_step
 
 SINGLE_MODE = {
@@ -517,34 +519,38 @@ def _random_step_inputs(seed, schedules=2, d=4, batch=3):
     superop = superop / np.abs(superop).sum(axis=1).max()
     h = rng.uniform(0.1, 0.5, size=schedules)
     stacked = dynamics._stacked_jump(sparse.csr_matrix(superop), d, batch, schedules)
+    return x, halves, h, superop, stacked
 
-    def jump(m):
-        return (stacked @ m.ravel()).reshape(m.shape)
 
-    return x, halves, h, superop, jump
+def _workspace(x):
+    """A Lawson step's workspace for x, its arrays filled with garbage."""
+    return [np.full_like(x, complex(np.nan, 1.0)) for _ in range(8)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lawson_step_leaves_its_input_unchanged(seed):
-    x, (first, second), h, _, jump = _random_step_inputs(seed)
+    x, (first, second), h, _, stacked = _random_step_inputs(seed)
     kept = x.copy()
-    dynamics._lawson_step(x, first, second, h[:, None, None, None], jump)
-    dynamics._lawson_step(x, first, second, h[0], jump)
+    for length in (h[:, None, None, None], h[0]):
+        work = _workspace(x)
+        assert dynamics._lawson_step(x, first, second, length, stacked, work) is work[0]
     assert x.tobytes() == kept.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lawson_step_takes_a_scalar_length_as_the_same_length_per_schedule(seed):
-    x, (first, second), h, _, jump = _random_step_inputs(seed)
-    scalar = dynamics._lawson_step(x, first, second, h[0], jump)
+    x, (first, second), h, _, stacked = _random_step_inputs(seed)
+    scalar = dynamics._lawson_step(x, first, second, h[0], stacked, _workspace(x))
     broadcast = np.full((len(x), 1, 1, 1), h[0])
-    assert scalar.tobytes() == dynamics._lawson_step(x, first, second, broadcast, jump).tobytes()
+    got = dynamics._lawson_step(x, first, second, broadcast, stacked, _workspace(x))
+    assert scalar.tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lawson_step_matches_the_reference_step(seed):
-    x, (first, second), h, superop, jump = _random_step_inputs(seed)
-    got = dynamics._lawson_step(x, first, second, h[:, None, None, None], jump)
+    x, (first, second), h, superop, stacked = _random_step_inputs(seed)
+    length = h[:, None, None, None]
+    got = dynamics._lawson_step(x, first, second, length, stacked, _workspace(x))
     d = x.shape[1]
 
     def reference_jump(m):
@@ -554,3 +560,86 @@ def test_lawson_step_matches_the_reference_step(seed):
         rho = x[s].transpose(1, 0, 2)  # the B matrices m_sb
         want = reference_lawson_step(rho, first[0][s], second[0][s], h[s], reference_jump)
         assert np.max(np.abs(got[s].transpose(1, 0, 2) - want)) < 1e-13
+
+    # the step before its workspace, with the jump through scipy.sparse
+    def sparse_jump(m):
+        return (stacked @ m.ravel()).reshape(m.shape)
+
+    allocating = allocating_lawson_step(x, first, second, length, sparse_jump)
+    assert got.tobytes() == allocating.tobytes()
+
+
+def test_lawson_step_reads_only_the_csr_arrays_and_makes_no_array_of_its_size():
+    # the jump reaches the kernel with no scipy.sparse operator: a bare
+    # holder of the three CSR arrays serves; and a warm step's traced peak
+    # (NumPy traces its data buffers) stays below one array of x's size,
+    # where the step before its workspace made several
+    x, (first, second), h, _, stacked = _random_step_inputs(0, d=8, batch=10)
+    bare = SimpleNamespace(indptr=stacked.indptr, indices=stacked.indices, data=stacked.data)
+    work = _workspace(x)
+
+    def peak(step):
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def sparse_jump(m):
+        return (stacked @ m.ravel()).reshape(m.shape)
+
+    kept = peak(lambda: dynamics._lawson_step(x, first, second, h[0], bare, work))
+    assert kept < x.nbytes // 4
+    assert peak(lambda: allocating_lawson_step(x, first, second, h[0], sparse_jump)) > x.nbytes
+    want = dynamics._lawson_step(x, first, second, h[0], stacked, _workspace(x))
+    assert work[0].tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    batch=st.integers(1, 12),
+    schedules=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_workspace_jump_is_the_sparse_product_to_the_byte(d, batch, schedules, seed):
+    rng = np.random.default_rng(seed)
+
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    superop = normal(d * d, d * d) * (rng.random((d * d, d * d)) < 0.4)
+    stacked = dynamics._stacked_jump(sparse.csr_matrix(superop), d, batch, schedules)
+    x = normal(schedules, d, batch, d)
+    want = stacked @ x.ravel()
+    # the leading S' schedules, as the lockstep holds them once the others
+    # have dropped out: the kernel reads stacked's leading rows, unsliced,
+    # into an output that holds garbage on entry
+    for live in range(1, schedules + 1):
+        n = x[:live].size
+        out = normal(live, d, batch, d)
+        assert dynamics._jump(stacked, x[:live], out) is out
+        assert out.tobytes() == want[:n].tobytes()
+        assert out.tobytes() == (stacked[:n, :n] @ x[:live].ravel()).tobytes()
+
+
+def test_lockstep_matches_the_allocating_lockstep_to_the_byte(monkeypatch):
+    # the 100 ns schedule runs out first, so the lockstep drops it and steps
+    # the other two on in a new, smaller workspace
+    cfg = load_config(SINGLE_MODE)
+    satd = build_transfer_schedule(cfg)
+    short = build_transfer_schedule(cfg, sweep_duration_s=64e-9, total_duration_s=100e-9)
+    models = [
+        build_hamiltonian(cfg, sched, truncation=2)
+        for sched in (satd, short, reverse_schedule(satd))
+    ]
+    collapse = CollapseSet.from_config(cfg, models[0].basis)
+    d = models[0].dim
+    rng = np.random.default_rng(7)
+    y0 = rng.normal(size=(3, 4, d, d)) + 1j * rng.normal(size=(3, 4, d, d))
+    got = _propagate(models, collapse, y0, dynamics._TOL)
+    monkeypatch.setattr(dynamics, "_lockstep", allocating_lockstep)
+    want = _propagate(models, collapse, y0, dynamics._TOL)
+    assert got.tobytes() == want.tobytes()
