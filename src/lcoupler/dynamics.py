@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -32,6 +32,7 @@ _CHUNK = 64  # intervals, and then pieces, per batch; even, bounds memory
 _SCREEN_CHUNK = 1024  # intervals per batch of the substep screen, which forms no matrix
 _MAX_SUBSTEPS = 4096  # per sample interval spanned, before the propagator gives up
 _SERIES_RADIUS = 0.5  # exponents are scaled to this 1-norm before summing
+_REAL_FORM_SIZE = 44  # blocks from this size on take _expm's products complex (see there)
 _CONTROLS = 4  # g_e, g_r, det_e, det_r: the parts they multiply lead each table
 _PAIRS = np.triu_indices(_CONTROLS, 1)  # the pairs i < j of the controls' brackets
 _LINEAR_ULPS = 16  # a sample this many eps * max|c| off its chord still counts as linear
@@ -138,14 +139,7 @@ def build_hamiltonian(
         static += delta * _number_operator(basis, site)
 
     l1_site, l2_site = 0, len(basis[0].occupations) - 1
-    names = {cfg.l_qubits[0].name: l1_site, cfg.l_qubits[1].name: l2_site}
-    try:
-        e_site = names[schedule.emitter]
-        r_site = names[schedule.receiver]
-    except KeyError as exc:
-        raise ValueError(f"schedule names unknown qubit {exc}") from exc
-    if e_site == r_site:
-        raise ValueError("schedule emitter and receiver are the same qubit")
+    e_site, r_site = _role_sites(cfg, schedule, l2_site)
 
     def exchange(site: int) -> np.ndarray:
         end = "L1" if site == l1_site else "L2"
@@ -167,6 +161,29 @@ def build_hamiltonian(
         if not np.allclose(part, part.conj().T, atol=1e-9):
             raise ValueError("Hamiltonian part is not hermitian")
     return model
+
+
+def _role_sites(cfg: DeviceConfig, schedule: PulseSchedule, l2_site: int) -> tuple[int, int]:
+    """The chain sites of the schedule's emitter and receiver: the L1 qubit
+    sits at site 0, the L2 qubit at l2_site."""
+    names = {cfg.l_qubits[0].name: 0, cfg.l_qubits[1].name: l2_site}
+    try:
+        e_site = names[schedule.emitter]
+        r_site = names[schedule.receiver]
+    except KeyError as exc:
+        raise ValueError(f"schedule names unknown qubit {exc}") from exc
+    if e_site == r_site:
+        raise ValueError("schedule emitter and receiver are the same qubit")
+    return e_site, r_site
+
+
+def _on_schedule(
+    cfg: DeviceConfig, model: HamiltonianModel, schedule: PulseSchedule
+) -> HamiltonianModel:
+    """build_hamiltonian(cfg, schedule) from a model it built for cfg on
+    another schedule: the same basis and parts, with the schedule's roles."""
+    e_site, r_site = _role_sites(cfg, schedule, len(model.basis[0].occupations) - 1)
+    return replace(model, schedule=schedule, emitter_site=e_site, receiver_site=r_site)
 
 
 @dataclass
@@ -260,12 +277,17 @@ def _expm(omega: np.ndarray) -> np.ndarray:
     largest scaled norm of the batch, and the series is summed as
     _series_table lays it out.
 
-    The series' products are real.  NumPy's stacked complex product costs
-    three to five times a real one on the same data at k <= 8 (1.3 times
-    at 26 x 26), so the powers x^(i-1) x and Horner's steps, times x^q,
-    multiply the left factor's interleaved parts by the real form of x or
-    of x^q (_real_form): two forms per batch.  The squarings stay complex, since each has a new
-    right factor, whose form would serve one product.  One array holds the
+    Below _REAL_FORM_SIZE the series' products are real.  NumPy's stacked
+    complex product costs three to five times a real one on the same data
+    at k <= 8 (1.3 times at 26 x 26), so the powers x^(i-1) x and Horner's
+    steps, times x^q, multiply the left factor's interleaved parts by the
+    real form of x or of x^q (_real_form): two forms per batch.  From
+    _REAL_FORM_SIZE on a form costs more than it saves (on one BLAS thread
+    of a 2-core x86 host, _expm with complex products takes 6 % less time
+    at k = 44, 3-16 % less at 48-56 and 18-26 % less at 64-90, and is even
+    within the host's noise at 26-42), and the same products are complex.  The squarings
+    stay complex, since each has a new right factor, whose form would serve
+    one product.  One array holds the
     powers, Horner's two running sums and the form, and the result is one
     of its rows: with each in an array of its own, a 26 x 26 batch's peak
     passes the size at which glibc's malloc returns freed memory to the
@@ -284,21 +306,24 @@ def _expm(omega: np.ndarray) -> np.ndarray:
     coef = _series_table(degree)
     q = coef.shape[1] - 1
     k = omega.shape[-1]
-    work = np.empty((q + 5, *omega.shape), dtype=complex)
+    real = k < _REAL_FORM_SIZE
+    work = np.empty((q + 3 + 2 * real, *omega.shape), dtype=complex)
     powers, out, spare = work[: q + 1], work[q + 1], work[q + 2]
-    step = work[q + 3 :].reshape(-1).view(float).reshape(*omega.shape[:-2], 2 * k, 2 * k)
     powers[0] = np.eye(k)
     powers[1] = omega
-    _real_form(omega, out=step)
+    right = powers[1]
+    if real:
+        step = work[q + 3 :].reshape(-1).view(float).reshape(*omega.shape[:-2], 2 * k, 2 * k)
+        right = _real_form(omega, out=step)
     for i in range(2, q + 1):
-        np.matmul(powers[i - 1].view(float), step, out=powers[i].view(float))
-    _real_form(powers[q], out=step)
+        _times(powers[i - 1], right, powers[i])
+    right = _real_form(powers[q], out=step) if real else powers[q]
     flat = powers.reshape(q + 1, -1).view(float)
     sums = out.reshape(-1).view(float)
     # the coefficients are real: each block is one real product over the interleaved parts
     np.matmul(coef[-1], flat, out=sums)
     for j in range(len(coef) - 2, -1, -1):
-        np.matmul(out.view(float), step, out=spare.view(float))
+        _times(out, right, spare)
         np.matmul(coef[j], flat, out=sums)
         out += spare
     out += powers[0]
@@ -307,6 +332,14 @@ def _expm(omega: np.ndarray) -> np.ndarray:
             more = squarings > i
             out[more] = out[more] @ out[more]
     return out
+
+
+def _times(a: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
+    """a @ b into out, for right either b itself or its real form."""
+    if right.dtype == complex:
+        np.matmul(a, right, out=out)
+    else:
+        np.matmul(a.view(float), right, out=out.view(float))
 
 
 def _real_form(b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -351,7 +384,8 @@ class _Block(NamedTuple):
 
     span: slice  # its states in the basis
     a0: np.ndarray  # a0's k x k block
-    table: np.ndarray  # (14, 2 k^2): the four parts, then the ten brackets
+    magnus: np.ndarray  # (15, 2 k^2): table, then a0, the matrices of a piece's exponent
+    table: np.ndarray  # (14, 2 k^2): the four parts, then the ten brackets; magnus[:-1]
     shifted_gram: np.ndarray  # (5, 5): of a0 and the parts less their traces
     parts_gram: np.ndarray  # (4, 4): of the parts
     bracket_gram: np.ndarray  # (10, 10): of the brackets
@@ -368,9 +402,10 @@ def _sector_blocks(a0, parts) -> list[_Block]:
     sectors less the ground state: 7 + 26 states for a pair on 5 modes.  The
     table holds each part, then the fixed brackets [a0, P_i] and
     [P_i, P_j], i < j, flattened to rows of interleaved real and imaginary
-    parts for _combination.  The Gram matrices G_ij = Re tr(X_i^dag X_j) of
-    three sets of them give the squared norms of the substep screen as
-    quadratic forms (_gram_form).
+    parts for _combination; magnus is the table with a0 as one more row,
+    so a piece's whole exponent is one product (_piece_rows).  The Gram
+    matrices G_ij = Re tr(X_i^dag X_j) of three sets of them give the
+    squared norms of the substep screen as quadratic forms (_gram_form).
     """
     pattern = (a0 != 0) | np.any(parts != 0, axis=0)
     pattern |= pattern.T
@@ -386,7 +421,8 @@ def _sector_blocks(a0, parts) -> list[_Block]:
         a0_block, p = a0[s, s], parts[:, s, s]
         k = len(a0_block)
         brackets = [a0_block @ p - p @ a0_block, p[first] @ p[second] - p[second] @ p[first]]
-        table = np.concatenate([p, *brackets]).reshape(-1, k * k).view(float)
+        magnus = np.concatenate([p, *brackets, a0_block[None]]).reshape(-1, k * k).view(float)
+        table = magnus[:-1]
         generators = np.concatenate([a0_block[None], p])
         traces = np.trace(generators, axis1=1, axis2=2)
         shifted = (generators - traces[:, None, None] / k * np.eye(k)).reshape(-1, k * k)
@@ -397,6 +433,7 @@ def _sector_blocks(a0, parts) -> list[_Block]:
             _Block(
                 span=s,
                 a0=a0_block,
+                magnus=magnus,
                 table=table,
                 shifted_gram=shifted @ shifted.T,
                 parts_gram=parts_rows @ parts_rows.T,
@@ -600,55 +637,89 @@ def _interval_ends(times, ctrl, a0, parts) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _piece_rows(h, lo, slope, counts) -> tuple[np.ndarray, np.ndarray]:
-    """The lengths and Magnus coefficient rows of all the pieces of a
-    schedule, in time order, interval i (of length h[i], controls from
-    lo[i] changing by slope[i]) cut into counts[i] equal pieces.
+def _piece_rows(h, lo, slope, counts) -> np.ndarray:
+    """The Magnus coefficient rows of all the pieces of a schedule, in time
+    order, interval i (of length h[i], controls from lo[i] changing by
+    slope[i]) cut into counts[i] equal pieces.
 
     h/2 (A1 + A2) = h A(centre), and A1 = A2 - gap slope . P, gap the Gauss
     points' distance as a fraction of the interval, so (sqrt(3) / 12) h^2
-    [A2, A1] = -twist [A2, slope . P].  Both are linear in the parts and the
-    brackets, so a piece's exponent is h a0 plus one real product of its
-    row [h centre, -twist (bracket coefficients)] with a block's table.
+    [A2, A1] = -twist [A2, slope . P].  Both are linear in a0, the parts and
+    the brackets, so a piece's exponent is one real product of its row
+    [h centre, -twist (bracket coefficients), h] with a block's magnus
+    table, and the last entry of the row is the piece's length.  Where every
+    interval is one piece, the rows are those of the intervals, with no
+    gather.
     """
-    interval = np.repeat(np.arange(len(h)), counts)
-    index = np.arange(len(interval)) - np.repeat(np.cumsum(counts) - counts, counts)
-    width = 1.0 / counts[interval]
-    begin = index * width
-    lengths = h[interval] * width
+    width = 1.0 / counts
+    begin = np.zeros(len(h))
+    if np.any(counts > 1):
+        interval = np.repeat(np.arange(len(h)), counts)
+        index = np.arange(len(interval)) - np.repeat(np.cumsum(counts) - counts, counts)
+        width = width[interval]
+        begin = index * width
+        h, lo, slope = h[interval], lo[interval], slope[interval]
+    lengths = h * width
     gap = (_GAUSS_NODES[1] - _GAUSS_NODES[0]) * width
     twist = (math.sqrt(3.0) / 12.0) * lengths**2 * gap
-    lo, slope = lo[interval], slope[interval]
     centre = lo + (begin + 0.5 * width)[:, None] * slope
     late = lo + (begin + _GAUSS_NODES[1] * width)[:, None] * slope
-    rows = np.concatenate(
-        [lengths[:, None] * centre, -twist[:, None] * _bracket_coefficients(late, slope)],
+    return np.concatenate(
+        [
+            lengths[:, None] * centre,
+            -twist[:, None] * _bracket_coefficients(late, slope),
+            lengths[:, None],
+        ],
         axis=1,
     )
-    return lengths, rows
 
 
-def _piece_propagators(model: HamiltonianModel, a0, tol: float, jump_rate: float, split: int):
-    """Yield (lengths, propagators) of the schedule's pieces in time order.
+class _Generator(NamedTuple):
+    """The fixed parts of the generator that a basis, static_hz, parts and
+    collapse set give, which every schedule on them shares (_generator)."""
+
+    a0: np.ndarray  # -2 pi i static_hz - decay / 2
+    parts: np.ndarray  # -2 pi i parts
+    superop: sparse.csr_matrix  # the jump superoperator of CollapseSet.split
+    jump_rate: float  # its largest absolute row sum
+    blocks: list[_Block]  # _sector_blocks of a0 and the parts
+
+
+def _generator(model: HamiltonianModel, collapse: CollapseSet) -> _Generator:
+    """The _Generator of a model's chain under a collapse set."""
+    decay, superop = collapse.split(model.dim)
+    a0 = -2j * math.pi * model.static_hz - 0.5 * decay
+    parts = -2j * math.pi * model.parts
+    jump_rate = float(abs(superop).sum(axis=1).max())  # 0 without loss
+    return _Generator(a0, parts, superop, jump_rate, _sector_blocks(a0, parts))
+
+
+def _piece_propagators(
+    model: HamiltonianModel, generator: _Generator, tol: float, split: int, used=None
+):
+    """Yield (lengths, exponentials) of the schedule's pieces in time order:
+    exponentials holds (span, u) for each block of used (by default every
+    block of the generator), u the (n, k, k) propagators of the batch's n
+    pieces on the block's states span.  Off the blocks every propagator is
+    the identity.
 
     The intervals are those between the samples of _interval_ends: each
     sample interval, or a whole decoupled run with linear controls.  Every
     interval is cut into split * n equal pieces, n from _substep_counts at
-    the interval's own length, so the jump term of the estimate decides n
-    on a run.  A batch holds at most _CHUNK pieces and every interval
-    gives a multiple of split, so split-sized groups never straddle batches.
-    The Magnus exponents and their exponentials are taken per block of
-    _sector_blocks; the propagators are block diagonal, the identity off
-    the blocks.  The exponents' coefficient rows (_piece_rows) are formed
-    once per schedule, and each batch takes its slice of them.
+    the interval's own length over all the generator's blocks, so the jump
+    term of the estimate decides n on a run, and the pieces do not depend
+    on used.  A batch holds at most _CHUNK pieces and every interval gives
+    a multiple of split, so split-sized groups never straddle batches.  The
+    exponents' coefficient rows (_piece_rows) are formed once per schedule,
+    and each batch takes its slice of them: one product with each block's
+    magnus table, then _expm.
     """
-    parts = -2j * math.pi * model.parts
+    a0, parts, blocks = generator.a0, generator.parts, generator.blocks
     times, ctrl = model.schedule.times_s, model.control_samples()
     ends = _interval_ends(times, ctrl, a0, parts)
     ctrl, h = ctrl[ends], np.diff(times[ends])
     lo, slope = ctrl[:-1], np.diff(ctrl, axis=0)
-    blocks = _sector_blocks(a0, parts)
-    counts = _substep_counts(a0, parts, h, lo, slope, tol, jump_rate, blocks)
+    counts = _substep_counts(a0, parts, h, lo, slope, tol, generator.jump_rate, blocks)
     spans = np.diff(ends)  # the sample intervals of each interval
     if np.any(counts > _MAX_SUBSTEPS * spans):
         worst = np.argmax(counts / spans)
@@ -656,15 +727,11 @@ def _piece_propagators(model: HamiltonianModel, a0, tol: float, jump_rate: float
             f"an interval of {spans[worst]} samples needs {counts[worst]:.3g} substeps"
             f" to reach tol {tol:.1e}"
         )
-    lengths, coef = _piece_rows(h, lo, slope, split * counts.astype(int))
-    eye = np.eye(model.dim, dtype=complex)
+    coef = _piece_rows(h, lo, slope, split * counts.astype(int))
+    used = blocks if used is None else used
     for first in range(0, len(coef), _CHUNK):
-        rows, batch = coef[first : first + _CHUNK], lengths[first : first + _CHUNK]
-        props = np.repeat(eye[None], len(batch), axis=0)
-        for block in blocks:
-            omega = _combination(rows, block.table) + batch[:, None, None] * block.a0
-            props[:, block.span, block.span] = _expm(omega)
-        yield batch, props
+        rows = coef[first : first + _CHUNK]
+        yield rows[:, -1], [(b.span, _expm(_combination(rows, b.magnus))) for b in used]
 
 
 def _stacked_jump(
@@ -761,7 +828,7 @@ def _lawson_step(x, first, second, h, jump, work) -> np.ndarray:
 def _lockstep(streams, x, stacked) -> np.ndarray:
     """Lawson steps of S schedules at once on x of shape (S, d, B, d).
 
-    streams[s] yields schedule s's (lengths, propagators) batches in time
+    streams[s] yields schedule s's (lengths, exponentials) batches in time
     order, as _piece_propagators with split=2 does; each pair of pieces is
     one step.  Every batch but a schedule's last holds _CHUNK pieces, so
     the schedules' batches line up and their steps are paired in order.
@@ -776,7 +843,9 @@ def _lockstep(streams, x, stacked) -> np.ndarray:
     and the old x becomes the next step's result array, so x itself (which
     must be C-contiguous) is overwritten.  Every batch's propagators and
     their conjugates go into two arrays made once, so a batch makes none of
-    the propagators' size.
+    the propagators' size: the propagators' array is the identity, set
+    once, and each batch writes its blocks' exponentials straight into
+    their spans, so the entries off the blocks stay the identity's.
     """
     live = np.arange(len(x))  # the schedule of each row of x
     out = np.empty_like(x)
@@ -785,6 +854,7 @@ def _lockstep(streams, x, stacked) -> np.ndarray:
     # each batch's propagators and their conjugates; a schedule's slots past
     # its own pieces keep an earlier batch's, and it drops out before them
     held = np.zeros((2, len(x), _CHUNK, d, d), dtype=complex)
+    held[0] = np.eye(d)
     for batches in itertools.zip_longest(*streams):
         # a schedule with no batch left has run out and takes no steps
         batches = [batches[s] for s in live]
@@ -793,8 +863,10 @@ def _lockstep(streams, x, stacked) -> np.ndarray:
         h = np.zeros((len(live), steps.max()))
         for row, batch in enumerate(batches):
             if batch is not None:
-                props[row, : len(batch[1])] = batch[1]
-                h[row, : steps[row]] = 2.0 * batch[0][::2]
+                lengths, exponentials = batch
+                for span, u in exponentials:
+                    props[row, : len(lengths), span, span] = u
+                h[row, : steps[row]] = 2.0 * lengths[::2]
         adjoints = np.conj(props, out=adjoints).transpose(0, 1, 3, 2)
         # where every schedule's step has one length (as for a schedule and
         # its reverse) the step takes it as a scalar, whose products are faster
@@ -817,7 +889,9 @@ def _lockstep(streams, x, stacked) -> np.ndarray:
     return out
 
 
-def _propagate(model, collapse: CollapseSet, y0: np.ndarray, tol: float) -> np.ndarray:
+def _propagate(
+    model, collapse: CollapseSet, y0: np.ndarray, tol: float, generator: _Generator | None = None
+) -> np.ndarray:
     """The one propagation routine: y(T) for a state vector (y0.ndim == 1)
     under the Schrodinger equation, or for a d x d matrix or a stack of them
     (..., d, d) under the Lindblad generator; stacked matrices share every
@@ -825,22 +899,28 @@ def _propagate(model, collapse: CollapseSet, y0: np.ndarray, tol: float) -> np.n
     lossless chain, CollapseSet().  model may also be a list of S models
     (schedules) that share their basis, static_hz and parts, a ValueError
     otherwise; y0 and the result then hold one input per model on a leading
-    axis.
+    axis.  generator is _generator of the models and collapse, formed here
+    unless given, so that callers with many propagations on one chain form
+    its tables once.
 
     tol bounds the remainder estimate of every interval (see
     _substep_counts): a sample interval, or a whole decoupled run of them
     along which the controls are linear, such as a transfer's detuning
     ramps, whose diagonal generator makes one interval exact (see
-    _interval_ends).  Without collapse operators each model's piece
-    propagators are multiplied into one, pairwise within each batch, which
-    is then applied once.  With them, the B matrices of each of the S
-    schedules are held for the whole propagation in one array
-    x[s, r, b, c] = m_sb[r, c] of shape (S, d, B, d), transposed once on the
-    way in and once on the way out, and _lockstep steps all the schedules
-    together: every Lawson step conjugates all S B matrices in two batched
-    GEMMs and jumps them in one sparse product on x's flat index.  Each
-    schedule has its own stream of piece propagators, and one model alone
-    is the case S = 1.
+    _interval_ends).  Without collapse operators the propagators are block
+    diagonal, and each model is propagated on the blocks its input occupies
+    (rows of a vector, rows or columns of matrices): each block's piece
+    exponentials are multiplied into the block's total, pairwise within
+    each batch, and the totals are applied once.  A vector's entries off
+    those blocks, its ground entry among them, are never touched; matrices
+    take the totals as one block-diagonal d x d propagator.  With collapse
+    operators, the B matrices of each of the S schedules are held for the
+    whole propagation in one array x[s, r, b, c] = m_sb[r, c] of shape
+    (S, d, B, d), transposed once on the way in and once on the way out,
+    and _lockstep steps all the schedules together: every Lawson step
+    conjugates all S B matrices in two batched GEMMs and jumps them in one
+    sparse product on x's flat index.  Each schedule has its own stream of
+    piece propagators, and one model alone is the case S = 1.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -860,26 +940,37 @@ def _propagate(model, collapse: CollapseSet, y0: np.ndarray, tol: float) -> np.n
         ):
             raise ValueError("batched models must share their basis, static_hz and parts")
     d = first.dim
-    decay, superop = collapse.split(d)
-    a0 = -2j * math.pi * first.static_hz - 0.5 * decay
+    if generator is None:
+        generator = _generator(first, collapse)
     moving = [m.schedule.duration_s > 0.0 for m in models]  # the others are left as they are
     if collapse.operators:
-        jump_rate = float(abs(superop).sum(axis=1).max())
         x = np.ascontiguousarray(ys.reshape(len(ys), -1, d, d).transpose(0, 2, 1, 3))
         streams = [
-            _piece_propagators(m, a0, tol, jump_rate, split=2) if move else iter(())
+            _piece_propagators(m, generator, tol, split=2) if move else iter(())
             for m, move in zip(models, moving)
         ]
-        x = _lockstep(streams, x, _stacked_jump(superop, d, x.shape[2], len(x)))
+        x = _lockstep(streams, x, _stacked_jump(generator.superop, d, x.shape[2], len(x)))
         ys = x.transpose(0, 2, 1, 3).reshape(ys.shape)
     else:
         for s, m in enumerate(models):
-            if not moving[s]:
+            occupied = ys[s] != 0
+            if ys[s].ndim > 1:
+                occupied = occupied.reshape(-1, d, d).any(axis=0)
+                occupied = occupied.any(axis=0) | occupied.any(axis=1)
+            used = [b for b in generator.blocks if occupied[b.span].any()]
+            if not (moving[s] and used):
                 continue
-            total = np.eye(d, dtype=complex)
-            for _, props in _piece_propagators(m, a0, tol, 0.0, split=1):
-                total = time_ordered_product(props) @ total
-            ys[s] = total @ ys[s] if ys[s].ndim == 1 else total @ ys[s] @ total.conj().T
+            totals = [np.eye(len(b.a0), dtype=complex) for b in used]
+            for _, exponentials in _piece_propagators(m, generator, tol, 1, used):
+                totals = [time_ordered_product(u) @ t for (_, u), t in zip(exponentials, totals)]
+            if ys[s].ndim == 1:
+                for block, total in zip(used, totals):
+                    ys[s][block.span] = total @ ys[s][block.span]
+            else:
+                u = np.eye(d, dtype=complex)
+                for block, total in zip(used, totals):
+                    u[block.span, block.span] = total
+                ys[s] = u @ ys[s] @ u.conj().T
     if not np.all(np.isfinite(ys)):
         raise RuntimeError("propagation produced non-finite values")
     return ys[0] if single else ys
@@ -944,20 +1035,31 @@ def simulate_transfer(
     Lossless runs use the pure-state fast path; the density route gives the
     same populations and is exercised when collapse operators are present.
     """
-    model = build_hamiltonian(cfg, schedule)
-    idx = basis_index(model.basis)
-    occ0 = [0] * len(model.basis[0].occupations)
-    occ0[model.emitter_site] = 1
-    start = idx[tuple(occ0)]
+    return _transfer(cfg, *_chain(cfg, schedule, lossy))
 
-    if lossy:
-        collapse = CollapseSet.from_config(cfg, model.basis)
+
+def _chain(cfg: DeviceConfig, schedule: PulseSchedule, lossy: bool) -> tuple:
+    """A transfer's (model, collapse set, _generator) on the schedule."""
+    model = build_hamiltonian(cfg, schedule)
+    collapse = CollapseSet.from_config(cfg, model.basis) if lossy else CollapseSet()
+    return model, collapse, _generator(model, collapse)
+
+
+def _transfer(
+    cfg: DeviceConfig, model: HamiltonianModel, collapse: CollapseSet, generator: _Generator
+) -> TransferResult:
+    """simulate_transfer on a built model, its collapse set and _generator."""
+    schedule = model.schedule
+    if collapse.operators:
         rho0 = DensityOperator.single_excitation(model.emitter_site, model.basis)
-        final = evolve(model, collapse, rho0)
+        rho = _propagate(model, collapse, rho0.matrix, _TOL, generator)
+        final = DensityOperator(rho, model.basis).validate()
     else:
+        occ0 = [0] * len(model.basis[0].occupations)
+        occ0[model.emitter_site] = 1
         psi0 = np.zeros(model.dim, dtype=complex)
-        psi0[start] = 1.0
-        psi = _propagate(model, CollapseSet(), psi0, _TOL)
+        psi0[basis_index(model.basis)[tuple(occ0)]] = 1.0
+        psi = _propagate(model, collapse, psi0, _TOL, generator)
         final = DensityOperator.from_pure(psi, model.basis)
 
     pop_e, pop_r, pop_other = _populations(final, model.emitter_site, model.receiver_site)
@@ -970,7 +1072,7 @@ def simulate_transfer(
         g_hz=schedule.g_hz,
         sweep_duration_s=schedule.sweep_duration_s,
         total_duration_s=schedule.duration_s,
-        lossy=lossy,
+        lossy=bool(collapse.operators),
         saturated=schedule.saturated(cfg.transfer.coupling_cap_hz),
     )
 
@@ -1035,13 +1137,16 @@ def sweep_transfer(
     Cells whose corrected coupling exceeds the configured cap are still
     simulated but flagged saturated.  A cell's ValueError (its schedule or
     state checks) or RuntimeError (the propagator) is recorded in errors, not
-    raised.
+    raised.  Each cell is simulate_transfer of its schedule, but the chain's
+    Hamiltonian, collapse set and generator tables are built once, with the
+    first schedule built, and shared by every cell.
     """
     if len(g_grid_hz) == 0 or len(t_grid_s) == 0:
         raise ValueError("sweep grids must be nonempty")
     ramp_total = cfg.transfer.total_duration_s - cfg.transfer.satd_duration_s
     results: list[list[TransferResult | None]] = []
     errors: list[list[str | None]] = []
+    chain = None  # (model, collapse, generator), from the first schedule built
     for g in g_grid_hz:
         row: list[TransferResult | None] = []
         err_row: list[str | None] = []
@@ -1054,7 +1159,9 @@ def sweep_transfer(
                     sweep_duration_s=float(t),
                     total_duration_s=float(t) + ramp_total,
                 )
-                row.append(simulate_transfer(cfg, schedule, lossy))
+                chain = chain or _chain(cfg, schedule, lossy)
+                model, collapse, generator = chain
+                row.append(_transfer(cfg, _on_schedule(cfg, model, schedule), collapse, generator))
                 err_row.append(None)
             except (ValueError, RuntimeError) as exc:  # schedule or propagator
                 row.append(None)
@@ -1089,18 +1196,20 @@ def extract_channels(
     is recorded in leakage_in.  Only the 10 inputs with i <= j are
     propagated: the Lindblad map preserves hermiticity, so the output for
     |j><i| is the adjoint of the output for |i><j|, and the other 6 are
-    filled that way.  Under loss, the inputs of every schedule go through
-    one _propagate call, each schedule on its own piece propagators, so each
-    channel is the one the schedule gives alone, to the last bit.  A
-    virtual Z on each qubit, applied after the propagated map, then removes
+    filled that way.  The inputs of every schedule go through one _propagate
+    call, each schedule on its own piece propagators, so each channel is the
+    one the schedule gives alone, to the last bit; the chain's Hamiltonian
+    is built once, and its generator tables formed once, for all the
+    schedules.  A virtual Z on each qubit, applied after the propagated map, then removes
     the deterministic detuning phase (half the per-qubit ramp integral,
     symmetric ramps).
     """
     schedules = list(schedules)
     if not schedules:
         raise ValueError("no schedules to extract")
-    models = [build_hamiltonian(cfg, schedule, 2) for schedule in schedules]
-    basis, d = models[0].basis, models[0].dim
+    model = build_hamiltonian(cfg, schedules[0], 2)
+    models = [model] + [_on_schedule(cfg, model, schedule) for schedule in schedules[1:]]
+    basis, d = model.basis, model.dim
     collapse = CollapseSet.from_config(cfg, basis) if lossy else CollapseSet()
     occ = np.array([label.occupations for label in basis])
     modes = occ[:, 1:-1]

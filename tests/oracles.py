@@ -25,7 +25,15 @@ extracted channel with a raw one.
 
 ``allocating_lockstep`` is the Lindblad lockstep of the dynamics as it was
 before its steps worked in a preallocated workspace: every stage a new
-array, the jump a scipy.sparse product re-sliced when a schedule drops out.
+array, the jump a scipy.sparse product re-sliced when a schedule drops out,
+each batch's block exponentials embedded into new d x d identities.
+
+``embedded_lossless_propagate`` is the lossless branch of the propagator as
+it was before it worked on the generator's excitation blocks: each batch's
+block exponentials, of the exponent ``h a0`` plus the product of the rest
+of its row with the block's table, embedded into d x d identities, the
+batch multiplied into one d x d propagator as one tree, and the schedule's
+total applied to the whole input.
 """
 
 import itertools
@@ -42,7 +50,13 @@ from lcoupler.benchmarking import (
     _ground,
     spam_apply,
 )
-from lcoupler.channels import QuantumChannel, from_pauli, pauli_populations, to_pauli
+from lcoupler.channels import (
+    QuantumChannel,
+    from_pauli,
+    pauli_populations,
+    time_ordered_product,
+    to_pauli,
+)
 from lcoupler.cliffords import (
     DATA_QUBITS,
     L_QUBIT_PAIR,
@@ -61,6 +75,16 @@ from lcoupler.cliffords import (
     single_qubit_cliffords,
     transfer_step,
     two_qubit_clifford,
+)
+from lcoupler.dynamics import (
+    _CHUNK,
+    HamiltonianModel,
+    _combination,
+    _expm,
+    _interval_ends,
+    _piece_rows,
+    _sector_blocks,
+    _substep_counts,
 )
 from lcoupler.rng import RngHandle
 from lcoupler.tomography import (
@@ -420,8 +444,12 @@ def allocating_lockstep(streams, x, stacked) -> np.ndarray:
         h = np.zeros((len(live), steps.max()))
         for row, batch in enumerate(batches):
             if batch is not None:
-                props[row, : len(batch[1])] = batch[1]
-                h[row, : steps[row]] = 2.0 * batch[0][::2]
+                lengths, exponentials = batch
+                embedded = np.repeat(np.eye(d, dtype=complex)[None], len(lengths), axis=0)
+                for span, u in exponentials:
+                    embedded[:, span, span] = u
+                props[row, : len(lengths)] = embedded
+                h[row, : steps[row]] = 2.0 * lengths[::2]
         adjoints = props.conj().transpose(0, 1, 3, 2)
         uniform = bool(np.all(h == h[0]))
         drop = steps.min()
@@ -440,3 +468,42 @@ def allocating_lockstep(streams, x, stacked) -> np.ndarray:
             x = allocating_lawson_step(x, first, second, length, jump)
     out[live] = x
     return out
+
+
+def embedded_lossless_propagate(model, y0, tol) -> np.ndarray:
+    """``dynamics._propagate`` with ``CollapseSet()``, as it was before the
+    lossless branch worked on blocks: a state vector, a matrix or a stack of
+    matrices, for one model or a list of them (one input each).  Every
+    batch's propagators are d x d, the identity off the blocks, multiplied
+    as one tree, and each schedule's total propagator multiplies the whole
+    input.  The pieces are the propagator's: its intervals, substep counts
+    and coefficient rows."""
+    single = isinstance(model, HamiltonianModel)
+    models = [model] if single else list(model)
+    ys = np.array(y0, dtype=complex)
+    ys = ys[None] if single else ys
+    d = models[0].dim
+    a0 = -2j * math.pi * models[0].static_hz
+    parts = -2j * math.pi * models[0].parts
+    blocks = _sector_blocks(a0, parts)
+    eye = np.eye(d, dtype=complex)
+    for s, m in enumerate(models):
+        if not m.schedule.duration_s > 0.0:
+            continue
+        times, ctrl = m.schedule.times_s, m.control_samples()
+        ends = _interval_ends(times, ctrl, a0, parts)
+        ctrl, h = ctrl[ends], np.diff(times[ends])
+        lo, slope = ctrl[:-1], np.diff(ctrl, axis=0)
+        counts = _substep_counts(a0, parts, h, lo, slope, tol, 0.0, blocks)
+        coef = _piece_rows(h, lo, slope, counts.astype(int))
+        total = eye
+        for first in range(0, len(coef), _CHUNK):
+            rows = coef[first : first + _CHUNK]
+            props = np.repeat(eye[None], len(rows), axis=0)
+            for block in blocks:
+                omega = _combination(rows[:, :-1], block.table)
+                omega = omega + rows[:, -1, None, None] * block.a0
+                props[:, block.span, block.span] = _expm(omega)
+            total = time_ordered_product(props) @ total
+        ys[s] = total @ ys[s] if ys[s].ndim == 1 else total @ ys[s] @ total.conj().T
+    return ys[0] if single else ys

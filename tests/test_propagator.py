@@ -148,6 +148,22 @@ def test_series_exponential_matches_scipy(scale):
     assert np.max(np.abs(dynamics._expm(omega) - expm(omega))) < 1e-12
 
 
+@pytest.mark.parametrize("norm", [0.3, 6.0])
+@pytest.mark.parametrize(
+    "k", [26, dynamics._REAL_FORM_SIZE - 1, dynamics._REAL_FORM_SIZE, 64, 66]
+)
+def test_expm_matches_scipy_on_both_sides_of_the_real_form_size(k, norm):
+    # below _REAL_FORM_SIZE the series' products go through real forms,
+    # from it on they are complex; 64 and 66 are the two-excitation blocks
+    # of a pair at 9 modes and of a wider window
+    rng = np.random.default_rng(k)
+    omega = rng.normal(size=(5, k, k)) + 1j * rng.normal(size=(5, k, k))
+    omega *= norm / np.abs(omega).sum(axis=-2).max()
+    exact = expm(omega)
+    scale = max(1.0, float(np.abs(exact).sum(axis=-2).max()))
+    assert np.max(np.abs(dynamics._expm(omega) - exact)) <= 1e-12 * scale
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     k=st.integers(1, 34),
