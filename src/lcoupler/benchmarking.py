@@ -727,6 +727,16 @@ def _check_counts(lengths, seeds_per_length: int, shots: int) -> None:
         raise ValueError(f"shots must be positive, got {shots}")
 
 
+def check_lengths(protocol: str, lengths) -> None:
+    """Refuse a sequence length the protocol cannot run: for NB one that is
+    odd or below 2, for two-qubit RB one below 1."""
+    for n in lengths:
+        if protocol == "NB" and (n < 2 or n % 2):
+            raise ValueError(f"sequence lengths must be even and >= 2, got {n}")
+        if n < 1:
+            raise ValueError(f"sequence lengths must be >= 1, got {n}")
+
+
 def _run_sequences(
     noise: NoiseModel,
     spam: SpamModel | None,
@@ -737,14 +747,15 @@ def _run_sequences(
     stream: RngHandle,
     draw,
     segment,
+    survivors: tuple[str, ...],
 ) -> list[RbRecord]:
-    """One record per (length, seed) on the register ``order``.
+    """One record per (length, seed) on the register ``order``, its
+    survival the joint ground population of the qubits ``survivors``.
 
     ``draw(length, gens)`` draws the sequences of one length, one per
     generator, and returns them as one (k, L) int array of slot entries
     (segment ids of the protocol's slot template, -1 for a hole), a row per
-    generator, and the qubits whose joint ground population is their
-    survival; ``segment(id)`` builds the segment of an id.  Each
+    generator; ``segment(id)`` builds the segment of an id.  Each
     (length, seed) pair has its own named stream under ``stream``, whose one
     generator draws its sequence's row and then its shots, so the dataset
     is reproducible record by record, whatever else the batch holds.  Every
@@ -766,9 +777,8 @@ def _run_sequences(
         gens = [stream.stream(n, seed).generator() for seed in range(seeds_per_length)]
         if not gens:
             continue
-        ids, survivors = draw(n, gens)
-        batches.append(ids)
-        drawn += [(n, seed, gen, survivors) for seed, gen in enumerate(gens)]
+        batches.append(draw(n, gens))
+        drawn += [(n, seed, gen) for seed, gen in enumerate(gens)]
     if not batches:
         return []
     used = np.unique(np.concatenate([ids.ravel() for ids in batches]))
@@ -778,17 +788,10 @@ def _run_sequences(
     codes[used] = runner.encode([segment(int(i)) for i in used])
     circuits = [row for ids in batches for row in codes[ids]]
     states = runner.evolve(runner.initial_state(spam), circuits)
-    gens = [gen for _, _, gen, _ in drawn]
+    gens = [gen for _, _, gen in drawn]
     measured = spam_apply(pauli_populations(states).T, spam.confusion(order), gens, shots)
-    survival = np.empty(len(drawn))
-    for qubits in {survivors for *_, survivors in drawn}:
-        rows = [i for i, (*_, survivors) in enumerate(drawn) if survivors == qubits]
-        survival[rows] = _ground(measured[rows], order, qubits)
-    spectators = [_ground(measured, order, (q,)) for q in ("L1", "L2")]
-    return [
-        RbRecord(n, seed, shots, *ground)
-        for (n, seed, _, _), ground in zip(drawn, zip(survival, *spectators))
-    ]
+    grounds = [_ground(measured, order, qubits) for qubits in (survivors, ("L1",), ("L2",))]
+    return [RbRecord(n, seed, shots, *ground) for (n, seed, _), ground in zip(drawn, zip(*grounds))]
 
 
 def _circuit_device(noise: NoiseModel, cfg: DeviceConfig | None) -> DeviceConfig:
@@ -862,22 +865,20 @@ def run_network_benchmarking(
     _check_counts(lengths, seeds_per_length, shots)
     cfg = _circuit_device(noise, cfg)
     rng = rng if rng is not None else RngHandle(seed=0)
-    for n in lengths:
-        if n < 2 or n % 2:
-            raise ValueError(f"sequence lengths must be even and >= 2, got {n}")
+    check_lengths("NB", lengths)
     template = _nb_template(cfg)
     unitaries = np.array([elem.unitary for elem in single_qubit_cliffords()])
 
     def draw(length, gens):
         elements = np.stack([gen.integers(len(unitaries), size=length) for gen in gens])
         carriers = np.arange(length) % 2
-        final = length % 2  # the carrier after the last transfer
         inverse = invert_sequence(unitaries[elements])
         steps = template.slots[24 * carriers + elements].reshape(len(gens), -1)
-        # the inverse's row, every slot but the transfer step
-        closing = template.slots[24 * final + inverse.index, :-1]
+        # the inverse's row on L1, where an even length leaves the carrier,
+        # every slot but the transfer step
+        closing = template.slots[inverse.index, :-1]
         closing = np.broadcast_to(closing, (len(gens), template.slots.shape[1] - 1))
-        return np.hstack([steps, closing]), (L_QUBIT_PAIR[final],)
+        return np.hstack([steps, closing])
 
     records = _run_sequences(
         noise,
@@ -889,6 +890,7 @@ def run_network_benchmarking(
         rng.stream("nb"),
         draw,
         template.segment,
+        L_QUBIT_PAIR[:1],
     )
     return RbDataset("NB", records)
 
@@ -924,9 +926,7 @@ def run_two_qubit_rb(
     _check_counts(lengths, seeds_per_length, shots)
     cfg = _circuit_device(noise, cfg)
     rng = rng if rng is not None else RngHandle(seed=0)
-    for n in lengths:
-        if n < 1:
-            raise ValueError(f"sequence lengths must be >= 1, got {n}")
+    check_lengths("TQRB", lengths)
     template = two_qubit_template(cfg)
     segment = template.segment
     if interleave is not None:
@@ -951,7 +951,7 @@ def run_two_qubit_rb(
         # one closing row per sequence; an inverse of one index closes them all
         closing = template.slots[inverse.index]
         closing = np.broadcast_to(closing, (len(gens), template.slots.shape[1]))
-        return np.hstack([rows.reshape(len(gens), -1), closing]), DATA_QUBITS
+        return np.hstack([rows.reshape(len(gens), -1), closing])
 
     records = _run_sequences(
         noise,
@@ -963,6 +963,7 @@ def run_two_qubit_rb(
         rng.stream("tqrb", protocol),
         draw,
         segment,
+        DATA_QUBITS,
     )
     return RbDataset(protocol, records)
 
@@ -1018,6 +1019,15 @@ def _rate_convention(protocol: str, channel: str) -> tuple[str, float]:
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
+def check_fit_lengths(lengths) -> None:
+    """Refuse fewer than three sequence lengths, which no decay fit
+    resolves.  fit_exponential checks its dataset's distinct lengths; a
+    caller that fits what it runs can check the lengths it asks for first,
+    since the protocols refuse a repeated length."""
+    if len(lengths) < 3:
+        raise ValueError("need at least three distinct sequence lengths to fit")
+
+
 def fit_exponential(data: RbDataset, channel: str = "survival") -> DecayFitResult:
     """Weighted least-squares fit of A p^n + B to one recorded channel.
 
@@ -1027,8 +1037,7 @@ def fit_exponential(data: RbDataset, channel: str = "survival") -> DecayFitResul
     _AT_BOUND of the box width from a bound is named in at_bound.
     """
     lengths, means, sems = data.series(channel)
-    if len(lengths) < 3:
-        raise ValueError("need at least three distinct sequence lengths to fit")
+    check_fit_lengths(lengths)
     convention, factor = _rate_convention(data.protocol, channel)
     if np.ptp(means) < 1e-12:
         return DecayFitResult(

@@ -32,6 +32,8 @@ from .benchmarking import (
     DEFAULT_TQRB_LENGTHS,
     NoiseModel,
     SpamModel,
+    check_fit_lengths,
+    check_lengths,
     eps_from_decay,
     fit_exponential,
     run_network_benchmarking,
@@ -171,6 +173,9 @@ def _leakage(fits, spectators) -> dict:
 
 
 def cmd_nb(args, cfg, out_dir: Path):
+    # the lengths the fit refuses are refused before the run extracts anything
+    check_lengths("NB", args.lengths)
+    check_fit_lengths(args.lengths)
     noise, spam = _benchmark_models(cfg, args.noiseless)
     dataset = run_network_benchmarking(
         noise,
@@ -198,6 +203,8 @@ def cmd_nb(args, cfg, out_dir: Path):
 
 
 def cmd_rb(args, cfg, out_dir: Path):
+    check_lengths("TQRB", args.lengths)
+    check_fit_lengths(args.lengths)
     noise, spam = _benchmark_models(cfg, args.noiseless)
     kwargs = dict(
         lengths=args.lengths,

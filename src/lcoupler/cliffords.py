@@ -9,9 +9,11 @@ qubits into the composite the device can actually run: local CZ gates
 conjugated by Y rotations plus two directional state transfers.
 
 Two-qubit group algebra works on abstract 4x4 matrices; only decompositions
-touch the 4-qubit register. Element lookup for inversion uses the tableau
-(conjugation action on X1, Z1, X2, Z2 with signs), which is an exact
-canonical form: 720 symplectic actions x 16 sign patterns = 11520 elements.
+touch the 4-qubit register. Element lookup for inversion in either group
+uses the tableau (conjugation action on X1, Z1, .., Xn, Zn with signs),
+which is an exact canonical form up to a global phase: 6 symplectic
+actions x 4 sign patterns = 24 single-qubit elements, 720 x 16 = 11520
+two-qubit elements.
 
 An element's decomposition is a sequence of segments: fixed op tuples that
 recur across elements (one remote CNOT, one single-qubit Clifford on one
@@ -28,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product as iter_product
 from typing import NamedTuple
 
@@ -192,17 +194,46 @@ def circuit_unitary(ops, qubit_order: tuple[str, ...] = QUBIT_ORDER) -> np.ndarr
 # single-qubit group
 
 
-def _phase_keys(u: np.ndarray, decimals: int = 9) -> list[bytes]:
-    """One key per matrix stacked in ``u`` (..., d, d): the matrix divided
-    by the phase of its first entry of modulus above 1e-6, rounded to
-    ``decimals``, as bytes, so matrices equal up to a global phase share a
-    key."""
-    u = np.asarray(u, dtype=complex)
-    flat = u.reshape(-1, u.shape[-2] * u.shape[-1])
-    first = np.argmax(np.abs(flat) > 1e-6, axis=1)
-    normed = flat * np.exp(-1j * np.angle(flat[np.arange(len(flat)), first]))[:, None]
-    # +0.0 collapses negative zeros so equal matrices share bytes
-    return [row.tobytes() for row in np.round(normed, decimals) + 0.0]
+@lru_cache(maxsize=None)
+def _tableau_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The generators X1, Z1, .., Xn, Zn of n qubits, and the matrix whose
+    product with a flattened 2^n x 2^n matrix M gives Tr(P M) for each of
+    the 4^n Pauli strings P in "ixyz" order, the first qubit's letter the
+    most significant: Tr(P M) = vec(M) . vec(P^T)."""
+
+    def string(letters):
+        return reduce(np.kron, [_PAULI[p] for p in letters])
+
+    generators = [string("i" * q + p + "i" * (n - 1 - q)) for q in range(n) for p in "xz"]
+    traces = [string(w).T.reshape(-1) for w in iter_product("ixyz", repeat=n)]
+    return np.array(generators), np.array(traces).T
+
+
+def _tableau_codes(u: np.ndarray) -> np.ndarray:
+    """Tableau code of each stacked n-qubit Clifford in ``u`` (..., d, d),
+    d = 2^n for n = 1 or 2.
+
+    Conjugation maps generator k of (X1, Z1, .., Xn, Zn) to +/-P for one of
+    the 4^n Pauli strings (index w in "ixyz" order); its digit is
+    2 w + (1 if the sign is negative), and the code is
+    sum_k digit_k (2 4^n)^k.  It is an exact canonical form: matrices share
+    a code exactly when they are equal up to a global phase.
+    """
+    d = u.shape[-1]
+    n = d.bit_length() - 1
+    generators, traces = _tableau_tables(n)
+    images = u[..., None, :, :] @ generators @ u.conj().swapaxes(-1, -2)[..., None, :, :]
+    coeffs = images.reshape(*images.shape[:-2], d * d) @ traces / d
+    which = np.argmax(np.abs(coeffs), axis=-1)
+    c = np.take_along_axis(coeffs, which[..., None], axis=-1)[..., 0]
+    if np.any(np.abs(np.abs(c) - 1.0) > 1e-8) or np.any(np.abs(c.imag) > 1e-8):
+        raise ValueError(f"matrix is not a {('single', 'two')[n - 1]}-qubit Clifford")
+    return (2 * which + (c.real < 0)) @ ((2 * d * d) ** np.arange(2 * n))
+
+
+class _TableauLookup(NamedTuple):
+    codes: np.ndarray  # every element's tableau code, ascending
+    indices: np.ndarray  # the element index of each code
 
 
 def _rz(angle_rad: float) -> np.ndarray:
@@ -214,10 +245,12 @@ _X90 = _rotation("x", np.pi / 2.0)
 
 @lru_cache(maxsize=None)
 def _single_qubit_table():
-    """24 matrices with minimal-pulse descriptors, in fixed enumeration order.
+    """24 matrices with minimal-pulse descriptors, in fixed enumeration
+    order, and the group's _TableauLookup.
 
     A descriptor is (n_pulses, z_steps): z_steps are quarter-turn counts
-    around the physical x pi/2 pulses, time-ordered first to last.
+    around the physical x pi/2 pulses, time-ordered first to last.  Each
+    element is the first candidate of its tableau code.
     """
     candidates = [(_rz(a * np.pi / 2.0), (0, (a,))) for a in range(4)]
     candidates += [
@@ -231,16 +264,13 @@ def _single_qubit_table():
         )
         for c, b, a in iter_product(range(4), repeat=3)
     ]
-    mats, descs, index_of = [], [], {}
-    keys = _phase_keys(np.array([u for u, _ in candidates]))
-    for key, (u, desc) in zip(keys, candidates):
-        if key not in index_of:
-            index_of[key] = len(mats)
-            mats.append(u)
-            descs.append(desc)
-    if len(mats) != 24:
+    codes = _tableau_codes(np.array([u for u, _ in candidates]))
+    kept = np.sort(np.unique(codes, return_index=True)[1])
+    if len(kept) != 24:
         raise RuntimeError("single-qubit enumeration did not close at 24")
-    return tuple(mats), tuple(descs), index_of
+    mats, descs = zip(*(candidates[i] for i in kept))
+    order = np.argsort(codes[kept])
+    return mats, descs, _TableauLookup(codes[kept][order], order)
 
 
 @lru_cache(maxsize=None)
@@ -608,33 +638,7 @@ def two_qubit_clifford(index: int, cfg: DeviceConfig | None = None) -> CliffordE
 # ---------------------------------------------------------------------------
 # inversion
 
-_GENERATORS_2Q = np.array([np.kron(_PAULI[p], _PAULI[q]) for p, q in ("xi", "zi", "ix", "iz")])
-# Tr(P M) = vec(M) . vec(P^T): one product gives all 16 Pauli coefficients
-_PAULI_TRACES = np.array(
-    [np.kron(_PAULI[p], _PAULI[q]).T.reshape(16) for p in "ixyz" for q in "ixyz"]
-).T
 _LOOKUP_CHUNK = 1024
-
-
-def _tableau_codes(u: np.ndarray) -> np.ndarray:
-    """Tableau code of each stacked two-qubit Clifford in ``u`` (..., 4, 4).
-
-    Conjugation maps generator k of (X1, Z1, X2, Z2) to +/-P for one of the
-    16 Pauli strings (index w in "ixyz" x "ixyz" order); its digit is
-    2 w + (1 if the sign is negative), and the code is sum_k digit_k 32^k.
-    """
-    images = u[..., None, :, :] @ _GENERATORS_2Q @ u.conj().swapaxes(-1, -2)[..., None, :, :]
-    coeffs = images.reshape(*images.shape[:-2], 16) @ _PAULI_TRACES / 4.0
-    which = np.argmax(np.abs(coeffs), axis=-1)
-    c = np.take_along_axis(coeffs, which[..., None], axis=-1)[..., 0]
-    if np.any(np.abs(np.abs(c) - 1.0) > 1e-8) or np.any(np.abs(c.imag) > 1e-8):
-        raise ValueError("matrix is not a two-qubit Clifford")
-    return (2 * which + (c.real < 0)) @ (32 ** np.arange(4))
-
-
-class _TableauLookup(NamedTuple):
-    codes: np.ndarray  # every element's tableau code, ascending
-    indices: np.ndarray  # the element index of each code
 
 
 @lru_cache(maxsize=None)
@@ -663,19 +667,16 @@ def _inverse_indices(unitaries: np.ndarray) -> np.ndarray:
     inverse = time_ordered_product(unitaries).conj().swapaxes(-1, -2)
     flat = inverse.reshape(-1, *inverse.shape[-2:])
     if inverse.shape[-1] == 2:
-        _, _, index_of = _single_qubit_table()
-        found = [index_of.get(key) for key in _phase_keys(flat)]
-        if None in found:
-            raise RuntimeError("sequence product is not in the single-qubit group")
-        return np.array(found).reshape(inverse.shape[:-2])
+        (codes, indices), group = _single_qubit_table()[2], "single-qubit"
+    else:
+        (codes, indices), group = _two_qubit_lookup(), "two-qubit"
     try:
         code = _tableau_codes(flat)
     except ValueError as exc:
-        raise RuntimeError("sequence product is not in the two-qubit group") from exc
-    codes, indices = _two_qubit_lookup()
+        raise RuntimeError(f"sequence product is not in the {group} group") from exc
     pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
     if np.any(codes[pos] != code):
-        raise RuntimeError("sequence product is not in the two-qubit group")
+        raise RuntimeError(f"sequence product is not in the {group} group")
     return indices[pos].reshape(inverse.shape[:-2])
 
 
@@ -689,11 +690,10 @@ def invert_sequence(
     as ``SequenceInverses``, group indices only, no element built; one
     sequence gives its ``CliffordElement``.  Each product is one pairwise
     batched product (``time_ordered_product``), bit for bit the same in a
-    stack as alone.  Single-qubit sequences resolve by phase-normalized
-    matrix lookup, which rounds to 9 decimals; two-qubit sequences by the
-    tableau code of the inverse product, which tolerates 1e-8, one code
-    array and one sorted search for the whole stack.  Either way the
-    rounding of the product cannot change the element.
+    stack as alone.  Sequences of either group resolve by the tableau code
+    of the inverse product, which tolerates 1e-8: one code array and one
+    sorted search for the whole stack, so the rounding of the product
+    cannot change the element.
     """
     unitaries = seq if isinstance(seq, np.ndarray) else np.array([e.unitary for e in seq])
     if not unitaries.size:

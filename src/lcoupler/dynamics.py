@@ -11,7 +11,6 @@ convention lives in mode_sign() below and nowhere else.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -694,25 +693,18 @@ def _generator(model: HamiltonianModel, collapse: CollapseSet) -> _Generator:
     return _Generator(a0, parts, superop, jump_rate, _sector_blocks(a0, parts))
 
 
-def _piece_propagators(
-    model: HamiltonianModel, generator: _Generator, tol: float, split: int, used=None
-):
-    """Yield (lengths, exponentials) of the schedule's pieces in time order:
-    exponentials holds (span, u) for each block of used (by default every
-    block of the generator), u the (n, k, k) propagators of the batch's n
-    pieces on the block's states span.  Off the blocks every propagator is
-    the identity.
+def _schedule_rows(
+    model: HamiltonianModel, generator: _Generator, tol: float, split: int
+) -> np.ndarray:
+    """The coefficient rows (_piece_rows) of the schedule's pieces in time
+    order, the last entry of each row its piece's length.
 
     The intervals are those between the samples of _interval_ends: each
     sample interval, or a whole decoupled run with linear controls.  Every
     interval is cut into split * n equal pieces, n from _substep_counts at
     the interval's own length over all the generator's blocks, so the jump
     term of the estimate decides n on a run, and the pieces do not depend
-    on used.  A batch holds at most _CHUNK pieces and every interval gives
-    a multiple of split, so split-sized groups never straddle batches.  The
-    exponents' coefficient rows (_piece_rows) are formed once per schedule,
-    and each batch takes its slice of them: one product with each block's
-    magnus table, then _expm.
+    on which blocks are propagated.
     """
     a0, parts, blocks = generator.a0, generator.parts, generator.blocks
     times, ctrl = model.schedule.times_s, model.control_samples()
@@ -727,11 +719,22 @@ def _piece_propagators(
             f"an interval of {spans[worst]} samples needs {counts[worst]:.3g} substeps"
             f" to reach tol {tol:.1e}"
         )
-    coef = _piece_rows(h, lo, slope, split * counts.astype(int))
-    used = blocks if used is None else used
+    return _piece_rows(h, lo, slope, split * counts.astype(int))
+
+
+def _piece_propagators(coef: np.ndarray, blocks: list[_Block]):
+    """Yield (lengths, exponentials) of the pieces of coefficient rows coef
+    (_schedule_rows) in time order: exponentials holds (span, u) for each
+    of blocks, u the (n, k, k) propagators of the batch's n pieces on the
+    block's states span.  Off the blocks every propagator is the identity.
+    A batch holds at most _CHUNK pieces, and _schedule_rows gives every
+    interval a multiple of its split, so split-sized groups never straddle
+    batches.  Each batch is one product of its rows with each block's
+    magnus table, then _expm.
+    """
     for first in range(0, len(coef), _CHUNK):
         rows = coef[first : first + _CHUNK]
-        yield rows[:, -1], [(b.span, _expm(_combination(rows, b.magnus))) for b in used]
+        yield rows[:, -1], [(b.span, _expm(_combination(rows, b.magnus))) for b in blocks]
 
 
 def _stacked_jump(
@@ -741,9 +744,7 @@ def _stacked_jump(
     index of _propagate's stacked layout x[s, r, b, c] = m_sb[r, c]: entry
     (r d + c, t d + e) lands at (n s + r B d + b d + c, n s + t B d + b d + e)
     for each of the B = batch matrices of each of the S = schedules
-    schedules, n = d B d, so one sparse product jumps them all.  It is
-    block diagonal: its leading n S' rows read only its leading n S'
-    columns, and are the jump of the first S' schedules."""
+    schedules, n = d B d, so one sparse product jumps them all."""
     entries = superop.tocoo()
     n = d * batch * d
     offsets = n * np.arange(schedules)[:, None, None] + d * np.arange(batch)[None, :, None]
@@ -762,9 +763,7 @@ def _jump(stacked: sparse.csr_matrix, m: np.ndarray, out: np.ndarray) -> np.ndar
     C-contiguous) and returned.  It calls the CSR kernel that
     `stacked @ vector` ends in, adding into out zeroed as that product's own
     result is, so the products are the same to the bit, without
-    scipy.sparse's per-call dispatch.  The kernel reads the leading m.size
-    rows of stacked, which (block diagonal) read only its leading m.size
-    columns: the jump of the first S' schedules when m holds S' of them."""
+    scipy.sparse's per-call dispatch."""
     n = m.size
     out.fill(0.0)
     _sparsetools.csr_matvec(
@@ -776,12 +775,11 @@ def _jump(stacked: sparse.csr_matrix, m: np.ndarray, out: np.ndarray) -> np.ndar
 def _lawson_step(x, first, second, h, jump, work) -> np.ndarray:
     """One RK4 step in the interaction picture of the no-jump evolution, on
     the stacked layout x[s, r, b, c] = m_sb[r, c] of _propagate, of length
-    h[s] for schedule s (h of shape (S, 1, 1, 1), or one scalar for all of
-    them).  first and second are
-    the (propagators, adjoints) pairs of its half steps, one d x d matrix
-    per schedule.  Each conjugation u_s m_sb u_s^dag of all S B matrices is
+    h (one scalar) for every schedule.  first and second are the
+    (propagators, adjoints) pairs of its half steps, one d x d matrix per
+    schedule.  Each conjugation u_s m_sb u_s^dag of all S B matrices is
     two batched GEMMs: u_s times the d x (B d) rows of x[s], then the
-    (d B) x d result times u_s^dag.  jump is _stacked_jump for at least S
+    (d B) x d result times u_s^dag.  jump is _stacked_jump for the S
     schedules, applied by _jump.  work holds eight C-contiguous arrays of
     x's shape: the first receives the result, which is returned, and the
     others hold the stages and the GEMMs' rows, so the step makes no array
@@ -829,64 +827,38 @@ def _lockstep(streams, x, stacked) -> np.ndarray:
     """Lawson steps of S schedules at once on x of shape (S, d, B, d).
 
     streams[s] yields schedule s's (lengths, exponentials) batches in time
-    order, as _piece_propagators with split=2 does; each pair of pieces is
-    one step.  Every batch but a schedule's last holds _CHUNK pieces, so
-    the schedules' batches line up and their steps are paired in order.
-    stacked is _stacked_jump for all S schedules.  A schedule whose steps
-    have run out is dropped: its rows of x are set aside, and the others
-    step on without it, under the leading rows of stacked.  No schedule
-    takes a padding step, and its pieces are never batched with another
-    schedule's, so each schedule's propagators are those it has alone.
+    order, as _piece_propagators of rows with split 2 does; each pair of
+    pieces is one step.  The schedules' pieces have equal lengths, as
+    _propagate groups them, so their batches line up, their steps are paired
+    in order, and each step has one length, taken as a scalar.  stacked is
+    _stacked_jump for the S schedules.  Pieces are never batched across
+    schedules, so each schedule's propagators are those it has alone.
 
-    The steps share one workspace of eight arrays of x's shape, made again
-    only when a schedule drops out; each step's result is swapped in as x,
-    and the old x becomes the next step's result array, so x itself (which
-    must be C-contiguous) is overwritten.  Every batch's propagators and
-    their conjugates go into two arrays made once, so a batch makes none of
-    the propagators' size: the propagators' array is the identity, set
-    once, and each batch writes its blocks' exponentials straight into
-    their spans, so the entries off the blocks stay the identity's.
+    The steps share one workspace of eight arrays of x's shape; each step's
+    result is swapped in as x, and the old x becomes the next step's result
+    array, so x itself (which must be C-contiguous) is overwritten, and the
+    result is one of these arrays.  Every batch's propagators and their
+    conjugates go into two arrays made once, so a batch makes none of the
+    propagators' size: the propagators' array is the identity, set once,
+    and each batch writes its blocks' exponentials straight into their
+    spans, so the entries off the blocks stay the identity's.
     """
-    live = np.arange(len(x))  # the schedule of each row of x
-    out = np.empty_like(x)
     d = x.shape[1]
     work = [np.empty_like(x) for _ in range(8)]
-    # each batch's propagators and their conjugates; a schedule's slots past
-    # its own pieces keep an earlier batch's, and it drops out before them
     held = np.zeros((2, len(x), _CHUNK, d, d), dtype=complex)
     held[0] = np.eye(d)
-    for batches in itertools.zip_longest(*streams):
-        # a schedule with no batch left has run out and takes no steps
-        batches = [batches[s] for s in live]
-        steps = np.array([0 if b is None else len(b[0]) // 2 for b in batches])
-        props, adjoints = held[:, : len(live), : 2 * steps.max()]
-        h = np.zeros((len(live), steps.max()))
-        for row, batch in enumerate(batches):
-            if batch is not None:
-                lengths, exponentials = batch
-                for span, u in exponentials:
-                    props[row, : len(lengths), span, span] = u
-                h[row, : steps[row]] = 2.0 * lengths[::2]
+    for batches in zip(*streams):
+        lengths = batches[0][0]
+        props, adjoints = held[:, :, : len(lengths)]
+        for row, (_, exponentials) in enumerate(batches):
+            for span, u in exponentials:
+                props[row, :, span, span] = u
         adjoints = np.conj(props, out=adjoints).transpose(0, 1, 3, 2)
-        # where every schedule's step has one length (as for a schedule and
-        # its reverse) the step takes it as a scalar, whose products are faster
-        uniform = bool(np.all(h == h[0]))
-        drop = steps.min()  # the first step some schedule does not have
-        for k in range(steps.max()):
-            if k == drop:
-                done = steps <= k
-                out[live[done]] = x[done]
-                keep = ~done
-                live, steps, x, props, h = (a[keep] for a in (live, steps, x, props, h))
-                adjoints = props.conj().transpose(0, 1, 3, 2)
-                work = [np.empty_like(x) for _ in range(8)]
-                drop = steps.min()
+        for k, h in enumerate(2.0 * lengths[::2]):
             first = props[:, 2 * k], adjoints[:, 2 * k]
             second = props[:, 2 * k + 1], adjoints[:, 2 * k + 1]
-            length = h[0, k] if uniform else h[:, k, None, None, None]
-            x, work[0] = _lawson_step(x, first, second, length, stacked, work), x
-    out[live] = x
-    return out
+            x, work[0] = _lawson_step(x, first, second, h, stacked, work), x
+    return x
 
 
 def _propagate(
@@ -916,11 +888,13 @@ def _propagate(
     take the totals as one block-diagonal d x d propagator.  With collapse
     operators, the B matrices of each of the S schedules are held for the
     whole propagation in one array x[s, r, b, c] = m_sb[r, c] of shape
-    (S, d, B, d), transposed once on the way in and once on the way out,
-    and _lockstep steps all the schedules together: every Lawson step
-    conjugates all S B matrices in two batched GEMMs and jumps them in one
-    sparse product on x's flat index.  Each schedule has its own stream of
-    piece propagators, and one model alone is the case S = 1.
+    (S, d, B, d), transposed once on the way in and once on the way out.
+    The moving schedules are grouped by their pieces' lengths, equal to
+    the bit, and _lockstep steps each group's schedules together: every
+    Lawson step conjugates all their matrices in two batched GEMMs and
+    jumps them in one sparse product on the group's rows of x.  Each
+    schedule has its own stream of piece propagators, and one model alone
+    is the case S = 1.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -945,11 +919,14 @@ def _propagate(
     moving = [m.schedule.duration_s > 0.0 for m in models]  # the others are left as they are
     if collapse.operators:
         x = np.ascontiguousarray(ys.reshape(len(ys), -1, d, d).transpose(0, 2, 1, 3))
-        streams = [
-            _piece_propagators(m, generator, tol, split=2) if move else iter(())
-            for m, move in zip(models, moving)
-        ]
-        x = _lockstep(streams, x, _stacked_jump(generator.superop, d, x.shape[2], len(x)))
+        rows = {s: _schedule_rows(m, generator, tol, 2) for s, m in enumerate(models) if moving[s]}
+        groups = {}
+        for s, coef in rows.items():
+            groups.setdefault(coef[:, -1].tobytes(), []).append(s)
+        for group in groups.values():
+            streams = [_piece_propagators(rows[s], generator.blocks) for s in group]
+            jump = _stacked_jump(generator.superop, d, x.shape[2], len(group))
+            x[group] = _lockstep(streams, x[group], jump)
         ys = x.transpose(0, 2, 1, 3).reshape(ys.shape)
     else:
         for s, m in enumerate(models):
@@ -961,7 +938,7 @@ def _propagate(
             if not (moving[s] and used):
                 continue
             totals = [np.eye(len(b.a0), dtype=complex) for b in used]
-            for _, exponentials in _piece_propagators(m, generator, tol, 1, used):
+            for _, exponentials in _piece_propagators(_schedule_rows(m, generator, tol, 1), used):
                 totals = [time_ordered_product(u) @ t for (_, u), t in zip(exponentials, totals)]
             if ys[s].ndim == 1:
                 for block, total in zip(used, totals):

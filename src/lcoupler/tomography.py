@@ -164,6 +164,11 @@ class TomographyResult:
         }
 
 
+def _check_shots(shots_per_setting: int, exact: bool) -> None:
+    if not exact and shots_per_setting < 100:
+        raise ValueError("need at least 100 shots per setting")
+
+
 def tomography_of_state(
     rho2: np.ndarray,
     spam: SpamModel,
@@ -183,8 +188,7 @@ def tomography_of_state(
     """
     if rho2.shape != (4, 4):
         raise ValueError("tomography_of_state expects a two-qubit state")
-    if not exact and shots_per_setting < 100:
-        raise ValueError("need at least 100 shots per setting")
+    _check_shots(shots_per_setting, exact)
     rng = rng if rng is not None else RngHandle(seed=0)
     confusion = spam.confusion(qubits)
     coefficients = np.zeros((16, len(SETTINGS)))
@@ -224,7 +228,9 @@ def state_tomography(
     rng: RngHandle | None = None,
     exact: bool = False,
 ) -> TomographyResult:
-    """Simulate a preparation circuit and reconstruct the measured pair."""
+    """Simulate a preparation circuit and reconstruct the measured pair;
+    too few shots are refused before the circuit runs."""
+    _check_shots(shots_per_setting, exact)
     rho2 = simulate_prep(prep, noise, spam, qubits)
     return tomography_of_state(rho2, spam, qubits, shots_per_setting, rng, exact)
 

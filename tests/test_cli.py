@@ -127,6 +127,14 @@ class TestNbCommand:
         assert "distinct" in capsys.readouterr().err
         assert not (tmp_path / "nb_dataset.csv").exists()
 
+    def test_too_few_lengths_refused_before_extracting(self, tmp_path, capsys, extractions):
+        assert run(tmp_path, "nb", "--lengths", "2,4") == 2
+        assert capsys.readouterr().err == (
+            "invalid request: need at least three distinct sequence lengths to fit\n"
+        )
+        assert extractions == []
+        assert not (tmp_path / "run_manifest.json").exists()
+
 
 class TestRbCommand:
     def test_interleaved_fit_has_both_decays(self, tmp_path):
@@ -156,6 +164,14 @@ class TestRbCommand:
         code = run(tmp_path, "rb", "--noiseless", "--seeds", "2", "--lengths", "1,4,4")
         assert code == 2
         assert "distinct" in capsys.readouterr().err
+
+    def test_too_few_lengths_refused_before_extracting(self, tmp_path, capsys, extractions):
+        assert run(tmp_path, "rb", "--lengths", "1,2") == 2
+        assert capsys.readouterr().err == (
+            "invalid request: need at least three distinct sequence lengths to fit\n"
+        )
+        assert extractions == []
+        assert not (tmp_path / "run_manifest.json").exists()
 
 
 class TestBellCommand:
@@ -188,6 +204,13 @@ class TestBellCommand:
         )
         assert code == 0
         assert extractions == [[(method, "L1->L2")]]
+
+    def test_too_few_shots_refused_before_extracting(self, tmp_path, capsys, extractions):
+        code = run(tmp_path, "bell", "--variant", "data-full", "--shots-per-setting", "10")
+        assert code == 2
+        assert capsys.readouterr().err == "invalid request: need at least 100 shots per setting\n"
+        assert extractions == []
+        assert not (tmp_path / "run_manifest.json").exists()
 
     def test_sqrt_variant_noiseless(self, tmp_path):
         code = run(tmp_path, "bell", "--variant", "lqubit-sqrt", "--noiseless")

@@ -28,7 +28,6 @@ from lcoupler.cliffords import (
     two_qubit_matrix,
     _ISWAP_DRESSING,
     _CYCLER_DESC,
-    _phase_keys,
     _single_qubit_table,
     _sq_ops,
     _tableau_codes,
@@ -147,8 +146,8 @@ class TestSingleQubitGroup:
     def test_twenty_four_elements(self):
         els = single_qubit_cliffords()
         assert len(els) == 24
-        keys = set(_phase_keys(np.array([e.unitary for e in els])))
-        assert len(keys) == 24
+        codes = set(_tableau_codes(np.array([e.unitary for e in els])))
+        assert len(codes) == 24
 
     def test_identity_first_with_empty_decomposition(self):
         els = single_qubit_cliffords()
@@ -170,9 +169,9 @@ class TestSingleQubitGroup:
     def test_closure_under_composition(self):
         els = single_qubit_cliffords()
         unitaries = np.array([e.unitary for e in els])
-        keys = set(_phase_keys(unitaries))
+        codes = set(_tableau_codes(unitaries))
         a, b = np.random.default_rng(5).integers(24, size=(2, 500))
-        assert keys.issuperset(_phase_keys(unitaries[a] @ unitaries[b]))
+        assert codes.issuperset(_tableau_codes(unitaries[a] @ unitaries[b]))
 
     def test_segments_concatenate_to_decomposition(self):
         descs = _single_qubit_table()[1]

@@ -255,8 +255,8 @@ def test_extract_channels_equals_one_schedule_at_a_time_on_three_modes():
 
 def test_extract_channels_of_unequal_lengths():
     # different sample spacings give the two schedules steps of different
-    # lengths, and different durations different step counts: the shorter
-    # one runs out of steps first, from the first row of the batch
+    # lengths, and different durations different step counts: each steps
+    # in a group of its own
     cfg = load_config(SINGLE_MODE)
     ramps = cfg.transfer.total_duration_s - cfg.transfer.satd_duration_s
     short = build_transfer_schedule(cfg, "satd", None, 90e-9, 90e-9 + ramps, dt_s=0.25e-9)
@@ -266,8 +266,8 @@ def test_extract_channels_of_unequal_lengths():
 
 
 def test_extract_channels_with_a_zero_duration_schedule():
-    # a schedule of no duration takes no step: its stream is empty, and the
-    # lockstep drops it at step 0 while the full schedule steps on
+    # a schedule of no duration takes no step and joins no group: its
+    # inputs are left as they are, while the full schedule steps alone
     cfg = load_config(SINGLE_MODE)
     empty = constant_coupling_schedule(0.0, 0.0)
     assert empty.duration_s == 0.0
@@ -630,9 +630,9 @@ def test_workspace_jump_is_the_sparse_product_to_the_byte(d, batch, schedules, s
     stacked = dynamics._stacked_jump(sparse.csr_matrix(superop), d, batch, schedules)
     x = normal(schedules, d, batch, d)
     want = stacked @ x.ravel()
-    # the leading S' schedules, as the lockstep holds them once the others
-    # have dropped out: the kernel reads stacked's leading rows, unsliced,
-    # into an output that holds garbage on entry
+    # the leading S' schedules: the kernel reads stacked's leading rows,
+    # unsliced, which (block diagonal) are their jump, into an output that
+    # holds garbage on entry
     for live in range(1, schedules + 1):
         n = x[:live].size
         out = normal(live, d, batch, d)
@@ -642,8 +642,8 @@ def test_workspace_jump_is_the_sparse_product_to_the_byte(d, batch, schedules, s
 
 
 def test_lockstep_matches_the_allocating_lockstep_to_the_byte(monkeypatch):
-    # the 100 ns schedule runs out first, so the lockstep drops it and steps
-    # the other two on in a new, smaller workspace
+    # the 100 ns schedule's pieces differ from SATD's, so it steps in a
+    # group of its own, and SATD with its reverse in another
     cfg = load_config(SINGLE_MODE)
     satd = build_transfer_schedule(cfg)
     short = build_transfer_schedule(cfg, sweep_duration_s=64e-9, total_duration_s=100e-9)
@@ -659,3 +659,32 @@ def test_lockstep_matches_the_allocating_lockstep_to_the_byte(monkeypatch):
     monkeypatch.setattr(dynamics, "_lockstep", allocating_lockstep)
     want = _propagate(models, collapse, y0, dynamics._TOL)
     assert got.tobytes() == want.tobytes()
+
+
+def _lockstep_sizes(run):
+    """The number of schedules of each _lockstep call that run() makes."""
+    with mock.patch.object(dynamics, "_lockstep", wraps=dynamics._lockstep) as spy:
+        run()
+    return [len(call.args[1]) for call in spy.call_args_list]
+
+
+def test_a_schedule_and_its_reverse_step_in_one_group():
+    cfg = load_config(SINGLE_MODE)
+    assert _lockstep_sizes(lambda: extract_channels(cfg, _both_ways(cfg))) == [2]
+
+
+def test_schedules_with_other_pieces_step_in_groups_of_their_own():
+    # SATD and its reverse share their piece lengths, the 100 ns schedule
+    # has its own: two groups, in the order of their first schedules
+    cfg = load_config(SINGLE_MODE)
+    satd = build_transfer_schedule(cfg)
+    short = build_transfer_schedule(cfg, sweep_duration_s=64e-9, total_duration_s=100e-9)
+    models = [
+        build_hamiltonian(cfg, sched, truncation=2)
+        for sched in (satd, short, reverse_schedule(satd))
+    ]
+    collapse = CollapseSet.from_config(cfg, models[0].basis)
+    d = models[0].dim
+    y0 = np.broadcast_to(np.eye(d), (3, d, d))
+    sizes = _lockstep_sizes(lambda: _propagate(models, collapse, y0, dynamics._TOL))
+    assert sizes == [2, 1]

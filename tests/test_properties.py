@@ -79,8 +79,8 @@ from lcoupler.cliffords import (
     TWO_QUBIT_GROUP_ORDER,
     GateKind,
     Segment,
-    _phase_keys,
     _single_qubit_table,
+    _tableau_codes,
     _two_qubit_matrices,
     circuit_unitary,
     compile_remote_cnot,
@@ -617,25 +617,17 @@ def test_stacked_spam_draws_each_row_as_alone(n, k, shots, seed):
         assert np.array_equal(got[i], alone[0])
 
 
-def _phase_key(u, decimals=9):
-    """One matrix's key, computed alone: the reference for _phase_keys."""
-    flat = np.asarray(u, dtype=complex).flatten()
-    first = int(np.argmax(np.abs(flat) > 1e-6))
-    normed = np.asarray(u, dtype=complex) * np.exp(-1j * np.angle(flat[first]))
-    return (np.round(normed, decimals) + 0.0).tobytes()
-
-
 @PROPERTY_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1))
-def test_stacked_phase_keys_equal_each_matrix_alone(seed):
-    """All 24 single-qubit Cliffords under random global phases, some with
-    the leading entry zero; the keys still find each element's index."""
+def test_stacked_tableau_codes_equal_each_matrix_alone(seed):
+    """All 24 single-qubit Cliffords under random global phases: each
+    stacked code is the matrix's code alone and finds its element's index."""
     gen = np.random.default_rng(seed)
-    mats, _, index_of = _single_qubit_table()
+    mats, _, (codes, indices) = _single_qubit_table()
     stack = np.array(mats) * np.exp(1j * gen.uniform(-np.pi, np.pi, size=24))[:, None, None]
-    keys = _phase_keys(stack)
-    assert keys == [_phase_key(u) for u in stack]
-    assert [index_of[key] for key in keys] == list(range(24))
+    stacked = _tableau_codes(stack)
+    assert stacked.tolist() == [int(_tableau_codes(u)) for u in stack]
+    assert indices[np.searchsorted(codes, stacked)].tolist() == list(range(24))
 
 
 @PROPERTY_SETTINGS
